@@ -57,6 +57,7 @@ from .pulses import (
     apply_displacement,
     apply_evolution,
     apply_rotation,
+    batch_signal,
     expectation_spin,
     ground_state,
     mode_decompose,
@@ -141,6 +142,7 @@ __all__ = [
     "apply_evolution",
     "expectation_spin",
     "run_sequence",
+    "batch_signal",
     "preset_up",
     "preset_cp",
     "ResponseCurve",

@@ -299,10 +299,18 @@ def _apparatus_from(cfg: dict) -> ApparatusParams:
     )
 
 
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
+def _config_int(value, where: str) -> int:
+    """A JSON integer; integral floats such as 1e4 are accepted, nothing else."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _check_seed(seed: int, where: str) -> int:
     if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"seed must fit in 64 bits, got {seed}")
+        raise ConfigError(f"{where} must fit in 64 bits, got {seed}")
     return seed
 
 
@@ -347,19 +355,11 @@ def _out_format(args, cfg: dict) -> str:
     return fmt
 
 
-def _check_threads(n: int) -> None:
-    # accepted for interface stability; execution is serial so output never
-    # depends on the worker count
-    if n < 1:
-        raise ConfigError(f"--threads must be >= 1, got {n}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_modes(args) -> int:
     cfg = load_config(args.config)
-    _check_threads(args.threads)
     out = _out_dir(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -401,7 +401,6 @@ def _cp_segment_paths(modes, z0: complex, spin: int, t: float, n_per: int):
 
 def cmd_trajectory(args) -> int:
     cfg = load_config(args.config)
-    _check_threads(args.threads)
     out = _out_dir(args, cfg)
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
@@ -458,7 +457,6 @@ def _curve_summary(curve) -> dict:
 
 def cmd_response(args) -> int:
     cfg = load_config(args.config)
-    _check_threads(args.threads)
     out = _out_dir(args, cfg)
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
@@ -501,7 +499,6 @@ def cmd_response(args) -> int:
 
 def cmd_thermal(args) -> int:
     cfg = load_config(args.config)
-    _check_threads(args.threads)
     out = _out_dir(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -511,8 +508,11 @@ def cmd_thermal(args) -> int:
     mc = _section(cfg, "monte_carlo")
     if "count" not in mc:
         raise ConfigError("monte_carlo.count is required")
-    count = int(mc["count"])
-    seed = _check_seed(args.seed if args.seed is not None else mc.get("seed", 0))
+    count = _config_int(mc["count"], "monte_carlo.count")
+    if args.seed is not None:
+        seed = _check_seed(args.seed, "--seed")
+    else:
+        seed = _check_seed(_config_int(mc.get("seed", 0), "monte_carlo.seed"), "monte_carlo.seed")
     report = thermal_signal(config, sequence, drive, params, count=count, seed=seed)
     payload = report.as_dict()
     payload["sequence"] = sequence.name
@@ -526,7 +526,6 @@ def cmd_thermal(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = load_config(args.config)
-    _check_threads(args.threads)
     out = _out_dir(args, cfg)
     species = _species_from(cfg)
     apparatus = _apparatus_from(cfg)
@@ -588,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("csv", "json"), default=None, help="curve file format"
         )
-        p.add_argument("--threads", type=int, default=1, help="worker count (currently serial)")
         if name == "response":
             p.add_argument(
                 "--rescale-cp",

@@ -5,7 +5,11 @@ coherent state stays a finite superposition of coherent states under every
 primitive we need: spin rotations about y, sudden trap displacements, and
 (driven) free evolution.  A branch is one such coherent state: a spin label
 sigma, complex mode amplitudes (alpha_plus, alpha_minus), an accumulated
-dynamical phase, and a complex weight from the rotation history.
+dynamical phase, and a complex weight from the rotation history.  The
+amplitudes, phase and weight of a branch may also be shape-(N,) arrays, one
+entry per sample of N initial states that share a spin history; every
+primitive acts on them elementwise, and :func:`batch_signal` runs a whole
+sample set in one pass.
 
 Conventions fixed here and relied on throughout:
 
@@ -34,7 +38,7 @@ import cmath
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,6 +63,7 @@ __all__ = [
     "apply_evolution",
     "expectation_spin",
     "run_sequence",
+    "batch_signal",
     "preset_up",
     "preset_cp",
 ]
@@ -70,6 +75,21 @@ _SIGNAL_SIGN = -1.0
 _MERGE_TOL = 1e-12
 _PRUNE_TOL = 1e-15
 
+# samples per engine pass in batch_signal; bounds the size of the batch temporaries
+_BATCH_BLOCK = 2048
+
+
+def _every(cond) -> bool:
+    """A scalar condition, or an array condition that holds for every sample."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _exp(x):
+    """exp of a scalar (math/cmath, as in the scalar engine) or of an array."""
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
+    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+
 
 @lru_cache(maxsize=256)
 def _modes_cached(config: TrapConfig) -> NormalModes:
@@ -78,7 +98,11 @@ def _modes_cached(config: TrapConfig) -> NormalModes:
 
 @dataclass(frozen=True)
 class Branch:
-    """One spin-labeled coherent-state component of the interferometer state."""
+    """One spin-labeled coherent-state component of the interferometer state.
+
+    ``weight``, ``alpha_plus``, ``alpha_minus`` and ``phase`` are scalars, or
+    shape-(N,) arrays holding the branch for N samples at once.
+    """
 
     spin: int
     weight: complex
@@ -90,13 +114,14 @@ class Branch:
         _check_sigma(self.spin)
         for name in ("weight", "alpha_plus", "alpha_minus", "phase"):
             v = getattr(self, name)
-            if not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag)):
+            finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)
+            if not finite:
                 raise ParameterError(f"Branch.{name} is not finite")
 
     @property
     def amplitude(self) -> complex:
         """Total complex amplitude weight * exp(i phase)."""
-        return self.weight * cmath.exp(1j * self.phase)
+        return self.weight * _exp(1j * self.phase)
 
 
 @dataclass(frozen=True)
@@ -162,7 +187,7 @@ def _branch_zeta(modes: NormalModes, b: Branch) -> complex:
 
 def _overlap(modes: NormalModes, b1: Branch, b2: Branch) -> float:
     dz = _branch_zeta(modes, b1) - _branch_zeta(modes, b2)
-    return math.exp(-(abs(dz) / modes.l_osc) ** 2)
+    return _exp(-((abs(dz) / modes.l_osc) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +283,8 @@ def apply_rotation(state: SpinorCoherentState, angle: float) -> SpinorCoherentSt
 
     Branches that change spin keep their phase-space center; their amplitudes
     are re-derived for the new spin's mode map.  Copies with matching spin,
-    amplitudes, and phase (within 1e-12) merge by weight addition; weights
-    below 1e-15 are pruned.
+    amplitudes, and phase (within 1e-12 for every sample) merge by weight
+    addition; weights below 1e-15 for every sample are pruned.
     """
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
@@ -273,7 +298,7 @@ def apply_rotation(state: SpinorCoherentState, angle: float) -> SpinorCoherentSt
             parts = ((+1, -s), (-1, c))
         flipped = None
         for new_spin, factor in parts:
-            if abs(factor * b.weight) < _PRUNE_TOL:
+            if _every(abs(factor * b.weight) < _PRUNE_TOL):
                 continue
             if new_spin == b.spin:
                 out.append(replace(b, weight=factor * b.weight))
@@ -299,15 +324,15 @@ def _merge_branches(branches: list[Branch]) -> tuple[Branch, ...]:
         for i, m in enumerate(merged):
             if (
                 m.spin == b.spin
-                and abs(m.alpha_plus - b.alpha_plus) <= _MERGE_TOL
-                and abs(m.alpha_minus - b.alpha_minus) <= _MERGE_TOL
-                and abs(m.phase - b.phase) <= _MERGE_TOL
+                and _every(abs(m.alpha_plus - b.alpha_plus) <= _MERGE_TOL)
+                and _every(abs(m.alpha_minus - b.alpha_minus) <= _MERGE_TOL)
+                and _every(abs(m.phase - b.phase) <= _MERGE_TOL)
             ):
                 merged[i] = replace(m, weight=m.weight + b.weight)
                 break
         else:
             merged.append(b)
-    return tuple(m for m in merged if abs(m.weight) >= _PRUNE_TOL)
+    return tuple(m for m in merged if not _every(abs(m.weight) < _PRUNE_TOL))
 
 
 def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState:
@@ -521,27 +546,33 @@ def apply_evolution(
 def _gram_sums(state: SpinorCoherentState):
     """(up-block norm, down-block norm, up-down cross sum) with orbital overlaps."""
     modes = state.modes
-    ups = [b for b in state.branches if b.spin == +1]
-    downs = [b for b in state.branches if b.spin == -1]
+    ups = [(b, b.amplitude) for b in state.branches if b.spin == +1]
+    downs = [(b, b.amplitude) for b in state.branches if b.spin == -1]
 
     def block(rows, cols):
         tot = 0.0 + 0.0j
-        for a in rows:
-            for b in cols:
-                tot += a.amplitude.conjugate() * b.amplitude * _overlap(modes, a, b)
+        for a, amp_a in rows:
+            for b, amp_b in cols:
+                tot += amp_a.conjugate() * amp_b * _overlap(modes, a, b)
         return tot
 
     return block(ups, ups).real, block(downs, downs).real, block(ups, downs)
+
+
+def _normed_gram_sums(state: SpinorCoherentState):
+    """:func:`_gram_sums` plus their total norm, which must not vanish."""
+    n_up, n_down, cross = _gram_sums(state)
+    norm = n_up + n_down
+    if not _every(norm >= 1e-300):
+        raise ParameterError("state has zero norm")
+    return n_up, n_down, cross, norm
 
 
 def expectation_spin(state: SpinorCoherentState, axis: str) -> float:
     """Exact spin expectation along axis in {x, y, z}, overlap factors included."""
     if axis not in ("x", "y", "z"):
         raise ParameterError(f"axis must be one of x, y, z, got {axis!r}")
-    n_up, n_down, cross = _gram_sums(state)
-    norm = n_up + n_down
-    if norm < 1e-300:
-        raise ParameterError("state has zero norm")
+    n_up, n_down, cross, norm = _normed_gram_sums(state)
     if axis == "z":
         return (n_up - n_down) / norm
     if axis == "x":
@@ -574,14 +605,47 @@ class MeasurementRecord:
 
 
 def _coherence_record(state: SpinorCoherentState):
-    n_up, n_down, cross = _gram_sums(state)
-    norm = n_up + n_down
-    if norm < 1e-300:
-        raise ParameterError("state has zero norm")
+    _, _, cross, norm = _normed_gram_sums(state)
     coherence = 2.0 * abs(cross) / norm
-    phase = -cmath.phase(cross) if cross != 0 else 0.0
+    if isinstance(cross, np.ndarray):
+        phase = -np.angle(cross)
+    else:
+        phase = -cmath.phase(cross) if cross != 0 else 0.0
     signal = _SIGNAL_SIGN * 2.0 * cross.imag / norm
     return signal, coherence, phase, norm
+
+
+def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None):
+    """Apply the steps of ``sequence`` in order.
+
+    Returns (final state, coherence state, readout axis or None).  The
+    coherence state is the one just before the final recombination rotation
+    when the sequence ends with one, else the final state; <sigma_y> is
+    invariant under RotateY, so the signal is the same either way.  When
+    ``trace`` is a list, one (step name, time, branches) entry is appended
+    per step.
+    """
+    pre_rotation = None  # state just before the most recent RotateY
+    axis = None
+    for step in sequence:
+        if isinstance(step, RotateY):
+            pre_rotation = state
+            state = apply_rotation(state, step.angle)
+        elif isinstance(step, Displace):
+            state = apply_displacement(state, step.shift)
+            pre_rotation = None
+        elif isinstance(step, Evolve):
+            state = apply_evolution(
+                state, step.duration, step.drive if step.drive is not None else drive, step.mode
+            )
+            pre_rotation = None
+        elif isinstance(step, Readout):
+            axis = step.axis
+        else:
+            raise ParameterError(f"unknown pulse primitive {step!r}")
+        if trace is not None:
+            trace.append((type(step).__name__, state.time, state.branches))
+    return state, (pre_rotation if pre_rotation is not None else state), axis
 
 
 def run_sequence(
@@ -616,34 +680,10 @@ def run_sequence(
         raise ParameterError(f"unsupported initial state {initial!r}")
 
     trace = [("init", state.time, state.branches)]
-    pre_rotation = None  # state just before the most recent RotateY
-    axis = None
-    for step in sequence:
-        if isinstance(step, RotateY):
-            pre_rotation = state
-            state = apply_rotation(state, step.angle)
-        elif isinstance(step, Displace):
-            state = apply_displacement(state, step.shift)
-            pre_rotation = None
-        elif isinstance(step, Evolve):
-            state = apply_evolution(
-                state, step.duration, step.drive if step.drive is not None else drive, step.mode
-            )
-            pre_rotation = None
-        elif isinstance(step, Readout):
-            axis = step.axis
-        else:
-            raise ParameterError(f"unknown pulse primitive {step!r}")
-        trace.append((type(step).__name__, state.time, state.branches))
-
-    # coherence diagnostics come from just before the recombination rotation
-    # when the sequence ends with one; <sigma_y> is invariant under RotateY,
-    # so the signal is the same either way
-    coh_state = pre_rotation if pre_rotation is not None else state
+    state, coh_state, axis = _walk(state, sequence, drive, trace)
     signal, coherence, phase, _ = _coherence_record(coh_state)
 
-    n_up, n_down, cross = _gram_sums(state)
-    norm = n_up + n_down
+    n_up, n_down, cross, norm = _normed_gram_sums(state)
     expectations = {
         "z": (n_up - n_down) / norm,
         "x": 2.0 * cross.real / norm,
@@ -660,6 +700,43 @@ def run_sequence(
         trace=tuple(trace),
         state=state,
     )
+
+
+def batch_signal(
+    config: TrapConfig,
+    alpha_plus,
+    alpha_minus,
+    sequence: PulseSequence,
+    drive: ForceSignal | None = None,
+) -> np.ndarray:
+    """Readout signal of ``sequence`` for N spin-up coherent initial states at once.
+
+    Sample i starts as one spin-up branch with mode amplitudes
+    (alpha_plus[i], alpha_minus[i]); entry i of the result is the ``signal``
+    that :func:`run_sequence` returns for that state, up to roundoff.  The
+    samples go through the same step walk and primitives as array-valued
+    branches, ``_BATCH_BLOCK`` at a time.  Branches merge only where every
+    sample of a block is within the merge tolerance.
+    """
+    a_plus = np.asarray(alpha_plus, dtype=complex)
+    a_minus = np.asarray(alpha_minus, dtype=complex)
+    if a_plus.ndim != 1 or a_plus.shape != a_minus.shape:
+        raise ParameterError(
+            f"alpha_plus and alpha_minus must be 1-D arrays of one length, "
+            f"got shapes {a_plus.shape} and {a_minus.shape}"
+        )
+    signals = np.empty(a_plus.shape[0])
+    for lo in range(0, a_plus.shape[0], _BATCH_BLOCK):
+        block = slice(lo, lo + _BATCH_BLOCK)
+        state = SpinorCoherentState(
+            config=config,
+            branches=(
+                Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus[block], alpha_minus=a_minus[block]),
+            ),
+        )
+        _, coh_state, _ = _walk(state, sequence, drive)
+        signals[block] = _coherence_record(coh_state)[0]
+    return signals
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A thermal cloud is a Gaussian mixture of coherent states (diagonal
 P-representation), so the ensemble-averaged interferometer signal follows
 from sampling initial mode amplitudes (alpha_plus, alpha_minus) as circular
-complex Gaussians with <|alpha_pm|^2> = <n_pm> and running the exact pulse
-engine per sample.  Because the engine's differential phase is affine in the
-initial amplitudes, delta_phi = Re[conj(a+) K+ + conj(a-) K-] + const, the
-average obeys the closed form
+complex Gaussians with <|alpha_pm|^2> = <n_pm>, drawn from one counter-based
+Philox stream, and running the exact pulse engine on all samples in one
+array-valued pass.  Because the engine's differential phase is affine in
+the initial amplitudes, delta_phi = Re[conj(a+) K+ + conj(a-) K-] + const,
+the average obeys the closed form
 
     <signal> = zero-temperature signal * exp(-<n+>|K+/2|^2 - <n->|K-/2|^2)
 
@@ -23,7 +24,15 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ParameterError
-from .pulses import Branch, Evolve, PulseSequence, RotateY, SpinorCoherentState, run_sequence
+from .pulses import (
+    Branch,
+    Evolve,
+    PulseSequence,
+    RotateY,
+    SpinorCoherentState,
+    batch_signal,
+    run_sequence,
+)
 from .signals import ForceSignal, modal_integral
 from .trap import NormalModes, TrapConfig, derive_modes
 
@@ -198,26 +207,26 @@ def gamma_factors(
 def sample_initial_states(params: ThermalParams, count: int, seed: int):
     """Draw (alpha_plus, alpha_minus) samples of the thermal P-distribution.
 
-    Each alpha is a circular complex Gaussian with <|alpha|^2> = <n>.  Every
-    sample gets its own counter-based generator keyed (seed, index), so the
-    stream is identical no matter how samples are partitioned across workers.
+    Each alpha is a circular complex Gaussian with <|alpha|^2> = <n>.  All
+    samples come from one counter-based stream, ``Philox(key=seed)``: sample
+    i is made from counter block i (four raw 64-bit words, Box-Muller in
+    polar form), so samples [a, b) are ``Philox(key=seed).advance(a)``
+    followed by ``random_raw(4 * (b - a))``, and the stream is identical no
+    matter how samples are partitioned across workers.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    mask = (1 << 64) - 1
-    s_plus = math.sqrt(params.n_plus / 2.0)
-    s_minus = math.sqrt(params.n_minus / 2.0)
-    out = []
-    for i in range(count):
-        key = np.array([seed & mask, i], dtype=np.uint64)
-        xi = np.random.Generator(np.random.Philox(key=key)).standard_normal(4)
-        out.append(
-            (
-                complex(s_plus * xi[0], s_plus * xi[1]),
-                complex(s_minus * xi[2], s_minus * xi[3]),
-            )
-        )
-    return out
+    raw = np.random.Philox(key=seed & ((1 << 64) - 1)).random_raw(4 * count)
+    return _states_from_raw(params, raw)
+
+
+def _states_from_raw(params: ThermalParams, raw: np.ndarray):
+    """(alpha_plus, alpha_minus) samples from raw 64-bit words, four per sample."""
+    # 53-bit uniforms on (0, 1); |alpha|^2 = -n ln u is exponential with mean n
+    u = ((raw.reshape(-1, 4) >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+    alphas = np.sqrt(-np.log(u[:, 0::2])) * np.exp(2j * math.pi * u[:, 1::2])
+    alphas *= (math.sqrt(params.n_plus), math.sqrt(params.n_minus))
+    return list(zip(alphas[:, 0].tolist(), alphas[:, 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -261,8 +270,9 @@ def thermal_signal(
 ) -> ThermalReport:
     """Average the sequence signal over thermal initial conditions.
 
-    Runs the engine once per sample (deterministic for a fixed seed) and
-    compares against the analytic prediction zero-temperature signal *
+    Runs the engine once over all ``count`` samples as arrays
+    (:func:`batch_signal`; deterministic for a fixed seed) and compares
+    against the analytic prediction zero-temperature signal *
     exp(-n+|K+/2|^2 - n-|K-/2|^2) with K_pm the exact phase functionals of
     this sequence and drive.  The analytic value treats the overlap envelope
     as sample-independent, which is exact at revival interrogation times.
@@ -275,15 +285,8 @@ def thermal_signal(
         -params.n_plus * abs(k_plus / 2.0) ** 2 - params.n_minus * abs(k_minus / 2.0) ** 2
     )
 
-    signals = np.empty(count)
-    for i, (a_plus, a_minus) in enumerate(sample_initial_states(params, count, seed)):
-        state = SpinorCoherentState(
-            config=config,
-            branches=(
-                Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus, alpha_minus=a_minus),
-            ),
-        )
-        signals[i] = run_sequence(config, state, sequence, drive).signal
+    alphas = np.array(sample_initial_states(params, count, seed), dtype=complex)
+    signals = batch_signal(config, alphas[:, 0], alphas[:, 1], sequence, drive)
     mc_mean = float(np.mean(signals))
     mc_stderr = float(np.std(signals, ddof=1) / math.sqrt(count))
     return ThermalReport(

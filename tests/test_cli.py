@@ -251,6 +251,28 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["modes", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("count", 150.7), ("seed", 1.9), ("count", "abc"), ("seed", "x"), ("count", True), ("seed", None)],
+    )
+    def test_monte_carlo_integers_are_strict(self, tmp_path, capsys, key, value):
+        cfg = base_config()
+        cfg["monte_carlo"][key] = value
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert f"error: monte_carlo.{key} must be an integer" in capsys.readouterr().err
+
+    def test_monte_carlo_accepts_integral_floats(self, tmp_path):
+        cfg = base_config()
+        cfg["monte_carlo"] = {"count": 2e2, "seed": 42.0}
+        d1, d2 = tmp_path / "float", tmp_path / "int"
+        assert run("thermal", write_config(tmp_path, cfg), d1) == 0
+        assert run("thermal", write_config(tmp_path, base_config(), "int.json"), d2) == 0
+        assert filecmp.cmp(d1 / "thermal.json", d2 / "thermal.json", shallow=False)
+
+    def test_threads_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run("modes", write_config(tmp_path, base_config()), tmp_path / "out", "--threads", "2")
+
     def test_seed_must_fit_64_bits(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         assert main(["thermal", "--config", cfg_path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2

@@ -19,11 +19,13 @@ from socaccel import (
     RotateY,
     Sinusoid,
     SpinorCoherentState,
+    Tabulated,
     TrapConfig,
     Zero,
     apply_displacement,
     apply_evolution,
     apply_rotation,
+    batch_signal,
     classical_trajectory,
     derive_modes,
     expectation_spin,
@@ -35,7 +37,8 @@ from socaccel import (
     preset_up,
     run_sequence,
 )
-from socaccel.pulses import _center_from_amplitudes, _gram_sums
+from socaccel import pulses
+from socaccel.pulses import _center_from_amplitudes, _gram_sums, _merge_branches
 
 MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
@@ -424,6 +427,104 @@ class TestRunSequence:
         rec = run_sequence(CFG, None, seq, None)
         assert rec.expectation is None and rec.axis is None
         assert rec.expectations["x"] == pytest.approx(1.0, abs=1e-12)
+
+
+def thermal_amplitudes(count: int, seed: int = 0):
+    """Circular Gaussian mode amplitudes at the scale of a thermal cloud."""
+    rng = np.random.default_rng(seed)
+    a_plus = 1.5 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    a_minus = 0.8 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+    return a_plus, a_minus
+
+
+def batch_state(a_plus, a_minus):
+    """Spin-up state with the given amplitudes; arrays hold one sample per entry."""
+    branch = Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus, alpha_minus=a_minus)
+    return SpinorCoherentState(config=CFG, branches=(branch,))
+
+
+def per_sample_signals(a_plus, a_minus, seq, drive):
+    return np.array(
+        [
+            run_sequence(CFG, batch_state(ap, am), seq, drive).signal
+            for ap, am in zip(a_plus.tolist(), a_minus.tolist())
+        ]
+    )
+
+
+class TestBatchSignal:
+    DRIVE = Sinusoid(amplitude=(0.15, 0.1), omega=0.7 * WT, phase=0.4)
+
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    def test_presets_match_per_sample_runs(self, kind):
+        t = math.pi / WT
+        seq = preset_up(R0, 4 * t) if kind == "up" else preset_cp(R0, t, modes=MODES)
+        a_plus, a_minus = thermal_amplitudes(40)
+        want = per_sample_signals(a_plus, a_minus, seq, self.DRIVE)
+        got = batch_signal(CFG, a_plus, a_minus, seq, self.DRIVE)
+        assert np.ptp(want) > 1e-3, "samples must not all give the same signal"
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_custom_sequence_matches_per_sample_runs(self):
+        t = math.pi / WT
+        times = np.arange(0.0, 4 * t + 1e-4, 1e-4)
+        values = np.column_stack([0.2 * np.sin(0.9 * WT * times), 0.05 * np.cos(1.3 * WT * times)])
+        table = Tabulated(0.0, 1e-4, values)
+        seq = PulseSequence(
+            steps=(
+                RotateY(math.pi / 2),
+                Displace(R0),
+                Evolve(t, mode="first_order"),
+                Evolve(2 * t, drive=table),
+                Displace((-0.5 * L, 0.3 * L)),
+                Evolve(t),
+                RotateY(-math.pi / 2),
+                Readout("z"),
+            )
+        )
+        a_plus, a_minus = thermal_amplitudes(30, seed=1)
+        want = per_sample_signals(a_plus, a_minus, seq, self.DRIVE)
+        got = batch_signal(CFG, a_plus, a_minus, seq, self.DRIVE)
+        assert np.ptp(want) > 1e-3
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_merging_sequence_matches_per_sample_runs(self):
+        t = 4 * math.pi / WT
+        seq = PulseSequence(steps=(RotateY(math.pi / 2), RotateY(-math.pi / 2), *preset_up(R0, t).steps))
+        a_plus, a_minus = thermal_amplitudes(30, seed=2)
+        rec = run_sequence(CFG, state_at(CFG, PhaseSpacePoint(L, 0.0, 0.0, 0.0)), seq, self.DRIVE)
+        assert len(rec.trace[2][2]) == 1, "the split and its inverse merge back into one branch"
+        merged = apply_rotation(apply_rotation(batch_state(a_plus, a_minus), math.pi / 2), -math.pi / 2)
+        assert len(merged.branches) == 1 and merged.branches[0].spin == +1
+        want = per_sample_signals(a_plus, a_minus, seq, self.DRIVE)
+        got = batch_signal(CFG, a_plus, a_minus, seq, self.DRIVE)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_merge_needs_every_sample_within_tolerance(self):
+        def branch(ap):
+            ap = np.asarray(ap, dtype=complex)
+            return Branch(spin=+1, weight=0.5 + 0.0j, alpha_plus=ap, alpha_minus=np.zeros_like(ap))
+
+        assert len(_merge_branches([branch([0.0, 1.0]), branch([1e-14, 1.0])])) == 1
+        assert len(_merge_branches([branch([0.0, 1.0]), branch([0.0, 1.0 + 1e-6])])) == 2
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        seq = preset_cp(R0, math.pi / WT, modes=MODES)
+        a_plus, a_minus = thermal_amplitudes(13, seed=3)
+        whole = batch_signal(CFG, a_plus, a_minus, seq, self.DRIVE)
+        monkeypatch.setattr(pulses, "_BATCH_BLOCK", 5)
+        assert np.max(np.abs(batch_signal(CFG, a_plus, a_minus, seq, self.DRIVE) - whole)) < 1e-12
+
+    def test_shape_validation(self):
+        seq = preset_up(R0, 1e-3)
+        with pytest.raises(ParameterError):
+            batch_signal(CFG, np.zeros(3), np.zeros(4), seq)
+        with pytest.raises(ParameterError):
+            batch_signal(CFG, np.zeros((2, 2)), np.zeros((2, 2)), seq)
+
+    def test_non_finite_amplitude_rejected(self):
+        with pytest.raises(ParameterError):
+            batch_signal(CFG, np.array([0j, complex(math.inf, 0.0)]), np.zeros(2), preset_up(R0, 1e-3))
 
 
 class TestPresets:

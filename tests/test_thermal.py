@@ -22,7 +22,7 @@ from socaccel import (
     sample_initial_states,
     thermal_signal,
 )
-from socaccel.thermal import _phase_functionals, _phase_of
+from socaccel.thermal import _phase_functionals, _phase_of, _states_from_raw
 
 MASS = 1.44316e-25  # Rb-87, kg
 HBAR = 1.054571817e-34
@@ -208,6 +208,13 @@ class TestSampler:
         # counter-based keying: the stream does not depend on the batch size
         params = ThermalParams.from_occupations(2.0, 1.0)
         assert sample_initial_states(params, 10, seed=7) == sample_initial_states(params, 2000, seed=7)[:10]
+
+    def test_slice_is_an_advanced_counter_stream(self):
+        # samples [a, b) come from counter blocks a..b-1 of Philox(key=seed)
+        params = ThermalParams.from_occupations(2.0, 1.0)
+        seed, a, b = 7, 37, 100
+        raw = np.random.Philox(key=seed).advance(a).random_raw(4 * (b - a))
+        assert _states_from_raw(params, raw) == sample_initial_states(params, b, seed=seed)[a:]
 
     def test_count_validation(self):
         with pytest.raises(ParameterError):
