@@ -15,6 +15,7 @@ bracketed optimum).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -115,20 +116,18 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def _two_vector(value, where: str) -> tuple[float, float]:
-    if isinstance(value, (int, float)):
-        return (float(value), 0.0)
-    try:
-        x, y = (float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number or a 2-element list") from exc
-    return (x, y)
+    if not isinstance(value, list):
+        return (_config_float(value, where), 0.0)
+    if len(value) != 2:
+        raise ConfigError(f"{where} must be a number or a 2-element list")
+    return (_config_float(value[0], f"{where}[0]"), _config_float(value[1], f"{where}[1]"))
 
 
 def _trap_from(cfg: dict) -> TrapConfig:
     sec = _section(cfg, "trap")
     if "mass" not in sec:
         raise ConfigError("trap.mass is required")
-    mass = float(sec["mass"])
+    mass = _config_float(sec["mass"], "trap.mass")
     by_modes = "omega_tilde" in sec or "epsilon" in sec
     by_raw = "omega0" in sec or "omega_c" in sec
     if by_modes and by_raw:
@@ -136,17 +135,13 @@ def _trap_from(cfg: dict) -> TrapConfig:
     if by_raw:
         if "omega0" not in sec:
             raise ConfigError("trap.omega0 is required with omega_c")
-        return TrapConfig(mass=mass, omega0=float(sec["omega0"]), omega_c=float(sec.get("omega_c", 0.0)))
+        omega0 = _config_float(sec["omega0"], "trap.omega0")
+        return TrapConfig(mass, omega0, _config_float(sec.get("omega_c", 0.0), "trap.omega_c"))
     if by_modes:
         if "omega_tilde" not in sec:
             raise ConfigError("trap.omega_tilde is required with epsilon")
-        wt = float(sec["omega_tilde"])
-        eps = float(sec.get("epsilon", 1.0))
-        if not (math.isfinite(eps) and eps >= 1):
-            raise ConfigError(f"trap.epsilon must be >= 1, got {eps}")
-        omega0 = 2.0 * wt * math.sqrt(eps) / (1.0 + eps)
-        omega_c = 2.0 * wt * (eps - 1.0) / (1.0 + eps)
-        return TrapConfig(mass=mass, omega0=omega0, omega_c=omega_c)
+        wt = _config_float(sec["omega_tilde"], "trap.omega_tilde")
+        return TrapConfig.from_modes(mass, wt, _config_float(sec.get("epsilon", 1.0), "trap.epsilon"))
     raise ConfigError("trap needs either omega0 (+ omega_c) or omega_tilde (+ epsilon)")
 
 
@@ -158,18 +153,11 @@ def _species_from(cfg: dict) -> SpeciesParams:
         raise ConfigError(f"unknown species preset {sec!r} (try 'Rb87')")
     if not isinstance(sec, dict):
         raise ConfigError("species must be a preset name or a parameter object")
-    allowed = {"mass", "scattering_length", "gamma_se"}
+    keys = ("gamma_se", "mass", "scattering_length")
     for key in sec:
-        if key not in allowed:
+        if key not in keys:
             raise ConfigError(f"unknown config key: 'species.{key}'")
-    for key in allowed:
-        if key not in sec:
-            raise ConfigError(f"species.{key} is required")
-    return SpeciesParams(
-        mass=float(sec["mass"]),
-        scattering_length=float(sec["scattering_length"]),
-        gamma_se=float(sec["gamma_se"]),
-    )
+    return SpeciesParams(**_required_floats(sec, "species", keys))
 
 
 _DRIVE_KEYS = {
@@ -188,7 +176,7 @@ def _drive_from(spec, where: str = "drive"):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{where} must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind not in _DRIVE_KEYS:
+    if not isinstance(kind, str) or kind not in _DRIVE_KEYS:
         raise ConfigError(f"{where}.kind must be one of {sorted(_DRIVE_KEYS)}, got {kind!r}")
     for key in spec:
         if key != "kind" and key not in _DRIVE_KEYS[kind]:
@@ -196,23 +184,23 @@ def _drive_from(spec, where: str = "drive"):
     if kind == "zero":
         return Zero()
     if kind == "constant":
-        return Constant(gx=float(spec.get("gx", 0.0)), gy=float(spec.get("gy", 0.0)))
+        return Constant(*(_config_float(spec.get(k, 0.0), f"{where}.{k}") for k in ("gx", "gy")))
     if kind == "sinusoid":
         if "amplitude" not in spec or "omega" not in spec:
             raise ConfigError(f"{where} sinusoid needs amplitude and omega")
         return Sinusoid(
             amplitude=_two_vector(spec["amplitude"], f"{where}.amplitude"),
-            omega=float(spec["omega"]),
-            phase=float(spec.get("phase", 0.0)),
+            omega=_config_float(spec["omega"], f"{where}.omega"),
+            phase=_config_float(spec.get("phase", 0.0), f"{where}.phase"),
         )
     if kind == "circular":
         if "amplitude" not in spec or "omega" not in spec:
             raise ConfigError(f"{where} circular needs amplitude and omega")
         return circular(
-            amplitude=float(spec["amplitude"]),
-            omega=float(spec["omega"]),
-            phase=float(spec.get("phase", 0.0)),
-            sense=int(spec.get("sense", -1)),
+            amplitude=_config_float(spec["amplitude"], f"{where}.amplitude"),
+            omega=_config_float(spec["omega"], f"{where}.omega"),
+            phase=_config_float(spec.get("phase", 0.0), f"{where}.phase"),
+            sense=_config_int(spec.get("sense", -1), f"{where}.sense"),
         )
     if kind == "sum":
         parts = spec.get("parts")
@@ -224,7 +212,10 @@ def _drive_from(spec, where: str = "drive"):
     # tabulated
     if "path" not in spec:
         raise ConfigError(f"{where} tabulated needs a path")
-    return Tabulated.from_csv(spec["path"])
+    try:
+        return Tabulated.from_csv(spec["path"])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}.path: cannot read {spec['path']!r}: {exc}") from exc
 
 
 _STEP_KEYS = {
@@ -239,17 +230,18 @@ def _step_from(spec, where: str):
     if not isinstance(spec, dict) or "op" not in spec:
         raise ConfigError(f"{where} must be an object with an 'op' field")
     op = spec["op"]
-    if op not in _STEP_KEYS:
+    if not isinstance(op, str) or op not in _STEP_KEYS:
         raise ConfigError(f"{where}.op must be one of {sorted(_STEP_KEYS)}, got {op!r}")
     for key in spec:
         if key != "op" and key not in _STEP_KEYS[op]:
             raise ConfigError(f"unknown config key: '{where}.{key}'")
     if op == "rotate_y":
-        return RotateY(float(spec["angle"]))
+        return RotateY(_config_float(spec.get("angle"), f"{where}.angle"))
     if op == "displace":
         return Displace(_two_vector(spec["shift"], f"{where}.shift"))
     if op == "evolve":
-        return Evolve(duration=float(spec["duration"]), mode=spec.get("mode", "exact"))
+        duration = _config_float(spec.get("duration"), f"{where}.duration")
+        return Evolve(duration=duration, mode=spec.get("mode", "exact"))
     return Readout(axis=spec.get("axis", "z"))
 
 
@@ -260,7 +252,7 @@ def _sequence_from(cfg: dict, modes) -> PulseSequence:
         if "r0" not in sec or "t" not in sec:
             raise ConfigError(f"sequence kind {kind!r} needs r0 and t")
         r0 = _two_vector(sec["r0"], "sequence.r0")
-        t = float(sec["t"])
+        t = _config_float(sec["t"], "sequence.t")
         return preset_up(r0, t) if kind == "up" else preset_cp(r0, t, modes=modes)
     if kind == "custom":
         steps = sec.get("steps")
@@ -276,27 +268,33 @@ def _thermal_from(cfg: dict, modes) -> ThermalParams:
     if "temperature" in sec and ("n_plus" in sec or "n_minus" in sec):
         raise ConfigError("thermal accepts temperature or occupations, not both")
     if "temperature" in sec:
-        return ThermalParams.from_temperature(modes, float(sec["temperature"]))
+        temperature = _config_float(sec["temperature"], "thermal.temperature")
+        return ThermalParams.from_temperature(modes, temperature)
     if "n_plus" in sec or "n_minus" in sec:
         return ThermalParams.from_occupations(
-            n_plus=float(sec.get("n_plus", 0.0)), n_minus=float(sec.get("n_minus", 0.0))
+            *(_config_float(sec.get(k, 0.0), f"thermal.{k}") for k in ("n_plus", "n_minus"))
         )
     raise ConfigError("thermal needs temperature or (n_plus, n_minus)")
 
 
 def _apparatus_from(cfg: dict) -> ApparatusParams:
-    sec = _section(cfg, "apparatus")
-    for key in _SECTION_KEYS["apparatus"]:
+    keys = sorted(_SECTION_KEYS["apparatus"])
+    return ApparatusParams(**_required_floats(_section(cfg, "apparatus"), "apparatus", keys))
+
+
+def _required_floats(sec: dict, where: str, keys) -> dict:
+    """Every one of ``keys`` from a config section, each read as a number."""
+    for key in keys:
         if key not in sec:
-            raise ConfigError(f"apparatus.{key} is required")
-    return ApparatusParams(
-        temperature=float(sec["temperature"]),
-        layer_spacing=float(sec["layer_spacing"]),
-        homogeneity_radius=float(sec["homogeneity_radius"]),
-        omega_tilde=float(sec["omega_tilde"]),
-        epsilon=float(sec["epsilon"]),
-        atoms_per_layer=float(sec["atoms_per_layer"]),
-    )
+            raise ConfigError(f"{where}.{key} is required")
+    return {key: _config_float(sec[key], f"{where}.{key}") for key in keys}
+
+
+def _config_float(value, where: str) -> float:
+    """A JSON number, integer or float; strings, booleans and null are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def _config_int(value, where: str) -> int:
@@ -344,7 +342,10 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 def _out_dir(args, cfg: dict) -> str:
     out = args.out or cfg.get("output", {}).get("directory", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except (OSError, TypeError) as exc:
+        raise ConfigError(f"cannot use output directory {out!r}: {exc}") from exc
     return out
 
 
@@ -410,10 +411,10 @@ def cmd_trajectory(args) -> int:
     if "r0" not in sec or "t" not in sec:
         raise ConfigError("trajectory needs r0 and t")
     r0 = _two_vector(sec["r0"], "trajectory.r0")
-    t = float(sec["t"])
+    t = _config_float(sec["t"], "trajectory.t")
     if not t > 0:
         raise ConfigError(f"trajectory.t must be > 0, got {t}")
-    n = int(sec.get("points", 1000))
+    n = _config_int(sec.get("points", 1000), "trajectory.points")
     if n < 2:
         raise ConfigError(f"trajectory.points must be >= 2, got {n}")
     z0 = complex(r0[0], r0[1])
@@ -462,10 +463,10 @@ def cmd_response(args) -> int:
     config = _trap_from(cfg)
     modes = derive_modes(config)
     sec = cfg.get("response", {})
-    t = float(sec.get("t", 5.0 * math.pi / modes.omega_tilde))
-    r0 = float(sec.get("r0", modes.l_osc))
-    points = int(sec.get("points", 4096))
-    omega_max = float(sec.get("omega_max", 3.0 * modes.omega_plus))
+    t = _config_float(sec.get("t", 5.0 * math.pi / modes.omega_tilde), "response.t")
+    r0 = _config_float(sec.get("r0", modes.l_osc), "response.r0")
+    points = _config_int(sec.get("points", 4096), "response.points")
+    omega_max = _config_float(sec.get("omega_max", 3.0 * modes.omega_plus), "response.omega_max")
     rescale = bool(args.rescale_cp or sec.get("rescale_cp", False))
     if points < 16:
         raise ConfigError(f"response.points must be >= 16, got {points}")
@@ -475,8 +476,6 @@ def cmd_response(args) -> int:
     cp_out = cp
     if rescale:
         # plotting normalization only: x4 amplitude = x16 in |F|^2
-        import dataclasses
-
         cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4")
     if fmt == "csv":
         up.to_csv(os.path.join(out, "response_up.csv"))
@@ -533,12 +532,11 @@ def cmd_sensitivity(args) -> int:
     _write_json(os.path.join(out, "sensitivity.json"), report.as_dict())
 
     sweep = cfg.get("sweep", {})
-    lo = float(sweep.get("atoms_min", 10.0))
-    hi = float(sweep.get("atoms_max", 1e7))
-    n = int(sweep.get("points", 25))
+    lo = _config_float(sweep.get("atoms_min", 10.0), "sweep.atoms_min")
+    hi = _config_float(sweep.get("atoms_max", 1e7), "sweep.atoms_max")
+    n = _config_int(sweep.get("points", 25), "sweep.points")
     if not (0 < lo < hi) or n < 2:
         raise ConfigError("sweep needs 0 < atoms_min < atoms_max and points >= 2")
-    import dataclasses
 
     s_rows, bw_rows = [], []
     for n_a in np.geomspace(lo, hi, n):
@@ -583,10 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
-        p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=None, help="curve file format"
-        )
+        if name == "thermal":
+            p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
+        if name in ("trajectory", "response"):
+            p.add_argument(
+                "--format", choices=("csv", "json"), default=None, help="curve file format"
+            )
         if name == "response":
             p.add_argument(
                 "--rescale-cp",

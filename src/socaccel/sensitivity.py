@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import HBAR, K_B
 from .errors import BracketingError, InfeasibleGeometryError, ParameterError
@@ -102,15 +101,6 @@ class CollisionBudget(NamedTuple):
     gamma_coll: float
     N_c: float
     tau: float
-
-
-def _trap_config(species: SpeciesParams, apparatus: ApparatusParams) -> TrapConfig:
-    # omega0 = 2 wt sqrt(eps)/(1+eps), omega_c = 2 wt (eps-1)/(1+eps) recover
-    # omega_pm = (2 eps wt, 2 wt)/(1+eps) with omega_plus/omega_minus = eps.
-    wt, eps = apparatus.omega_tilde, apparatus.epsilon
-    omega0 = 2.0 * wt * math.sqrt(eps) / (1.0 + eps)
-    omega_c = 2.0 * wt * (eps - 1.0) / (1.0 + eps)
-    return TrapConfig(mass=species.mass, omega0=omega0, omega_c=omega_c)
 
 
 def thermal_geometry(species: SpeciesParams, apparatus: ApparatusParams) -> ThermalGeometry:
@@ -244,7 +234,7 @@ def sensitivity(species: SpeciesParams, apparatus: ApparatusParams) -> Sensitivi
     n_total = apparatus.atoms_per_layer * geometry.n_layers
     s_val = _shot_noise(species, geometry.r_0, n_total, budget.tau)
 
-    config = _trap_config(species, apparatus)
+    config = TrapConfig.from_modes(species.mass, apparatus.omega_tilde, apparatus.epsilon)
     modes = derive_modes(config)
     thermal = ThermalParams.from_temperature(modes, apparatus.temperature)
     g_max = signal_ceiling(config, modes, thermal, geometry.r_0, budget.tau)
@@ -286,6 +276,24 @@ def _s_of_omega(species: SpeciesParams, apparatus: ApparatusParams, omega: float
     return _shot_noise(species, geometry.r_0, n_total, budget.tau)
 
 
+def _golden_min(f, a: float, b: float) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of a unimodal f on [a, b] by golden-section search
+    (Kiefer, Proc. AMS 4 (1953) 502), until b - a <= 1e-12 (|c| + |d|)."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12 * (abs(c) + abs(d)):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
 def optimize_trap(
     species: SpeciesParams,
     apparatus: ApparatusParams,
@@ -314,13 +322,9 @@ def optimize_trap(
     i = int(np.argmin(vals))
     interior = 0 < i < len(grid) - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
     if interior:
-        res = minimize_scalar(
-            lambda w: _s_of_omega(species, apparatus, w),
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            tol=1e-12,
+        omega_opt, s_min = _golden_min(
+            lambda w: _s_of_omega(species, apparatus, w), float(grid[i - 1]), float(grid[i + 1])
         )
-        omega_opt, s_min = float(res.x), float(res.fun)
         boundary = False
     else:
         if require_interior:
@@ -333,7 +337,7 @@ def optimize_trap(
 
     ap = dataclasses.replace(apparatus, omega_tilde=omega_opt)
     geometry = thermal_geometry(species, ap)
-    modes = derive_modes(_trap_config(species, ap))
+    modes = derive_modes(TrapConfig.from_modes(species.mass, omega_opt, ap.epsilon))
     r_probe = geometry.r_0 if geometry.r_0 > 0 else modes.l_osc
     bandwidth = _cp_fwhm(modes, r_probe, math.pi / omega_opt)
     return TrapOptimum(omega_opt=omega_opt, S_min=s_min, bandwidth=bandwidth, boundary=boundary)

@@ -204,8 +204,8 @@ def gamma_factors(
     )
 
 
-def sample_initial_states(params: ThermalParams, count: int, seed: int):
-    """Draw (alpha_plus, alpha_minus) samples of the thermal P-distribution.
+def sample_initial_states(params: ThermalParams, count: int, seed: int) -> np.ndarray:
+    """(count, 2) complex samples of the thermal P-distribution, rows (alpha_plus, alpha_minus).
 
     Each alpha is a circular complex Gaussian with <|alpha|^2> = <n>.  All
     samples come from one counter-based stream, ``Philox(key=seed)``: sample
@@ -220,13 +220,12 @@ def sample_initial_states(params: ThermalParams, count: int, seed: int):
     return _states_from_raw(params, raw)
 
 
-def _states_from_raw(params: ThermalParams, raw: np.ndarray):
-    """(alpha_plus, alpha_minus) samples from raw 64-bit words, four per sample."""
+def _states_from_raw(params: ThermalParams, raw: np.ndarray) -> np.ndarray:
+    """(alpha_plus, alpha_minus) rows from raw 64-bit words, four per sample."""
     # 53-bit uniforms on (0, 1); |alpha|^2 = -n ln u is exponential with mean n
     u = ((raw.reshape(-1, 4) >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
     alphas = np.sqrt(-np.log(u[:, 0::2])) * np.exp(2j * math.pi * u[:, 1::2])
-    alphas *= (math.sqrt(params.n_plus), math.sqrt(params.n_minus))
-    return list(zip(alphas[:, 0].tolist(), alphas[:, 1].tolist()))
+    return alphas * (math.sqrt(params.n_plus), math.sqrt(params.n_minus))
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def thermal_signal(
         -params.n_plus * abs(k_plus / 2.0) ** 2 - params.n_minus * abs(k_minus / 2.0) ** 2
     )
 
-    alphas = np.array(sample_initial_states(params, count, seed), dtype=complex)
+    alphas = sample_initial_states(params, count, seed)
     signals = batch_signal(config, alphas[:, 0], alphas[:, 1], sequence, drive)
     mc_mean = float(np.mean(signals))
     mc_stderr = float(np.std(signals, ddof=1) / math.sqrt(count))

@@ -16,7 +16,8 @@ whose undriven solutions are two counter-rotating circular modes at
 This module holds the parameter types, the closed-form undriven trajectory,
 the differential-path kernel ``h_perp``, a composite-Simpson phase integral,
 and a fixed-step RK4 integrator that serves as the oracle for everything
-built on top.  Public interfaces are SI; the integrator works internally in
+built on top; one RK4 step and one right-hand side serve a single state and
+a batch alike.  Public interfaces are SI; the integrator works internally in
 dimensionless units (time * omega_tilde, length / l_osc) so state components
 stay O(1) across the uK/kHz/um regime.
 """
@@ -66,6 +67,15 @@ class TrapConfig:
             raise ParameterError(f"omega_c must be non-negative and finite, got {self.omega_c}")
         if not (self.hbar > 0 and self.k_B > 0):
             raise ParameterError("hbar and k_B must be positive")
+
+    @classmethod
+    def from_modes(cls, mass: float, omega_tilde: float, epsilon: float = 1.0) -> "TrapConfig":
+        """Trap with modes omega_pm = 2 omega_tilde (epsilon, 1) / (1 + epsilon), epsilon >= 1."""
+        if not (math.isfinite(epsilon) and epsilon >= 1):
+            raise ParameterError(f"epsilon must be finite and >= 1, got {epsilon}")
+        omega0 = 2.0 * omega_tilde * math.sqrt(epsilon) / (1.0 + epsilon)
+        omega_c = 2.0 * omega_tilde * (epsilon - 1.0) / (1.0 + epsilon)
+        return cls(mass=mass, omega0=omega0, omega_c=omega_c)
 
 
 @dataclass(frozen=True)
@@ -196,8 +206,8 @@ def h_perp(modes: NormalModes, t):
     return float(out) if out.ndim == 0 else out
 
 
-def _deriv(state, tau, sigma, wc_ratio, w0_ratio_sq, gx, gy):
-    """Dimensionless EOM right-hand side; state = [xi_x, xi_y, u_x, u_y]."""
+def _deriv(state, sigma, wc_ratio, w0_ratio_sq, gx, gy):
+    """Dimensionless EOM right-hand side; state = [xi_x, xi_y, u_x, u_y], shape (4,) or (4, N)."""
     ux, uy = state[2], state[3]
     return np.array(
         [
@@ -207,6 +217,15 @@ def _deriv(state, tau, sigma, wc_ratio, w0_ratio_sq, gx, gy):
             -sigma * wc_ratio * ux - w0_ratio_sq * state[1] + gy,
         ]
     )
+
+
+def _rk4_step(rhs, x, tau, h):
+    """One classical fourth-order Runge-Kutta step of x' = rhs(x, tau)."""
+    k1 = rhs(x, tau)
+    k2 = rhs(x + (h / 2.0) * k1, tau + h / 2.0)
+    k3 = rhs(x + (h / 2.0) * k2, tau + h / 2.0)
+    k4 = rhs(x + h * k3, tau + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_eom_numeric(
@@ -237,9 +256,9 @@ def integrate_eom_numeric(
     g_scale = 1.0 / (wt * wt * l)   # acceleration -> dimensionless
     mass = config.mass
 
-    def g_dimless(tau: float):
+    def rhs(x, tau: float):
         g = force.evaluate(tau / wt)
-        return g[0] * g_scale, g[1] * g_scale
+        return _deriv(x, sigma, wc_ratio, w0_ratio_sq, g[0] * g_scale, g[1] * g_scale)
 
     state = np.array(
         [initial.x / l, initial.y / l, initial.px / (mass * wt * l), initial.py / (mass * wt * l)]
@@ -253,14 +272,7 @@ def integrate_eom_numeric(
 
     tau_now = 0.0
     for h in taus:
-        gx1, gy1 = g_dimless(tau_now)
-        k1 = _deriv(state, tau_now, sigma, wc_ratio, w0_ratio_sq, gx1, gy1)
-        gxm, gym = g_dimless(tau_now + h / 2.0)
-        k2 = _deriv(state + (h / 2.0) * k1, tau_now + h / 2.0, sigma, wc_ratio, w0_ratio_sq, gxm, gym)
-        k3 = _deriv(state + (h / 2.0) * k2, tau_now + h / 2.0, sigma, wc_ratio, w0_ratio_sq, gxm, gym)
-        gx2, gy2 = g_dimless(tau_now + h)
-        k4 = _deriv(state + h * k3, tau_now + h, sigma, wc_ratio, w0_ratio_sq, gx2, gy2)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = _rk4_step(rhs, state, tau_now, h)
         tau_now += h
         if not np.all(np.isfinite(state)):
             raise DivergenceError(f"non-finite state at t = {tau_now / wt:.6g} s")
@@ -309,20 +321,9 @@ def _rk4_batch(omega0, omega_c, sigma, z0, v0, g_const, g_amp, g_freq, g_phase,
     gf = np.asarray(g_freq, dtype=float) / wt   # rad/s -> per dimensionless time
     gp = np.asarray(g_phase, dtype=float)
 
-    def drive(tau):
-        g = gc + ga * np.cos(gf * tau + gp)
-        return g.real / wt**2, g.imag / wt**2
-
     def rhs(s, tau):
-        gx, gy = drive(tau)
-        return np.stack(
-            [
-                s[2],
-                s[3],
-                sig * wc_r * s[3] - w0_sq * s[0] + gx,
-                -sig * wc_r * s[2] - w0_sq * s[1] + gy,
-            ]
-        )
+        g = gc + ga * np.cos(gf * tau + gp)
+        return _deriv(s, sig, wc_r, w0_sq, g.real / wt**2, g.imag / wt**2)
 
     check_every = max(1, n_steps // n_checkpoints)
     times, zs, vs = [], [], []
@@ -335,11 +336,7 @@ def _rk4_batch(omega0, omega_c, sigma, z0, v0, g_const, g_amp, g_freq, g_phase,
     tau = np.zeros(n)
     record(tau)
     for k in range(n_steps):
-        k1 = rhs(x, tau)
-        k2 = rhs(x + (h / 2.0) * k1, tau + h / 2.0)
-        k3 = rhs(x + (h / 2.0) * k2, tau + h / 2.0)
-        k4 = rhs(x + h * k3, tau + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(rhs, x, tau, h)
         tau = tau + h
         if (k + 1) % check_every == 0 or k == n_steps - 1:
             record(tau)

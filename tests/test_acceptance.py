@@ -50,12 +50,6 @@ MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
 
 
-def config_from(omega_tilde: float, epsilon: float) -> TrapConfig:
-    w0 = 2.0 * omega_tilde * math.sqrt(epsilon) / (1.0 + epsilon)
-    wc = 2.0 * omega_tilde * (epsilon - 1.0) / (1.0 + epsilon)
-    return TrapConfig(MASS, w0, wc)
-
-
 def test_criterion_01_mode_identities():
     # 1000 random traps: omega+ * omega- = omega0^2 and omega+ + omega- = 2 omega~
     rng = np.random.default_rng(101)
@@ -120,7 +114,7 @@ def test_criterion_02_oracle_equivalence_dynamics():
 
 
 def test_criterion_03_revival_and_suppression():
-    cfg = config_from(WT, 3.0)
+    cfg = TrapConfig.from_modes(MASS, WT, 3.0)
     modes = derive_modes(cfg)
     r0 = (2.0 * modes.l_osc, 0.0)
     # beat closure: position revivals of both spin paths at even multiples here
@@ -135,7 +129,7 @@ def test_criterion_03_revival_and_suppression():
 
 
 def test_criterion_04_weak_drive_quadrature():
-    cfg = config_from(WT, 3.0)
+    cfg = TrapConfig.from_modes(MASS, WT, 3.0)
     modes = derive_modes(cfg)
     l_osc = modes.l_osc
     r0 = (2.0 * l_osc, 0.0)
@@ -162,7 +156,7 @@ def test_criterion_04_weak_drive_quadrature():
 
 
 def test_criterion_05_response_curves():
-    cfg = config_from(WT, 4.0)
+    cfg = TrapConfig.from_modes(MASS, WT, 4.0)
     modes = derive_modes(cfg)
     r0 = 2.0 * modes.l_osc
     t = 5 * math.pi / WT
@@ -192,7 +186,7 @@ def test_criterion_05_response_curves():
 
 
 def test_criterion_06_dc_rejection():
-    cfg = config_from(WT, 3.0)
+    cfg = TrapConfig.from_modes(MASS, WT, 3.0)
     modes = derive_modes(cfg)
     l_osc = modes.l_osc
     r0 = (2.0 * l_osc, 0.0)
@@ -212,7 +206,7 @@ def test_criterion_06_dc_rejection():
 
 
 def test_criterion_07_thermal_monte_carlo():
-    cfg = config_from(WT, 3.0)
+    cfg = TrapConfig.from_modes(MASS, WT, 3.0)
     l_osc = derive_modes(cfg).l_osc
     seq = preset_up((2.0 * l_osc, 0.0), 4 * math.pi / WT)
     drive = Sinusoid((0.0, 0.08 * l_osc * WT**2), 0.9 * WT, 0.4)
@@ -280,7 +274,7 @@ def test_criterion_08d_optimal_frequency():
 
 
 def test_criterion_09_acceleration_ceiling():
-    cfg = config_from(WT, 1.5)
+    cfg = TrapConfig.from_modes(MASS, WT, 1.5)
     modes = derive_modes(cfg)
     thermal = ThermalParams.from_temperature(modes, 1e-3)
     g_max = signal_ceiling(cfg, modes, thermal, r_0=1e-6, tau=0.035)

@@ -2,10 +2,14 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import socaccel
 from socaccel import derive_modes, TrapConfig
 from socaccel.cli import main
 
@@ -251,15 +255,56 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["modes", "--config", str(tmp_path / "absent.json")]) == 2
 
+    # (config key, bad value); a bare section name replaces the whole section
     @pytest.mark.parametrize(
         "key, value",
-        [("count", 150.7), ("seed", 1.9), ("count", "abc"), ("seed", "x"), ("count", True), ("seed", None)],
+        [
+            ("monte_carlo.count", 150.7),
+            ("monte_carlo.seed", 1.9),
+            ("monte_carlo.count", "abc"),
+            ("monte_carlo.seed", "x"),
+            ("monte_carlo.count", True),
+            ("monte_carlo.seed", None),
+            ("trap.mass", "abc"),
+            ("trap.mass", None),
+            ("trap.epsilon", 0.5),
+            ("apparatus.temperature", "cold"),
+            ("apparatus.atoms_per_layer", [1e6]),
+            ("thermal.n_plus", "x"),
+            ("sequence.t", "0.002"),
+            ("response.points", "x"),
+            ("response.points", 2048.5),
+            ("sweep.points", "abc"),
+            ("drive.sense", "x"),
+            ("drive.kind", ["circular"]),
+            ("sequence", {"kind": "custom", "steps": [{"op": ["evolve"], "duration": 1e-3}]}),
+            ("trajectory.points", 2.5),
+            ("drive", {"kind": "tabulated", "path": "absent.csv"}),
+            ("drive", {"kind": "tabulated", "path": "not-numbers.csv"}),
+            ("output.directory", os.devnull),
+        ],
+        # monte_carlo cases are identified by the bare key, e.g. count-150.7
+        ids=lambda v: v.removeprefix("monte_carlo.") if isinstance(v, str) else None,
     )
-    def test_monte_carlo_integers_are_strict(self, tmp_path, capsys, key, value):
+    def test_monte_carlo_integers_are_strict(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)  # relative drive paths resolve here
+        (tmp_path / "not-numbers.csv").write_text("t,gx\n0,abc\n1,2\n")
         cfg = base_config()
-        cfg["monte_carlo"][key] = value
-        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
-        assert f"error: monte_carlo.{key} must be an integer" in capsys.readouterr().err
+        cfg["output"] = {"directory": str(tmp_path / "out")}
+        section, _, leaf = key.partition(".")
+        if leaf:
+            cfg[section][leaf] = value
+        else:
+            cfg[section] = value
+        readers = {
+            "apparatus": "sensitivity", "sweep": "sensitivity",
+            "response": "response", "trajectory": "trajectory",
+        }
+        assert main([readers.get(section, "thermal"), "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if section == "monte_carlo":
+            assert f"error: {key} must be an integer" in err
 
     def test_monte_carlo_accepts_integral_floats(self, tmp_path):
         cfg = base_config()
@@ -269,10 +314,31 @@ class TestConfigValidation:
         assert run("thermal", write_config(tmp_path, base_config(), "int.json"), d2) == 0
         assert filecmp.cmp(d1 / "thermal.json", d2 / "thermal.json", shallow=False)
 
-    def test_threads_flag_is_gone(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run("modes", write_config(tmp_path, base_config()), tmp_path / "out", "--threads", "2")
+    @pytest.mark.parametrize(
+        "cmd, flag, value",
+        [
+            ("modes", "--threads", "2"),
+            ("modes", "--seed", "1"),
+            ("trajectory", "--seed", "1"),
+            ("response", "--seed", "1"),
+            ("sensitivity", "--seed", "1"),
+            ("modes", "--format", "json"),
+            ("thermal", "--format", "json"),
+            ("sensitivity", "--format", "json"),
+        ],
+    )
+    def test_threads_flag_is_gone(self, tmp_path, cmd, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(cmd, write_config(tmp_path, base_config()), tmp_path / "out", flag, value)
+        assert exc.value.code == 2
 
     def test_seed_must_fit_64_bits(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         assert main(["thermal", "--config", cfg_path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(socaccel.__file__)))
+    code = "import socaccel.cli, sys; assert 'scipy' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -44,13 +44,7 @@ MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
 
 
-def config_from(omega_tilde: float, epsilon: float) -> TrapConfig:
-    w0 = 2.0 * omega_tilde * math.sqrt(epsilon) / (1.0 + epsilon)
-    wc = 2.0 * omega_tilde * (epsilon - 1.0) / (1.0 + epsilon)
-    return TrapConfig(MASS, w0, wc)
-
-
-CFG = config_from(WT, 3.0)
+CFG = TrapConfig.from_modes(MASS, WT, 3.0)
 MODES = derive_modes(CFG)
 L = MODES.l_osc
 R0 = (2.0 * L, 0.0)
@@ -395,7 +389,7 @@ class TestRunSequence:
         assert rec_none.expectation == rec_point.expectation == rec_state.expectation
 
     def test_rejects_foreign_config_state(self):
-        other = config_from(2 * math.pi * 700.0, 2.0)
+        other = TrapConfig.from_modes(MASS, 2 * math.pi * 700.0, 2.0)
         with pytest.raises(ParameterError):
             run_sequence(CFG, ground_state(other), preset_up(R0, 1e-3), None)
 

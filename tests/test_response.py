@@ -35,13 +35,7 @@ MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
 
 
-def config_from(omega_tilde: float, epsilon: float) -> TrapConfig:
-    w0 = 2.0 * omega_tilde * math.sqrt(epsilon) / (1.0 + epsilon)
-    wc = 2.0 * omega_tilde * (epsilon - 1.0) / (1.0 + epsilon)
-    return TrapConfig(MASS, w0, wc)
-
-
-CFG = config_from(WT, 4.0)
+CFG = TrapConfig.from_modes(MASS, WT, 4.0)
 MODES = derive_modes(CFG)
 L = MODES.l_osc
 WM, WP = MODES.omega_minus, MODES.omega_plus
@@ -87,7 +81,7 @@ class TestResponseUp:
         # the tall slow-mode peak exceed the fast-mode peak, so the fast peak
         # is found in its own frequency window
         eps = 22.0
-        modes = derive_modes(config_from(WT, eps))
+        modes = derive_modes(TrapConfig.from_modes(MASS, WT, eps))
         wm, wp = modes.omega_minus, modes.omega_plus
         ratios = []
         for mult in (20, 80):

@@ -21,6 +21,7 @@ from socaccel import (
     signal_ceiling,
     thermal_geometry,
 )
+from socaccel.sensitivity import _s_of_omega
 
 HBAR = 1.054571817e-34
 
@@ -203,6 +204,25 @@ class TestOptimizeTrap:
         assert not opt.boundary
         assert abs(opt.omega_opt - W_LARGE_N) < 1e-3 * W_LARGE_N
         assert abs(W_LARGE_N - 1355.3) < 1e-3 * 1355.3
+
+    # 1e8 atoms on this range is also criterion_08d's setup
+    @pytest.mark.parametrize("n_a", [1e4, 1e6, 1e8])
+    def test_golden_section_matches_scipy(self, n_a):
+        optimize = pytest.importorskip("scipy.optimize")
+        ap, lo, hi = with_atoms(n_a), W_LARGE_N / 30, W_LARGE_N * 30
+        opt = optimize_trap(RB87, ap, (lo, hi))
+        assert not opt.boundary
+        grid = np.geomspace(lo, hi, 200)
+        i = int(np.argmin([_s_of_omega(RB87, ap, w) for w in grid]))
+        ref = optimize.minimize_scalar(
+            lambda w: _s_of_omega(RB87, ap, w),
+            bracket=(grid[i - 1], grid[i], grid[i + 1]),
+            method="golden",
+            tol=1e-12,
+        )
+        assert type(opt.omega_opt) is float and type(opt.S_min) is float
+        assert abs(opt.omega_opt - ref.x) < 1e-6 * ref.x
+        assert abs(opt.S_min - ref.fun) < 1e-12 * ref.fun
 
     def test_optimum_value_consistent_with_report(self):
         opt = optimize_trap(RB87, with_atoms(1e8), (W_LARGE_N / 30, W_LARGE_N * 30))

@@ -26,13 +26,6 @@ MASS = 1.44316e-25  # Rb-87, kg
 HBAR = 1.054571817e-34
 
 
-def config_from(omega_tilde: float, epsilon: float) -> TrapConfig:
-    # build from the (omega_tilde, epsilon = omega_plus/omega_minus) pair
-    w0 = 2.0 * omega_tilde * math.sqrt(epsilon) / (1.0 + epsilon)
-    wc = 2.0 * omega_tilde * (epsilon - 1.0) / (1.0 + epsilon)
-    return TrapConfig(MASS, w0, wc)
-
-
 def energy_of(config: TrapConfig, p: PhaseSpacePoint) -> float:
     """Conserved classical energy 0.5 m (|v|^2 + omega0^2 |r|^2)."""
     v2 = (p.px**2 + p.py**2) / config.mass**2
@@ -53,12 +46,12 @@ class TestDeriveModes:
         assert modes.omega_minus == pytest.approx(0.0, abs=1e-15 * wc)
 
     def test_oscillator_length(self):
-        modes = derive_modes(config_from(2 * math.pi * 1000.0, 22.0))
+        modes = derive_modes(TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 22.0))
         expect = math.sqrt(HBAR / (MASS * modes.omega_tilde))
         assert modes.l_osc == pytest.approx(expect, rel=1e-14)
 
     def test_epsilon_and_omega_c_accessors(self):
-        modes = derive_modes(config_from(2 * math.pi * 1000.0, 22.0))
+        modes = derive_modes(TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 22.0))
         assert modes.epsilon == pytest.approx(22.0, rel=1e-12)
         assert modes.omega_c == pytest.approx(modes.omega_plus - modes.omega_minus, rel=1e-12)
 
@@ -87,9 +80,24 @@ class TestDeriveModes:
         assert modes.omega_plus + modes.omega_minus == pytest.approx(2 * modes.omega_tilde, rel=1e-12)
         assert abs(modes.omega_plus - modes.omega_minus - wc) <= 1e-12 * modes.omega_plus
 
+    @given(
+        wt=st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False),
+        eps=st.floats(1.0, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_modes_round_trips(self, wt, eps):
+        modes = derive_modes(TrapConfig.from_modes(MASS, wt, eps))
+        assert modes.omega_tilde == pytest.approx(wt, rel=1e-12)
+        assert modes.epsilon == pytest.approx(eps, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0 - 1e-12, -3.0, math.nan, math.inf])
+    def test_from_modes_rejects_bad_epsilon(self, eps):
+        with pytest.raises(ParameterError):
+            TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, eps)
+
 
 class TestClassicalTrajectory:
-    CFG = config_from(2 * math.pi * 1000.0, 3.0)
+    CFG = TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 3.0)
     MODES = derive_modes(CFG)
     R0 = (1.7e-6, -0.4e-6)
 
@@ -148,7 +156,7 @@ class TestClassicalTrajectory:
 
 
 class TestIntegrateEomNumeric:
-    CFG = config_from(2 * math.pi * 1000.0, 3.0)
+    CFG = TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 3.0)
     MODES = derive_modes(CFG)
 
     def test_equilibrium_stays_put(self):
@@ -205,7 +213,7 @@ class TestIntegrateEomNumeric:
 
 
 class TestHPerp:
-    MODES = derive_modes(config_from(2 * math.pi * 1000.0, 22.0))
+    MODES = derive_modes(TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 22.0))
 
     def test_zero_at_origin_of_time(self):
         assert h_perp(self.MODES, 0.0) == 0.0
@@ -236,7 +244,7 @@ class TestHPerp:
 
 
 class TestPhaseFirstOrder:
-    CFG = config_from(2 * math.pi * 1000.0, 3.0)
+    CFG = TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 3.0)
     MODES = derive_modes(CFG)
 
     def test_zero_force_gives_zero_phase(self):
@@ -276,7 +284,7 @@ class TestPhaseFirstOrder:
 class TestModeEnergy:
     """mode_decompose certification: rotation sense and energy reconstruction."""
 
-    CFG = config_from(2 * math.pi * 1000.0, 4.0)
+    CFG = TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 4.0)
     MODES = derive_modes(CFG)
 
     def test_origin_maps_to_vacuum(self):
