@@ -306,6 +306,13 @@ def _config_int(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def _config_bool(value, where: str) -> bool:
+    """A JSON boolean, true or false, nothing else."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be a boolean, got {value!r}")
+
+
 def _check_seed(seed: int, where: str) -> int:
     if not 0 <= seed < (1 << 64):
         raise ConfigError(f"{where} must fit in 64 bits, got {seed}")
@@ -467,7 +474,7 @@ def cmd_response(args) -> int:
     r0 = _config_float(sec.get("r0", modes.l_osc), "response.r0")
     points = _config_int(sec.get("points", 4096), "response.points")
     omega_max = _config_float(sec.get("omega_max", 3.0 * modes.omega_plus), "response.omega_max")
-    rescale = bool(args.rescale_cp or sec.get("rescale_cp", False))
+    rescale = _config_bool(sec.get("rescale_cp", False), "response.rescale_cp") or args.rescale_cp
     if points < 16:
         raise ConfigError(f"response.points must be >= 16, got {points}")
     grid = np.linspace(0.0, omega_max, points)

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .signals import ForceSignal, Zero, _exp_poly_integral, modal_integral
+from .signals import ForceSignal, Zero, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
 from .trap import NormalModes, PhaseSpacePoint, TrapConfig, _check_sigma, derive_modes
 
 __all__ = [
@@ -374,80 +374,39 @@ class _SegmentCoeffs:
     phase_g2: float
 
 
+# an entry keeps its drive alive (a Tabulated table by identity); cold segments
+# are closed forms, so the cache only needs to span repeated runs of one sequence
 _SEGMENT_CACHE: OrderedDict = OrderedDict()
-_SEGMENT_CACHE_MAX = 4096
+_SEGMENT_CACHE_MAX = 256
 
 
-@lru_cache(maxsize=64)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+def _phase_g2(config: TrapConfig, wt: float, packed: _Packed, nu: np.ndarray, integrals) -> float:
+    """(m/hbar) integral_0^T Re[conj(gtilde) zeta_d] d tau over the segment, in closed form.
 
-
-def _running_modal(pieces, nu: float, t0: float, taus: np.ndarray) -> np.ndarray:
-    """J(tau) = integral_0^tau gtilde(t0 + s) exp(-i nu s) ds at sorted taus."""
-    out = np.empty(taus.shape[0], dtype=complex)
-    prefix = 0.0 + 0.0j
-    idx = 0
-    slack = 1e-12 * max((b - t0) for _, b, _ in pieces) if pieces else 0.0
-    for a, b, terms in pieces:
-        while idx < taus.shape[0] and taus[idx] <= (b - t0) + slack:
-            local = min(max(taus[idx] - (a - t0), 0.0), b - a)
-            ph = cmath.exp(-1j * nu * (a - t0))
-            val = sum(c * _exp_poly_integral(p, mu - nu, local) for c, mu, p in terms)
-            out[idx] = prefix + ph * val
-            idx += 1
-        ph = cmath.exp(-1j * nu * (a - t0))
-        prefix += ph * sum(c * _exp_poly_integral(p, mu - nu, b - a) for c, mu, p in terms)
-    while idx < taus.shape[0]:
-        out[idx] = prefix
-        idx += 1
-    return out
-
-
-def _phase_g2(config: TrapConfig, modes: NormalModes, sigma: int, pieces, t0: float) -> float:
-    """(m/hbar) integral Re[conj(gtilde) zeta_d] over the segment.
-
-    zeta_d is the zero-initial-condition driven response
-    (exp(i nu1 tau) J_nu1 - exp(i nu2 tau) J_nu2) / (2 i omega_tilde) with
-    (nu1, nu2) the spin-sigma mode exponents.  Gauss-Legendre per drive piece;
-    node count scales with the piece's phase span so oscillatory integrands
-    stay resolved.
+    zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde) is the driven
+    response from rest, J_nu(tau) = integral_0^tau gtilde e^{-i nu s} ds, so the phase is
+    (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)] with W_nu = integral conj(gtilde)
+    e^{i nu tau} J_nu d tau.  On piece k, J_nu is the sum P_k of the earlier pieces'
+    ``integrals`` I plus a running part, so W_nu = sum_k conj(I_k) P_k +
+    sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu, delta_k); T is the
+    triangular integral of ``signals`` (by parts, swap or series at |k delta| = 0.5),
+    called once per pair of term powers for both nu and all pieces.
     """
-    wp, wm, wt = modes.omega_plus, modes.omega_minus, modes.omega_tilde
-    if sigma == +1:
-        nu1, nu2 = wm, -wp
-    else:
-        nu1, nu2 = wp, -wm
-
-    taus_all: list[np.ndarray] = []
-    gvals_all: list[np.ndarray] = []
-    wts_all: list[np.ndarray] = []
-    for a, b, terms in pieces:
-        if not terms or b - a <= 0.0:
-            continue
-        fmax = max(abs(mu) for _, mu, _ in terms) + wp
-        n = int(0.75 * (b - a) * fmax) + 24
-        n = min(256, 8 * ((n + 7) // 8))
-        x, w = _leggauss(n)
-        half = 0.5 * (b - a)
-        local = half * (x + 1.0)
-        g = np.zeros(n, dtype=complex)
-        for c, mu, p in terms:
-            g += c * local**p * np.exp(1j * mu * local)
-        taus_all.append((a - t0) + local)
-        gvals_all.append(g)
-        wts_all.append(half * w)
-    if not taus_all:
-        return 0.0
-    taus = np.concatenate(taus_all)
-    gvals = np.concatenate(gvals_all)
-    wts = np.concatenate(wts_all)
-
-    j1 = _running_modal(pieces, nu1, t0, taus)
-    j2 = _running_modal(pieces, nu2, t0, taus)
-    zeta_d = (np.exp(1j * nu1 * taus) * j1 - np.exp(1j * nu2 * taus) * j2) / (2j * wt)
-    val = float(np.sum(wts * np.real(np.conj(gvals) * zeta_d)))
-    return (config.mass / config.hbar) * val
+    w = np.sum(integrals.conj() * (np.cumsum(integrals, axis=1) - integrals), axis=1)
+    pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
+    pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]
+    shape = nu.shape + pair_valid.shape
+    k_outer = np.broadcast_to(nu[:, None, None, None] - packed.mu[:, :, None], shape)
+    k_inner = np.broadcast_to(packed.mu[:, None, :] - nu[:, None, None, None], shape)
+    width = np.broadcast_to(packed.width[:, None, None], pair_valid.shape)
+    powers = np.unique(packed.power[packed.valid]).tolist()
+    for q in powers:
+        for p in powers:
+            sel = pair_valid & (packed.power[:, :, None] == q) & (packed.power[:, None, :] == p)
+            if sel.any():
+                t = _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
+                w = w + np.sum(pair_coef[sel] * t, axis=1)
+    return (config.mass / config.hbar) * float(((w[0] - w[1]) / (2j * wt)).real)
 
 
 def _segment_coeffs(
@@ -464,12 +423,14 @@ def _segment_coeffs(
 
     modes = _modes_cached(config)
     wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    t_end = t_start + duration
-    m_plus = modal_integral(drive, sigma * wp, t_start, t_end)
-    m_minus = modal_integral(drive, sigma * wm, t_start, t_end, conjugate=True)
+    nu = np.array([wm, -wp] if sigma == +1 else [wp, -wm])
+    packed = _pack_pieces(drive.pieces(t_start, t_start + duration), t_start)
+    integrals = _piece_integrals(packed, nu)  # (2, pieces)
+    j1, j2 = (complex(v) for v in integrals.sum(axis=1))
+    # kicks: integral of gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
+    m_plus, m_minus = (j2, j1.conjugate()) if sigma == +1 else (j1, j2.conjugate())
     scale = sigma * 1j / (2.0 * wt * l)
     mh = config.mass / config.hbar
-    pieces = drive.pieces(t_start, t_end)
     coeffs = _SegmentCoeffs(
         rot_plus=cmath.exp(-1j * sigma * wp * duration),
         rot_minus=cmath.exp(-1j * sigma * wm * duration),
@@ -477,7 +438,7 @@ def _segment_coeffs(
         kick_minus=scale * m_minus,
         p_lin=mh * l * m_plus.conjugate(),
         q_lin=mh * l * m_minus,
-        phase_g2=_phase_g2(config, modes, sigma, pieces, t_start),
+        phase_g2=_phase_g2(config, wt, packed, nu, integrals),
     )
     if key is not None:
         _SEGMENT_CACHE[key] = coeffs

@@ -7,15 +7,24 @@ pieces: over each piece [a, b],
     gtilde(a + tau) = sum_k  c_k * tau**p_k * exp(i mu_k tau),   0 <= tau <= b - a.
 
 Parametric waveforms produce a single piece; tabulated data produces one
-piece per grid interval of its linear interpolant.  The expansion is what the
-exact evolution engine and the thermal suppression integrals consume, via
-:func:`modal_integral`.
+piece per grid interval of its linear interpolant.  :func:`modal_integral`
+and the engine's segment coefficients are closed forms over the pieces, all
+pieces at once, built from two array kernels split at |k delta| = 0.5:
+
+- E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series
+  where |mu delta| < 0.5, the recursion in p elsewhere;
+- T(q, k1, p, k2, delta) = integral_0^delta u**q e^{i k1 u} E_p(k2, u) du, the
+  triangular double integral behind the phase quadratic in the drive: by
+  parts where |k2 delta| >= 0.5, by the swap identity
+  T(q, k1, p, k2) = E_q(k1) E_p(k2) - T(p, k2, q, k1) where only
+  |k1 delta| >= 0.5, and a double power series where both are below 0.5.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +46,116 @@ __all__ = [
 Piece = tuple[float, float, list[tuple[complex, float, int]]]
 
 
-def _exp_poly_integral(p: int, mu: float, delta: float) -> complex:
-    """integral_0^delta tau**p exp(i mu tau) d tau, stable for mu*delta -> 0.
+def _exp_poly_integral(p: int, mu, delta):
+    """E_p(mu, delta), elementwise over broadcast ``mu`` and ``delta``; scalars give a scalar.
 
-    Small |mu*delta| uses the series delta**(p+1) * sum_k (i mu delta)^k / (k! (p+k+1));
-    otherwise the closed-form recursion in p.
+    The series delta**(p+1) sum_k (i mu delta)^k / (k! (p+k+1)) stops per element once
+    a term is below 1e-20 of the sum (25 terms at most); it runs in real arithmetic
+    exactly as Python's complex type sums it.
     """
-    if delta == 0.0:
-        return 0.0 + 0.0j
-    z = 1j * mu * delta
-    if abs(z) < 0.5:
-        term = 1.0 + 0.0j  # z^k / k!
-        acc = term / (p + 1)
+    mu, delta = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(delta, dtype=float))
+    x = mu * delta
+    small = np.abs(x) < 0.5
+    out = np.empty(x.shape, dtype=complex)
+    if small.any():
+        x_s = x[small]
+        tr, ti = np.ones_like(x_s), np.zeros_like(x_s)  # (i x)^k / k!
+        sr, si, live = tr / (p + 1), ti, np.ones(x_s.shape, dtype=bool)
         for k in range(1, 26):
-            term *= z / k
-            acc += term / (p + k + 1)
-            if abs(term) < 1e-20 * abs(acc):
+            y = x_s / k
+            tr, ti = -(ti * y), tr * y
+            sr = np.where(live, sr + tr / (p + k + 1), sr)
+            si = np.where(live, si + ti / (p + k + 1), si)
+            live &= ~(np.hypot(tr, ti) < 1e-20 * np.hypot(sr, si))
+            if not live.any():
                 break
-        return delta ** (p + 1) * acc
-    imu = 1j * mu
-    val = (np.exp(imu * delta) - 1.0) / imu
-    for q in range(1, p + 1):
-        val = (delta**q * np.exp(imu * delta) - q * val) / imu
-    return complex(val)
+        scale = delta[small] ** (p + 1)
+        out[small] = scale * sr + 1j * (scale * si)
+    if not small.all():
+        imu, d = 1j * mu[~small], delta[~small]
+        e = np.exp(imu * d)
+        val = (e - 1.0) / imu
+        for q in range(1, p + 1):
+            val = (d**q * e - q * val) / imu
+        out[~small] = val
+    return out[()]
+
+
+def _triangle_integral(q: int, k1, p: int, k2, delta):
+    """T(q, k1, p, k2, delta), elementwise over broadcast arrays; scalars give a scalar.
+
+    By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1).
+    The series in z = i k delta is delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)),
+    summed to the order N = 19 at which the next term bound (|z1| + |z2|)^(N+1) / (N+1)! is below
+    1e-18 for every element of the branch, so each element's value depends on its inputs alone.
+    """
+    k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
+    by_parts = np.abs(k2 * delta) >= 0.5
+    swapped = ~by_parts & (np.abs(k1 * delta) >= 0.5)
+    series = ~(by_parts | swapped)
+    out = np.empty(delta.shape, dtype=complex)
+    if by_parts.any():
+        a, b, d = k1[by_parts], k2[by_parts], delta[by_parts]
+        coef = [-(math.factorial(p) // math.factorial(m)) * (1j / b) ** (p - m + 1) for m in range(p + 1)]
+        out[by_parts] = sum(c * _exp_poly_integral(q + m, a + b, d) for m, c in enumerate(coef))
+        out[by_parts] -= coef[0] * _exp_poly_integral(q, a, d)
+    if swapped.any():
+        a, b, d = k1[swapped], k2[swapped], delta[swapped]
+        swap = _triangle_integral(p, b, q, a, d)  # takes the by-parts branch
+        out[swapped] = _exp_poly_integral(q, a, d) * _exp_poly_integral(p, b, d) - swap
+    if series.any():
+        # T = delta**(p+q+2) sum_j z2^j / (j! (p+j+1)) F_{p+q+1+j}(z1), F_n(z) = int_0^1 x^n e^{zx} dx:
+        # Horner in z2 while F runs down its stable recursion F_n = (e^z - z F_{n+1}) / (n+1)
+        z1, z2, d = 1j * (k1 * delta)[series], 1j * (k2 * delta)[series], delta[series]
+        order = 19  # |z1| + |z2| < 1 here, so the next term bound is below 1 / 20! < 1e-18
+        top = p + q + 1 + order
+        term, f = np.ones_like(z1), np.full_like(z1, 1.0 / (top + 1))
+        for k in range(1, order + 1):
+            term = term * (z1 / k)
+            f = f + term / (top + k + 1)
+        e1, acc = np.exp(z1), f / (p + order + 1)
+        for j in range(order - 1, -1, -1):
+            f = (e1 - z1 * f) / (p + q + j + 2)
+            acc = f / (p + j + 1) + acc * (z2 / (j + 1))
+        out[series] = d ** (p + q + 2) * acc
+    return out[()]
+
+
+# a piece list as arrays, term lists padded with zero terms to the longest:
+# offset, width (K,) relative to the window start; coef, mu, power, valid (K, M)
+_Packed = namedtuple("_Packed", "offset width coef mu power valid")
+
+
+def _pack_pieces(pieces: list[Piece], t0: float) -> _Packed:
+    counts = np.array([len(terms) for _, _, terms in pieces], dtype=int)
+    valid = np.arange(counts.max(initial=0)) < counts[:, None]
+    coef, mu, power = (np.zeros(valid.shape, dtype=kind) for kind in (complex, float, int))
+    flat = [term for _, _, terms in pieces for term in terms]
+    if flat:
+        coef[valid], mu[valid], power[valid] = zip(*flat)
+    start, end = np.array([(a, b) for a, b, _ in pieces], dtype=float).reshape(-1, 2).T
+    return _Packed(start - t0, end - start, coef, mu, power, valid)
+
+
+def _piece_integrals(packed: _Packed, nu):
+    """I[..., k] = integral over piece k of gtilde(t) e^{-i nu (t - t0)} dt, for nu of any shape.
+
+    Products and sums of terms follow scalar complex arithmetic (numpy's vector
+    multiply may fuse a multiply-add), so one piece gives the scalar loop's bits.
+    """
+    nu = np.asarray(nu, dtype=float)
+    kappa = packed.mu - nu[..., None, None]
+    width = np.broadcast_to(packed.width[:, None], packed.mu.shape)
+    e = np.zeros(kappa.shape, dtype=complex)
+    for p in np.unique(packed.power[packed.valid]).tolist():
+        sel = packed.valid & (packed.power == p)
+        e[..., sel] = _exp_poly_integral(p, kappa[..., sel], width[sel])
+    c = packed.coef
+    terms = (c.real * e.real - c.imag * e.imag) + 1j * (c.real * e.imag + c.imag * e.real)
+    total = np.zeros(kappa.shape[:-1], dtype=complex)
+    for m in range(kappa.shape[-1]):
+        total = total + terms[..., m]
+    return np.exp(-1j * nu[..., None] * packed.offset) * total
 
 
 class ForceSignal(ABC):
@@ -255,30 +351,23 @@ class Tabulated(ForceSignal):
             return np.array([float(gx), float(gy)])
         return np.stack([gx, gy])
 
-    def _gtilde_at(self, t: float) -> complex:
-        g = self.evaluate(t)
-        return complex(g[0], g[1])
-
     def pieces(self, t0, t1):
         t0, t1 = float(t0), float(t1)
         self._check_cover(t0, t1)
+        if not t1 > t0:
+            return []
         # grid nodes strictly inside (t0, t1)
         k_lo = int(math.ceil((t0 - self.t_start) / self.dt - 1e-9))
         k_hi = int(math.floor((t1 - self.t_start) / self.dt + 1e-9))
-        nodes = [t0]
-        for k in range(k_lo, k_hi + 1):
-            tk = self.t_start + k * self.dt
-            if t0 + 1e-15 < tk < t1 - 1e-15:
-                nodes.append(tk)
-        nodes.append(t1)
-        out: list[Piece] = []
-        for a, b in zip(nodes[:-1], nodes[1:]):
-            if b - a <= 0.0:
-                continue
-            ga, gb = self._gtilde_at(a), self._gtilde_at(b)
-            slope = (gb - ga) / (b - a)
-            out.append((a, b, [(ga, 0.0, 0), (slope, 0.0, 1)]))
-        return out
+        grid = self.t_start + np.arange(k_lo, k_hi + 1) * self.dt
+        inner = grid[(t0 + 1e-15 < grid) & (grid < t1 - 1e-15)]
+        nodes = np.concatenate(([t0], inner, [t1]))
+        gx, gy = self.evaluate(nodes)
+        width = np.diff(nodes)
+        start = (gx + 1j * gy)[:-1].tolist()
+        slope = (np.diff(gx) / width + 1j * (np.diff(gy) / width)).tolist()
+        edges = zip(nodes[:-1].tolist(), nodes[1:].tolist(), start, slope)
+        return [(a, b, [(ga, 0.0, 0), (s, 0.0, 1)]) for a, b, ga, s in edges]
 
     def windowed_transform(self, omega):
         """integral over the grid of g(t) exp(i omega t) dt, exact for the interpolant.
@@ -286,20 +375,11 @@ class Tabulated(ForceSignal):
         Returns a complex 2-vector per frequency (shape (2,) or (2, n)).
         """
         omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.zeros((2, omegas.shape[0]), dtype=complex)
-        pieces = self.pieces(self.t_start, self.t_end)
-        for j, w in enumerate(omegas):
-            gx = 0.0 + 0.0j
-            gt = 0.0 + 0.0j
-            for a, b, terms in pieces:
-                ph = np.exp(1j * w * a)
-                for c, mu, p in terms:
-                    val = _exp_poly_integral(p, mu + w, b - a)
-                    gt += ph * c * val
-                    gx += ph * c.conjugate() * val  # conj(gtilde) carries gx - i gy
-            # gtilde = gx + i gy, conj = gx - i gy  =>  gx = (gt + gx)/2, gy = (gt - gx)/2i
-            out[0, j] = 0.5 * (gt + gx)
-            out[1, j] = (gt - gx) / 2.0j
+        packed = _pack_pieces(self.pieces(self.t_start, self.t_end), self.t_start)
+        shift = np.exp(1j * omegas * self.t_start)
+        gt = shift * _piece_integrals(packed, -omegas).sum(axis=-1)  # of gtilde = gx + i gy
+        gc = shift * _piece_integrals(packed, omegas).sum(axis=-1).conjugate()  # of gx - i gy
+        out = np.stack([0.5 * (gt + gc), (gt - gc) / 2.0j])
         return out[:, 0] if np.asarray(omega).ndim == 0 else out
 
 
@@ -325,13 +405,7 @@ def modal_integral(signal: ForceSignal, omega: float, t0: float, t1: float,
     """integral_{t0}^{t1} gtilde(t) exp(i omega (t - t0)) dt, exactly.
 
     With ``conjugate=True`` the integrand uses conj(gtilde) instead.  This is
-    the primitive behind the driven-mode kicks and the thermal gamma factors.
+    the primitive behind the thermal gamma factors.
     """
-    total = 0.0 + 0.0j
-    for a, b, terms in signal.pieces(t0, t1):
-        ph = np.exp(1j * omega * (a - t0))
-        for c, mu, p in terms:
-            if conjugate:
-                c, mu = c.conjugate(), -mu
-            total += ph * c * _exp_poly_integral(p, mu + omega, b - a)
-    return complex(total)
+    total = _piece_integrals(_pack_pieces(signal.pieces(t0, t1), t0), omega if conjugate else -omega)
+    return complex(total.sum().conjugate() if conjugate else total.sum())

@@ -256,8 +256,12 @@ def integrate_eom_numeric(
     g_scale = 1.0 / (wt * wt * l)   # acceleration -> dimensionless
     mass = config.mass
 
+    last = [math.nan, None]  # (tau, g): k2 and k3 share a time, as do k4 and the next k1
+
     def rhs(x, tau: float):
-        g = force.evaluate(tau / wt)
+        if tau != last[0]:
+            last[:] = tau, force.evaluate(tau / wt)
+        g = last[1]
         return _deriv(x, sigma, wc_ratio, w0_ratio_sq, g[0] * g_scale, g[1] * g_scale)
 
     state = np.array(

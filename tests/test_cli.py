@@ -282,6 +282,8 @@ class TestConfigValidation:
             ("drive", {"kind": "tabulated", "path": "absent.csv"}),
             ("drive", {"kind": "tabulated", "path": "not-numbers.csv"}),
             ("output.directory", os.devnull),
+            ("response.rescale_cp", "false"),
+            ("response.rescale_cp", 1),
         ],
         # monte_carlo cases are identified by the bare key, e.g. count-150.7
         ids=lambda v: v.removeprefix("monte_carlo.") if isinstance(v, str) else None,
@@ -305,6 +307,8 @@ class TestConfigValidation:
         assert err.startswith("error: ")
         if section == "monte_carlo":
             assert f"error: {key} must be an integer" in err
+        if key == "response.rescale_cp":
+            assert "error: response.rescale_cp must be a boolean" in err
 
     def test_monte_carlo_accepts_integral_floats(self, tmp_path):
         cfg = base_config()

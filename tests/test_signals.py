@@ -1,5 +1,6 @@
 """Drive waveforms: pointwise evaluation, piece expansions, exact modal integrals."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ from scipy.integrate import quad
 from socaccel import (
     Constant,
     CoverageError,
+    ForceSignal,
     ParameterError,
     Sinusoid,
     SumSignal,
     Tabulated,
+    TrapConfig,
     Zero,
     circular,
     modal_integral,
 )
+from socaccel.pulses import Branch, SpinorCoherentState, _segment_coeffs, apply_evolution
+from socaccel.signals import _exp_poly_integral, _triangle_integral
 
 
 def line_integral(mu: float, delta: float) -> complex:
@@ -301,3 +306,107 @@ class TestTabulatedIO:
             assert gy == pytest.approx(oy, rel=1e-9)
         arr = tab.windowed_transform(np.array([0.0, 900.0]))
         assert arr.shape == (2, 2)
+
+
+def quad_complex(f, a: float, b: float) -> complex:
+    return quad(f, a, b, complex_func=True, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+def exp_poly_oracle(p: int, mu: float, delta: float) -> complex:
+    return quad_complex(lambda t: t**p * np.exp(1j * mu * t), 0.0, delta)
+
+
+def triangle_oracle(q: int, k1: float, p: int, k2: float, delta: float) -> complex:
+    return quad_complex(lambda u: u**q * np.exp(1j * k1 * u) * exp_poly_oracle(p, k2, u), 0.0, delta)
+
+
+# kappa * delta on both sides of the 0.5 branch threshold, and k1 + k2 ~ 0
+DELTA = 2e-3
+PHASES = [0.0, 0.2, -0.49, 0.51, -3.0, 40.0]
+PAIRS = [(0.3, -0.3), (0.2, 0.1), (0.45, -0.4), (2.0, -2.0), (0.2, 3.0), (3.0, 0.2), (0.6, 0.55), (-7.0, 7.0 + 1e-9)]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestKernels:
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("x", PHASES)
+    def test_exp_poly_integral_against_quadrature(self, p, x):
+        got = _exp_poly_integral(p, x / DELTA, DELTA)
+        expect = exp_poly_oracle(p, x / DELTA, DELTA)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("x1, x2", PAIRS)
+    def test_triangle_integral_against_nested_quadrature(self, q, p, x1, x2):
+        got = _triangle_integral(q, x1 / DELTA, p, x2 / DELTA, DELTA)
+        expect = triangle_oracle(q, x1 / DELTA, p, x2 / DELTA, DELTA)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+    def test_arrays_equal_elementwise_scalar_calls(self):
+        rng = np.random.default_rng(8)
+        k1 = rng.uniform(-3.0, 3.0, 40) / DELTA
+        k2 = np.where(rng.uniform(size=40) < 0.3, -k1, rng.uniform(-3.0, 3.0, 40) / DELTA)
+        delta = DELTA * rng.uniform(0.0, 1.0, 40)
+        for p in (0, 1, 2):
+            e = _exp_poly_integral(p, k1, delta)
+            assert e.tolist() == [_exp_poly_integral(p, a, d) for a, d in zip(k1, delta)]
+            for q in (0, 2):
+                t = _triangle_integral(q, k1, p, k2, delta)
+                assert t.tolist() == [_triangle_integral(q, a, p, b, d) for a, b, d in zip(k1, k2, delta)]
+        assert isinstance(_exp_poly_integral(1, 3.0, 0.1), complex)
+
+    def test_tabulated_pieces_match_the_scalar_loop(self):
+        rng = np.random.default_rng(9)
+        tab = Tabulated(1.7e-3, 3.3e-5, rng.normal(size=(300, 2)))
+        for t0, t1 in [(1.7e-3, tab.t_end), (2.0e-3, 9.1234e-3), (4e-3, 4e-3 + 1e-9), (5e-3, 5e-3)]:
+            k_lo = int(math.ceil((t0 - tab.t_start) / tab.dt - 1e-9))
+            k_hi = int(math.floor((t1 - tab.t_start) / tab.dt + 1e-9))
+            grid = [tab.t_start + k * tab.dt for k in range(k_lo, k_hi + 1)]
+            nodes = [t0] + [tk for tk in grid if t0 + 1e-15 < tk < t1 - 1e-15] + [t1]
+            expect = []
+            for a, b in zip(nodes[:-1], nodes[1:]):
+                if b - a > 0.0:
+                    ga, gb = (complex(*tab.evaluate(v)) for v in (a, b))
+                    expect.append((a, b, [(ga, 0.0, 0), ((gb - ga) / (b - a), 0.0, 1)]))
+            assert tab.pieces(t0, t1) == expect
+
+
+@dataclass(frozen=True)
+class Ragged(ForceSignal):
+    """Pieces with 1, 3 and 0 terms and powers up to 2; windows start and end on an edge."""
+
+    edges = (0.0, 1.1e-3, 2.9e-3, 4.0e-3)
+    terms = (
+        ((0.4 - 0.1j, 2100.0, 0),),
+        ((0.2 + 0.3j, -6300.0, 0), (150.0 - 80.0j, 0.0, 1), (4e4 + 1e4j, 9000.0, 2)),
+        (),
+    )
+
+    def pieces(self, t0, t1):
+        spans = zip(self.edges, self.edges[1:], self.terms)
+        return [(a, b, list(terms)) for a, b, terms in spans if t0 - 1e-12 <= a and b <= t1 + 1e-12]
+
+    def evaluate(self, t):
+        for a, b, terms in self.pieces(self.edges[0], self.edges[-1]):
+            if a <= t <= b:
+                g = complex(sum(c * (t - a) ** p * np.exp(1j * mu * (t - a)) for c, mu, p in terms))
+                return np.array([g.real, g.imag])
+        raise CoverageError(f"t = {t} outside the pieces")
+
+
+def test_ragged_pieces_compose_over_single_piece_segments():
+    """The segment coefficients of mixed term lists equal their per-piece composition."""
+    cfg = TrapConfig.from_modes(1.44316e-25, 2 * math.pi * 1000.0, 3.0)
+    branches = (Branch(+1, 0.6 + 0j, 0.8 - 0.3j, 0.2 + 0.5j), Branch(-1, 0.8 + 0j, -0.4 + 0.1j, 0.7j))
+    state = SpinorCoherentState(cfg, branches)
+    edges = Ragged.edges
+    whole = apply_evolution(state, edges[-1], Ragged())
+    parts = state
+    for a, b in zip(edges, edges[1:]):
+        parts = apply_evolution(parts, b - a, Ragged())
+    for w, s in zip(whole.branches, parts.branches):
+        for name in ("alpha_plus", "alpha_minus", "phase"):
+            got, expect = getattr(w, name), getattr(s, name)
+            assert abs(got - expect) <= 1e-12 * abs(expect), name
+        assert w.phase != 0.0 and _segment_coeffs(cfg, w.spin, Ragged(), 0.0, edges[-1]).phase_g2 != 0.0

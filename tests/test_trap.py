@@ -204,6 +204,24 @@ class TestIntegrateEomNumeric:
                     self.CFG, +1, PhaseSpacePoint(1e-6, 0, 0, 0), Zero(), 1.0, 600.0
                 )
 
+    def test_drive_evaluated_once_per_distinct_time(self):
+        """k2/k3 share the midpoint and k4 is the next step's k1: 2 n + 1 drive calls."""
+
+        class Counting(Sinusoid):
+            calls = 0
+
+            def evaluate(self, t):
+                Counting.calls += 1
+                return super().evaluate(t)
+
+        drive = Counting((0.3, -0.2), 1.3 * self.MODES.omega_tilde, 0.4)
+        n = 250
+        path = integrate_eom_numeric(
+            self.CFG, +1, PhaseSpacePoint(1e-6, 0, 0, 0), drive, 1e-5, n * 1e-5
+        )
+        assert len(path) == n + 1
+        assert 0 < Counting.calls <= 2 * n + 1
+
     def test_bad_steps_rejected(self):
         p0 = PhaseSpacePoint(0, 0, 0, 0)
         with pytest.raises(ParameterError):
