@@ -374,25 +374,27 @@ class _SegmentCoeffs:
     phase_g2: float
 
 
-# an entry keeps its drive alive (a Tabulated table by identity); cold segments
-# are closed forms, so the cache only needs to span repeated runs of one sequence
+# an entry keeps its drive alive (a Tabulated table by identity); a run fills the
+# missed windows of all its Evolve steps in one kernel pass per drive before it
+# steps, so the cache only needs to span repeated runs of one sequence
 _SEGMENT_CACHE: OrderedDict = OrderedDict()
 _SEGMENT_CACHE_MAX = 256
 
 
-def _phase_g2(config: TrapConfig, wt: float, packed: _Packed, nu: np.ndarray, integrals) -> float:
-    """(m/hbar) integral_0^T Re[conj(gtilde) zeta_d] d tau over the segment, in closed form.
+def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) -> np.ndarray:
+    """W_nu = integral conj(gtilde) e^{i nu tau} J_nu d tau per window, shape (len(nu), windows).
 
-    zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde) is the driven
-    response from rest, J_nu(tau) = integral_0^tau gtilde e^{-i nu s} ds, so the phase is
-    (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)] with W_nu = integral conj(gtilde)
-    e^{i nu tau} J_nu d tau.  On piece k, J_nu is the sum P_k of the earlier pieces'
-    ``integrals`` I plus a running part, so W_nu = sum_k conj(I_k) P_k +
-    sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu, delta_k); T is the
-    triangular integral of ``signals`` (by parts, swap or series at |k delta| = 0.5),
-    called once per pair of term powers for both nu and all pieces.
+    J_nu(tau) = integral_0^tau gtilde e^{-i nu s} ds over window i, pieces bounds[i]:bounds[i + 1].
+    On piece k, J_nu is the sum P_k of the window's earlier ``integrals`` I plus a running part,
+    so W_nu = sum_k conj(I_k) P_k + sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu,
+    delta_k); T is the triangular integral of ``signals`` (by parts, swap or series at
+    |k delta| = 0.5), called once per pair of term powers for every nu and piece.  The sums
+    run per window on slices, in the order a pass over that window alone takes.
     """
-    w = np.sum(integrals.conj() * (np.cumsum(integrals, axis=1) - integrals), axis=1)
+    w = np.empty((nu.shape[0], len(bounds) - 1), dtype=complex)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        own = integrals[:, lo:hi]
+        w[:, i] = np.sum(own.conj() * (np.cumsum(own, axis=1) - own), axis=1)
     pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
     pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]
     shape = nu.shape + pair_valid.shape
@@ -404,47 +406,66 @@ def _phase_g2(config: TrapConfig, wt: float, packed: _Packed, nu: np.ndarray, in
         for p in powers:
             sel = pair_valid & (packed.power[:, :, None] == q) & (packed.power[:, None, :] == p)
             if sel.any():
-                t = _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
-                w = w + np.sum(pair_coef[sel] * t, axis=1)
-    return (config.mass / config.hbar) * float(((w[0] - w[1]) / (2j * wt)).real)
+                terms = pair_coef[sel] * _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
+                ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds].tolist()
+                for i, (a, b) in enumerate(zip(ends, ends[1:])):
+                    if b > a:
+                        w[:, i] += np.sum(terms[:, a:b], axis=1)
+    return w
 
 
-def _segment_coeffs(
-    config: TrapConfig, sigma: int, drive: ForceSignal, t_start: float, duration: float
-) -> _SegmentCoeffs:
-    key = (drive, config, sigma, t_start, duration)
+def _segment_coeffs(config: TrapConfig, drive: ForceSignal, windows) -> list[dict[int, _SegmentCoeffs]]:
+    """{sigma: coefficients} for each (t_start, duration) window of ``drive``.
+
+    Cached windows are looked up.  The others go through one kernel pass over all their
+    pieces, each offset from its own window's start, with nu = (omega_minus, -omega_plus)
+    for sigma = +1 stacked over (omega_plus, -omega_minus) for sigma = -1, and are cached
+    unless the drive is unhashable.  The driven response from rest is zeta_d =
+    (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde), so the g^2 phase
+    (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
+    """
     try:
-        cached = _SEGMENT_CACHE.get(key)
+        found = [{s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)} for t, d in windows]
+        hashable = True
     except TypeError:  # unhashable custom signal: compute without caching
-        cached = None
-        key = None
-    if cached is not None:
-        return cached
-
+        found, hashable = [{+1: None, -1: None} for _ in windows], False
+    missed = [(t, d, f) for (t, d), f in zip(windows, found) if None in f.values()]
+    if not missed:
+        return found
     modes = _modes_cached(config)
     wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    nu = np.array([wm, -wp] if sigma == +1 else [wp, -wm])
-    packed = _pack_pieces(drive.pieces(t_start, t_start + duration), t_start)
-    integrals = _piece_integrals(packed, nu)  # (2, pieces)
-    j1, j2 = (complex(v) for v in integrals.sum(axis=1))
-    # kicks: integral of gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
-    m_plus, m_minus = (j2, j1.conjugate()) if sigma == +1 else (j1, j2.conjugate())
-    scale = sigma * 1j / (2.0 * wt * l)
+    nu = np.array([wm, -wp, wp, -wm])
+    pieces, starts, bounds = [], [], [0]
+    for t_start, duration, _ in missed:
+        own = drive.pieces(t_start, t_start + duration)
+        pieces += own
+        starts += [t_start] * len(own)
+        bounds.append(len(pieces))
+    packed = _pack_pieces(pieces, np.array(starts, dtype=float))
+    integrals = _piece_integrals(packed, nu)  # (4, pieces)
+    w = _pair_sums(packed, nu, integrals, bounds)
     mh = config.mass / config.hbar
-    coeffs = _SegmentCoeffs(
-        rot_plus=cmath.exp(-1j * sigma * wp * duration),
-        rot_minus=cmath.exp(-1j * sigma * wm * duration),
-        kick_plus=scale * m_plus,
-        kick_minus=scale * m_minus,
-        p_lin=mh * l * m_plus.conjugate(),
-        q_lin=mh * l * m_minus,
-        phase_g2=_phase_g2(config, wt, packed, nu, integrals),
-    )
-    if key is not None:
-        _SEGMENT_CACHE[key] = coeffs
-        if len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
-            _SEGMENT_CACHE.popitem(last=False)
-    return coeffs
+    for i, (t_start, duration, coeffs) in enumerate(missed):
+        j = integrals[:, bounds[i] : bounds[i + 1]].sum(axis=1)
+        for sigma, r in ((+1, 0), (-1, 2)):
+            j1, j2 = complex(j[r]), complex(j[r + 1])
+            # kicks: integral of gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
+            m_plus, m_minus = (j2, j1.conjugate()) if sigma == +1 else (j1, j2.conjugate())
+            scale = sigma * 1j / (2.0 * wt * l)
+            coeffs[sigma] = _SegmentCoeffs(
+                rot_plus=cmath.exp(-1j * sigma * wp * duration),
+                rot_minus=cmath.exp(-1j * sigma * wm * duration),
+                kick_plus=scale * m_plus,
+                kick_minus=scale * m_minus,
+                p_lin=mh * l * m_plus.conjugate(),
+                q_lin=mh * l * m_minus,
+                phase_g2=mh * float(((w[r, i] - w[r + 1, i]) / (2j * wt)).real),
+            )
+            if hashable:
+                _SEGMENT_CACHE[drive, config, sigma, t_start, duration] = coeffs[sigma]
+    while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
+        _SEGMENT_CACHE.popitem(last=False)
+    return found
 
 
 def apply_evolution(
@@ -471,13 +492,10 @@ def apply_evolution(
     if drive is None:
         drive = Zero()
 
+    per_sigma = _segment_coeffs(state.config, drive, [(state.time, duration)])[0]
     new_branches = []
-    per_sigma: dict[int, _SegmentCoeffs] = {}
     for b in state.branches:
-        cf = per_sigma.get(b.spin)
-        if cf is None:
-            cf = _segment_coeffs(state.config, b.spin, drive, state.time, duration)
-            per_sigma[b.spin] = cf
+        cf = per_sigma[b.spin]
         dphase = (cf.p_lin * b.alpha_plus + cf.q_lin * b.alpha_minus.conjugate()).real
         if mode == "exact":
             new_branches.append(
@@ -576,6 +594,25 @@ def _coherence_record(state: SpinorCoherentState):
     return signal, coherence, phase, norm
 
 
+def _fill_segments(state: SpinorCoherentState, sequence: PulseSequence, drive) -> None:
+    """Cache the Evolve windows of ``sequence``, one kernel pass per hashable drive.
+
+    At most half the cache is filled per drive, so no window is evicted before its step reads it.
+    """
+    windows: dict = {}
+    t = state.time
+    for step in sequence:
+        if isinstance(step, Evolve) and step.duration > 0.0:
+            step_drive = step.drive if step.drive is not None else drive
+            try:
+                windows.setdefault(Zero() if step_drive is None else step_drive, []).append((t, step.duration))
+            except TypeError:
+                pass
+            t += step.duration
+    for step_drive, spans in windows.items():
+        _segment_coeffs(state.config, step_drive, spans[: _SEGMENT_CACHE_MAX // 2])
+
+
 def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None):
     """Apply the steps of ``sequence`` in order.
 
@@ -586,6 +623,7 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None
     ``trace`` is a list, one (step name, time, branches) entry is appended
     per step.
     """
+    _fill_segments(state, sequence, drive)
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
     for step in sequence:

@@ -75,7 +75,7 @@ class ResponseCurve:
             lines.append(
                 "%.17g,%.17g,%.17g,%.17g" % (w, v.real, v.imag, abs(v) ** 2)
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
     def as_dict(self) -> dict:
         return {
@@ -88,7 +88,7 @@ class ResponseCurve:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n", newline="\n")
 
 
 def _r0_magnitude(r0) -> float:
@@ -278,11 +278,11 @@ def find_zeros(curve: ResponseCurve, rel_tol: float = 1e-6) -> list[float]:
     zeros: list[float] = []
     if m2[0] <= rel_tol * peak:
         zeros.append(float(curve.omega[0]))
-    for i in range(1, m2.shape[0] - 1):
-        if m2[i] <= m2[i - 1] and m2[i] < m2[i + 1]:
-            x, depth = _parabolic_vertex(float(curve.omega[i]), dx, m2[i - 1], m2[i], m2[i + 1])
-            if max(depth, 0.0) <= rel_tol * peak:
-                zeros.append(x)
+    mid = m2[1:-1]
+    for i in (np.flatnonzero((mid <= m2[:-2]) & (mid < m2[2:])) + 1).tolist():
+        x, depth = _parabolic_vertex(float(curve.omega[i]), dx, m2[i - 1], m2[i], m2[i + 1])
+        if max(depth, 0.0) <= rel_tol * peak:
+            zeros.append(x)
     if m2[-1] <= rel_tol * peak:
         zeros.append(float(curve.omega[-1]))
     return zeros
@@ -294,10 +294,10 @@ def find_peaks(curve: ResponseCurve) -> list[tuple[float, float]]:
     m2 = np.abs(curve.values) ** 2
     dx = curve.spacing
     peaks: list[tuple[float, float]] = []
-    for i in range(1, m2.shape[0] - 1):
-        if m2[i] >= m2[i - 1] and m2[i] > m2[i + 1] and m2[i] > 0.0:
-            x, height = _parabolic_vertex(float(curve.omega[i]), dx, m2[i - 1], m2[i], m2[i + 1])
-            peaks.append((x, math.sqrt(max(height, 0.0))))
+    mid = m2[1:-1]
+    for i in (np.flatnonzero((mid >= m2[:-2]) & (mid > m2[2:]) & (mid > 0.0)) + 1).tolist():
+        x, height = _parabolic_vertex(float(curve.omega[i]), dx, m2[i - 1], m2[i], m2[i + 1])
+        peaks.append((x, math.sqrt(max(height, 0.0))))
     return peaks
 
 

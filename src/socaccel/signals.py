@@ -122,7 +122,8 @@ def _triangle_integral(q: int, k1, p: int, k2, delta):
 
 
 # a piece list as arrays, term lists padded with zero terms to the longest:
-# offset, width (K,) relative to the window start; coef, mu, power, valid (K, M)
+# offset from its window start t0 (one for all pieces or one per piece) and
+# width, both (K,); coef, mu, power, valid (K, M)
 _Packed = namedtuple("_Packed", "offset width coef mu power valid")
 
 
@@ -266,20 +267,18 @@ class SumSignal(ForceSignal):
         return out
 
     def pieces(self, t0, t1):
-        # split at the union of the parts' internal boundaries, then merge terms
-        edges = {float(t0), float(t1)}
-        for p in self.parts:
-            for a, b, _ in p.pieces(t0, t1):
-                edges.add(a)
-                edges.add(b)
-        grid = sorted(edges)
+        # split at the union of the parts' internal boundaries, then merge terms; a part's
+        # own piece is reused where it is exactly the sub-interval, and only a part whose
+        # piece spans more is expanded again on the sub-interval
+        own = [{(a, b): terms for a, b, terms in p.pieces(t0, t1)} for p in self.parts]
+        grid = sorted({float(t0), float(t1)}.union(*(span for spans in own for span in spans)))
         out: list[Piece] = []
         for a, b in zip(grid[:-1], grid[1:]):
             if b - a <= 0.0:
                 continue
             terms: list[tuple[complex, float, int]] = []
-            for p in self.parts:
-                sub = p.pieces(a, b)
+            for p, spans in zip(self.parts, own):
+                sub = [(a, b, spans[a, b])] if (a, b) in spans else p.pieces(a, b)
                 assert len(sub) == 1, "sub-piece not atomic after edge splitting"
                 terms.extend(sub[0][2])
             out.append((a, b, terms))

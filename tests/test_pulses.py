@@ -1,6 +1,7 @@
 """Pulse primitives, the branch-tracking spinor engine, and preset sequences."""
 import math
 import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from socaccel import (
     Constant,
     Displace,
     Evolve,
+    ForceSignal,
     ParameterError,
     PhaseSpacePoint,
     PulseSequence,
@@ -337,6 +339,94 @@ class TestSplitConsistency:
             drive = SumSignal([drive, tone])
         whole = split_phase(drive, t, 1)
         assert abs(whole - split_phase(drive, t, 64)) <= 1e-12 * abs(whole)
+
+
+def evolve_windows(sequence):
+    """(t_start, duration) of each Evolve step, on the clock the engine steps by."""
+    windows, t = [], 0.0
+    for step in sequence:
+        if isinstance(step, Evolve):
+            windows.append((t, step.duration))
+            t = t + step.duration
+    return windows
+
+
+@dataclass(eq=True)  # not frozen, so instances are unhashable
+class UnhashableDrive(ForceSignal):
+    inner: ForceSignal
+
+    def evaluate(self, t):
+        return self.inner.evaluate(t)
+
+    def pieces(self, t0, t1):
+        return self.inner.pieces(t0, t1)
+
+
+class TestSegmentFill:
+    """A run computes the segments of all its Evolve windows in one kernel pass per drive."""
+
+    T = math.pi / WT
+    TONE = Sinusoid(amplitude=(0.0, 2e-3), omega=1.2 * WT, phase=0.3)
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        pulses._SEGMENT_CACHE.clear()
+        yield
+        pulses._SEGMENT_CACHE.clear()
+
+    @classmethod
+    def drives(cls):
+        table = Tabulated(0.0, 4 * cls.T / 700, 1e-3 * np.random.default_rng(3).normal(size=(701, 2)))
+        return {
+            "zero": Zero(),
+            "constant": Constant(1e-3, -2e-3),
+            "sinusoid": cls.TONE,
+            "circular": circular(2e-3, 1.37 * WT, 0.4),
+            "tabulated": table,
+            "sum": SumSignal([table, Sinusoid((1e-3, 0.0), 0.8 * WT)]),
+        }
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "sinusoid", "circular", "tabulated", "sum"])
+    @pytest.mark.parametrize("preset", ["up", "cp"])
+    def test_batched_fill_equals_one_window_calls(self, preset, kind):
+        sequence = preset_up(R0, 2 * self.T) if preset == "up" else preset_cp(R0, self.T)
+        drive = self.drives()[kind]
+        windows = evolve_windows(sequence)
+        batched = pulses._segment_coeffs(CFG, drive, windows)
+        for window, coeffs in zip(windows, batched):
+            pulses._SEGMENT_CACHE.clear()
+            (single,) = pulses._segment_coeffs(CFG, drive, [window])
+            for sigma in (+1, -1):
+                for field in fields(pulses._SegmentCoeffs):
+                    got, want = getattr(coeffs[sigma], field.name), getattr(single[sigma], field.name)
+                    assert got == want, (window, sigma, field.name)
+
+    def test_cold_cp_run_makes_one_kernel_pass(self, monkeypatch):
+        calls = []
+        kernel = pulses._piece_integrals
+        monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
+        sequence = preset_cp(R0, self.T)
+        cold = run_sequence(CFG, None, sequence, self.TONE)
+        assert len(calls) == 1
+        assert len(pulses._SEGMENT_CACHE) == 6  # 3 windows x 2 spins
+        warm = run_sequence(CFG, None, sequence, self.TONE)
+        assert len(calls) == 1
+        assert (warm.signal, warm.phase, warm.state) == (cold.signal, cold.phase, cold.state)
+
+    def test_unhashable_drive_is_computed_not_cached(self):
+        sequence = preset_cp(R0, self.T)
+        twin = UnhashableDrive(self.TONE)
+        with pytest.raises(TypeError):
+            hash(twin)
+        a_plus, a_minus = np.array([0.3 + 0.1j, -0.2j]), np.array([0.1, 0.4 - 0.2j])
+        want = run_sequence(CFG, None, sequence, self.TONE)
+        want_batch = batch_signal(CFG, a_plus, a_minus, sequence, self.TONE)
+        cached = list(pulses._SEGMENT_CACHE.items())
+        got = run_sequence(CFG, None, sequence, twin)
+        got_batch = batch_signal(CFG, a_plus, a_minus, sequence, twin)
+        assert list(pulses._SEGMENT_CACHE.items()) == cached
+        assert (got.signal, got.phase, got.coherence, got.state) == (want.signal, want.phase, want.coherence, want.state)
+        assert np.array_equal(got_batch, want_batch)
 
 
 class TestNormConservation:

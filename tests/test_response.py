@@ -30,6 +30,7 @@ from socaccel import (
     response_up,
     run_sequence,
 )
+from socaccel.response import _parabolic_vertex
 
 MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
@@ -226,6 +227,28 @@ class TestCurveTools:
         assert len(peaks) == 1
         assert abs(peaks[0][0] - 150.0) < 0.5 * curve.spacing
         assert abs(peaks[0][1] - 1.0) < 1e-3
+
+    def test_candidates_match_the_scalar_scan(self):
+        """Zeros and peaks equal a plain scan over every interior sample, plateaus included."""
+        rng = np.random.default_rng(5)
+        curves = [response_cp(MODES, R0, T5, grid=GRID), response_up(MODES, R0, T5, grid=GRID)]
+        omega = np.linspace(0.0, 1.0, 400)
+        curves.append(ResponseCurve(omega=omega, values=np.round(4 * rng.random(400)) * np.exp(3j * omega)))
+        for curve in curves:
+            m2 = np.abs(curve.values) ** 2
+            peak, dx, x0 = float(m2.max()), curve.spacing, curve.omega
+            zeros = [float(x0[0])] if m2[0] <= 1e-6 * peak else []
+            peaks = []
+            for i in range(1, m2.shape[0] - 1):
+                x, y = _parabolic_vertex(float(x0[i]), dx, m2[i - 1], m2[i], m2[i + 1])
+                if m2[i] <= m2[i - 1] and m2[i] < m2[i + 1] and max(y, 0.0) <= 1e-6 * peak:
+                    zeros.append(x)
+                if m2[i] >= m2[i - 1] and m2[i] > m2[i + 1] and m2[i] > 0.0:
+                    peaks.append((x, math.sqrt(max(y, 0.0))))
+            if m2[-1] <= 1e-6 * peak:
+                zeros.append(float(x0[-1]))
+            assert repr(find_zeros(curve)) == repr(zeros)
+            assert repr(find_peaks(curve)) == repr(peaks)
 
     def test_zero_curve_rejected(self):
         curve = ResponseCurve(omega=np.linspace(0, 1, 8), values=np.zeros(8))

@@ -372,6 +372,42 @@ class TestKernels:
             assert tab.pieces(t0, t1) == expect
 
 
+def sum_pieces_reference(signal: SumSignal, t0: float, t1: float):
+    """SumSignal.pieces as it was: every part is expanded again on every sub-interval."""
+    edges = {float(t0), float(t1)}
+    for p in signal.parts:
+        for a, b, _ in p.pieces(t0, t1):
+            edges.add(a)
+            edges.add(b)
+    grid = sorted(edges)
+    out = []
+    for a, b in zip(grid[:-1], grid[1:]):
+        if b - a <= 0.0:
+            continue
+        terms = []
+        for p in signal.parts:
+            sub = p.pieces(a, b)
+            assert len(sub) == 1
+            terms.extend(sub[0][2])
+        out.append((a, b, terms))
+    return out
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 3.0e-3), (1.234e-4, 2.71e-3), (5e-4, 5e-4 + 1e-9), (1e-3, 1e-3)])
+def test_sum_pieces_equal_the_per_sub_interval_expansion(t0, t1):
+    rng = np.random.default_rng(11)
+    table = Tabulated(0.0, 1e-5, rng.normal(size=(301, 2)))
+    coarse = Tabulated(-1e-4, 3.7e-5, rng.normal(size=(101, 2)))
+    tone = Sinusoid((0.3, -0.1), 2100.0, 0.4)
+    for signal in (
+        SumSignal([table, tone]),
+        SumSignal([tone, table, coarse]),
+        SumSignal([circular(0.2, 900.0), Constant(0.1, 0.05), Zero()]),
+        SumSignal([coarse, SumSignal([table, tone])]),
+    ):
+        assert signal.pieces(t0, t1) == sum_pieces_reference(signal, t0, t1)
+
+
 @dataclass(frozen=True)
 class Ragged(ForceSignal):
     """Pieces with 1, 3 and 0 terms and powers up to 2; windows start and end on an edge."""
@@ -409,4 +445,4 @@ def test_ragged_pieces_compose_over_single_piece_segments():
         for name in ("alpha_plus", "alpha_minus", "phase"):
             got, expect = getattr(w, name), getattr(s, name)
             assert abs(got - expect) <= 1e-12 * abs(expect), name
-        assert w.phase != 0.0 and _segment_coeffs(cfg, w.spin, Ragged(), 0.0, edges[-1]).phase_g2 != 0.0
+        assert w.phase != 0.0 and _segment_coeffs(cfg, Ragged(), [(0.0, edges[-1])])[0][w.spin].phase_g2 != 0.0
