@@ -406,7 +406,8 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
         for p in powers:
             sel = pair_valid & (packed.power[:, :, None] == q) & (packed.power[:, None, :] == p)
             if sel.any():
-                terms = pair_coef[sel] * _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
+                t = _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
+                terms = pair_coef[sel] * t
                 ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds].tolist()
                 for i, (a, b) in enumerate(zip(ends, ends[1:])):
                     if b > a:
@@ -604,8 +605,9 @@ def _fill_segments(state: SpinorCoherentState, sequence: PulseSequence, drive) -
     for step in sequence:
         if isinstance(step, Evolve) and step.duration > 0.0:
             step_drive = step.drive if step.drive is not None else drive
+            step_drive = Zero() if step_drive is None else step_drive
             try:
-                windows.setdefault(Zero() if step_drive is None else step_drive, []).append((t, step.duration))
+                windows.setdefault(step_drive, []).append((t, step.duration))
             except TypeError:
                 pass
             t += step.duration

@@ -425,7 +425,8 @@ class TestSegmentFill:
         got = run_sequence(CFG, None, sequence, twin)
         got_batch = batch_signal(CFG, a_plus, a_minus, sequence, twin)
         assert list(pulses._SEGMENT_CACHE.items()) == cached
-        assert (got.signal, got.phase, got.coherence, got.state) == (want.signal, want.phase, want.coherence, want.state)
+        for name in ("signal", "phase", "coherence", "state"):
+            assert getattr(got, name) == getattr(want, name), name
         assert np.array_equal(got_batch, want_batch)
 
 
