@@ -33,7 +33,6 @@ from .trap import (
     derive_modes,
     h_perp,
     integrate_eom_numeric,
-    phase_first_order,
 )
 from .signals import (
     Constant,
@@ -118,7 +117,6 @@ __all__ = [
     "classical_trajectory",
     "integrate_eom_numeric",
     "h_perp",
-    "phase_first_order",
     "ForceSignal",
     "Zero",
     "Constant",

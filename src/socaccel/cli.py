@@ -43,7 +43,6 @@ from .pulses import (
     RotateY,
     preset_cp,
     preset_up,
-    run_sequence,
 )
 from .response import find_peaks, find_zeros, main_lobe_fwhm, response_cp, response_up
 from .sensitivity import RB87, ApparatusParams, SpeciesParams, sensitivity
@@ -389,21 +388,27 @@ def cmd_modes(args) -> int:
     return 0
 
 
-def _cp_segment_paths(modes, z0: complex, spin: int, t: float, n_per: int):
-    """Sampled echo-sequence path: sigma flips at t and 3t, continuous phase space."""
+def _sequence_path(modes, sequence: PulseSequence, z0: complex, spin: int, n_per: int):
+    """Sampled center path of one spin through ``sequence``, starting at rest at z0.
+
+    Each Evolve is a segment of ``n_per`` samples that continues the phase-space
+    point where the last one ended; each RotateY(+-pi) flips sigma.
+    """
     times, zetas = [], []
     z, v = z0, 0j
     t_abs = 0.0
     sigma = spin
-    for duration in (t, 2.0 * t, t):
-        local = np.linspace(0.0, duration, n_per)
-        zeta, zeta_dot = _trajectory_arrays(modes, sigma, z, v, local)
-        keep = slice(None) if t_abs == 0.0 else slice(1, None)
-        times.append(t_abs + local[keep])
-        zetas.append(zeta[keep])
-        z, v = zeta[-1], zeta_dot[-1]
-        t_abs += duration
-        sigma = -sigma
+    for step in sequence:
+        if isinstance(step, RotateY) and abs(step.angle) == math.pi:
+            sigma = -sigma
+        elif isinstance(step, Evolve):
+            local = np.linspace(0.0, step.duration, n_per)
+            zeta, zeta_dot = _trajectory_arrays(modes, sigma, z, v, local)
+            keep = slice(None) if t_abs == 0.0 else slice(1, None)
+            times.append(t_abs + local[keep])
+            zetas.append(zeta[keep])
+            z, v = zeta[-1], zeta_dot[-1]
+            t_abs += step.duration
     return np.concatenate(times), np.concatenate(zetas)
 
 
@@ -424,16 +429,12 @@ def cmd_trajectory(args) -> int:
     n = _config_int(sec.get("points", 1000), "trajectory.points")
     if n < 2:
         raise ConfigError(f"trajectory.points must be >= 2, got {n}")
-    z0 = complex(r0[0], r0[1])
-    if kind == "up":
-        times = np.linspace(0.0, t, n)
-        z_up, _ = _trajectory_arrays(modes, +1, z0, 0j, times)
-        z_dn, _ = _trajectory_arrays(modes, -1, z0, 0j, times)
-    elif kind == "cp":
-        times, z_up = _cp_segment_paths(modes, z0, +1, t, n)
-        _, z_dn = _cp_segment_paths(modes, z0, -1, t, n)
-    else:
+    if kind not in ("up", "cp"):
         raise ConfigError(f"trajectory.kind must be 'up' or 'cp', got {kind!r}")
+    sequence = (preset_up if kind == "up" else preset_cp)(r0, t)
+    z0 = complex(r0[0], r0[1])
+    times, z_up = _sequence_path(modes, sequence, z0, +1, n)
+    _, z_dn = _sequence_path(modes, sequence, z0, -1, n)
     if fmt == "csv":
         rows = zip(times, z_up.real, z_up.imag, z_dn.real, z_dn.imag)
         _write_csv(

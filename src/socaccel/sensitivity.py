@@ -23,7 +23,7 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import BracketingError, InfeasibleGeometryError, ParameterError
 from .response import main_lobe_fwhm, response_cp
-from .thermal import ThermalParams, mean_occupation
+from .thermal import ThermalParams
 from .trap import NormalModes, TrapConfig, derive_modes
 
 __all__ = [

@@ -170,14 +170,6 @@ class ForceSignal(ABC):
     def pieces(self, t0: float, t1: float) -> list[Piece]:
         """Exponential-polynomial expansion of gtilde on [t0, t1]."""
 
-    def spectral_lines(self) -> list[tuple[float, np.ndarray]]:
-        """Discrete lines (omega_k, C_k) such that g(t) = sum_k Re[C_k exp(-i omega_k t)].
-
-        Only parametric waveforms have an exact line spectrum; tabulated data
-        exposes a windowed transform instead (:meth:`Tabulated.windowed_transform`).
-        """
-        raise NotImplementedError(f"{type(self).__name__} has no exact line spectrum")
-
     def _as_2vec(self, gx, gy, t):
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
@@ -194,9 +186,6 @@ class Zero(ForceSignal):
     def pieces(self, t0, t1):
         return [(float(t0), float(t1), [])]
 
-    def spectral_lines(self):
-        return []
-
 
 @dataclass(frozen=True)
 class Constant(ForceSignal):
@@ -208,9 +197,6 @@ class Constant(ForceSignal):
 
     def pieces(self, t0, t1):
         return [(float(t0), float(t1), [(complex(self.gx, self.gy), 0.0, 0)])]
-
-    def spectral_lines(self):
-        return [(0.0, np.array([self.gx, self.gy], dtype=complex))]
 
 
 @dataclass(frozen=True)
@@ -247,10 +233,6 @@ class Sinusoid(ForceSignal):
         ]
         return [(float(t0), float(t1), terms)]
 
-    def spectral_lines(self):
-        ax, ay = self.amplitude
-        return [(self.omega, np.array([ax, ay], dtype=complex) * np.exp(-1j * self.phase))]
-
 
 @dataclass(frozen=True)
 class SumSignal(ForceSignal):
@@ -283,12 +265,6 @@ class SumSignal(ForceSignal):
                 terms.extend(sub[0][2])
             out.append((a, b, terms))
         return out
-
-    def spectral_lines(self):
-        lines: list[tuple[float, np.ndarray]] = []
-        for p in self.parts:
-            lines.extend(p.spectral_lines())
-        return lines
 
 
 class Tabulated(ForceSignal):
@@ -367,19 +343,6 @@ class Tabulated(ForceSignal):
         slope = (np.diff(gx) / width + 1j * (np.diff(gy) / width)).tolist()
         edges = zip(nodes[:-1].tolist(), nodes[1:].tolist(), start, slope)
         return [(a, b, [(ga, 0.0, 0), (s, 0.0, 1)]) for a, b, ga, s in edges]
-
-    def windowed_transform(self, omega):
-        """integral over the grid of g(t) exp(i omega t) dt, exact for the interpolant.
-
-        Returns a complex 2-vector per frequency (shape (2,) or (2, n)).
-        """
-        omegas = np.atleast_1d(np.asarray(omega, dtype=float))
-        packed = _pack_pieces(self.pieces(self.t_start, self.t_end), self.t_start)
-        shift = np.exp(1j * omegas * self.t_start)
-        gt = shift * _piece_integrals(packed, -omegas).sum(axis=-1)  # of gtilde = gx + i gy
-        gc = shift * _piece_integrals(packed, omegas).sum(axis=-1).conjugate()  # of gx - i gy
-        out = np.stack([0.5 * (gt + gc), (gt - gc) / 2.0j])
-        return out[:, 0] if np.asarray(omega).ndim == 0 else out
 
 
 def circular(amplitude: float, omega: float, phase: float = 0.0, sense: int = -1) -> SumSignal:

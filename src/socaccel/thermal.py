@@ -26,11 +26,12 @@ from .constants import HBAR, K_B
 from .errors import ParameterError
 from .pulses import (
     Branch,
-    Evolve,
     PulseSequence,
-    RotateY,
     SpinorCoherentState,
+    _normed_gram_sums,
+    _walk,
     batch_signal,
+    preset_cp,
     run_sequence,
 )
 from .signals import ForceSignal, modal_integral
@@ -119,34 +120,37 @@ class SuppressionFactors:
             raise ParameterError("suppression inconsistent with occupations and gammas")
 
 
-def _phase_of(config: TrapConfig, sequence: PulseSequence, drive, a_plus: complex, a_minus: complex) -> float:
-    state = SpinorCoherentState(
-        config=config,
-        branches=(Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus, alpha_minus=a_minus),),
-    )
-    return run_sequence(config, state, sequence, drive).phase
+# the small step of _phase_functionals: it only picks the 2 pi branch of the
+# finite step, so it must keep |K| * _BRANCH_STEP below pi
+_BRANCH_STEP = 1e-4
 
 
-def _phase_functionals(
-    config: TrapConfig, sequence: PulseSequence, drive, delta: float = 1e-4
-):
+def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step: float = 1.0):
     """Exact (K+, K-) with differential phase = Re[conj(a+)K+ + conj(a-)K-] + const.
 
-    The engine phase is affine in the initial amplitudes, so central
-    differences are exact up to roundoff.
-    """
-    def ph(ap, am):
-        return _phase_of(config, sequence, drive, ap, am)
+    The engine phase is affine in the initial amplitudes, so one array walk
+    over nine spin-up samples gives both: alpha = 0, then steps of
+    ``_BRANCH_STEP`` and of ``step`` along alpha_plus = 1, alpha_plus = i,
+    alpha_minus = 1 and alpha_minus = i.  The phase difference d of sample k
+    is -angle(cross_k conj(cross_0)), known only modulo 2 pi; the ``step``
+    sample gives the value and the small one its 2 pi branch:
 
-    k_plus = complex(
-        (ph(delta, 0j) - ph(-delta, 0j)) / (2.0 * delta),
-        (ph(1j * delta, 0j) - ph(-1j * delta, 0j)) / (2.0 * delta),
+        K = (d_step + 2 pi round((step d_small / _BRANCH_STEP - d_step) / 2 pi)) / step.
+    """
+    steps = np.array([_BRANCH_STEP, step, 1j * _BRANCH_STEP, 1j * step])
+    none = np.zeros(4, dtype=complex)
+    branch = Branch(
+        spin=+1,
+        weight=1.0 + 0.0j,
+        alpha_plus=np.concatenate(([0j], steps, none)),
+        alpha_minus=np.concatenate(([0j], none, steps)),
     )
-    k_minus = complex(
-        (ph(0j, delta) - ph(0j, -delta)) / (2.0 * delta),
-        (ph(0j, 1j * delta) - ph(0j, -1j * delta)) / (2.0 * delta),
-    )
-    return k_plus, k_minus
+    _, coh_state, _ = _walk(SpinorCoherentState(config=config, branches=(branch,)), sequence, drive)
+    cross = _normed_gram_sums(coh_state)[2]
+    d_small, d_step = (-np.angle(cross[1:] * np.conj(cross[0]))).reshape(4, 2).T
+    turns = np.round((step * d_small / _BRANCH_STEP - d_step) / (2.0 * math.pi))
+    k = (d_step + 2.0 * math.pi * turns) / step
+    return complex(k[0], k[1]), complex(k[2], k[3])
 
 
 def gamma_factors(
@@ -167,8 +171,8 @@ def gamma_factors(
     circularly polarized drives over full revival windows.
 
     kind "cp": no closed form; gamma_pm = K_pm / 2 where K_pm are the exact
-    linear phase functionals extracted from the engine for the echo sequence
-    with segments (t, 2t, t).  Occupations from ``thermal`` (default 0) set
+    linear phase functionals of the steps of ``preset_cp((0, 0), t)`` (they
+    do not depend on r0).  Occupations from ``thermal`` (default 0) set
     the suppression field exp(-n+|g+|^2 - n-|g-|^2).
     """
     if not t > 0:
@@ -182,18 +186,7 @@ def gamma_factors(
             2.0 * wt * l
         )
     elif kind == "cp":
-        seq = PulseSequence(
-            steps=(
-                RotateY(math.pi / 2.0),
-                Evolve(t),
-                RotateY(math.pi),
-                Evolve(2.0 * t),
-                RotateY(math.pi),
-                Evolve(t),
-            ),
-            name="cp-gamma",
-        )
-        k_plus, k_minus = _phase_functionals(config, seq, drive)
+        k_plus, k_minus = _phase_functionals(config, preset_cp((0.0, 0.0), t), drive)
         g_plus, g_minus = k_plus / 2.0, k_minus / 2.0
     else:
         raise ParameterError(f"kind must be 'up' or 'cp', got {kind!r}")

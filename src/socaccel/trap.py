@@ -14,8 +14,7 @@ whose undriven solutions are two counter-rotating circular modes at
     omega_tilde = sqrt(omega0**2 + (omega_c / 2)**2).
 
 This module holds the parameter types, the closed-form undriven trajectory,
-the differential-path kernel ``h_perp``, a composite-Simpson phase integral,
-and a fixed-step RK4 integrator that serves as the oracle for everything
+the differential-path kernel ``h_perp``, and a fixed-step RK4 integrator that serves as the oracle for everything
 built on top; one RK4 step and one right-hand side serve a single state and
 a batch alike.  Public interfaces are SI; the integrator works internally in
 dimensionless units (time * omega_tilde, length / l_osc) so state components
@@ -40,7 +39,6 @@ __all__ = [
     "classical_trajectory",
     "integrate_eom_numeric",
     "h_perp",
-    "phase_first_order",
 ]
 
 
@@ -347,57 +345,3 @@ def _rk4_batch(omega0, omega_c, sigma, z0, v0, g_const, g_amp, g_freq, g_phase,
     if not np.all(np.isfinite(x)):
         raise DivergenceError("non-finite state in batched integration")
     return np.array(times), np.array(zs), np.array(vs)
-
-
-def _position_of(path, t: float) -> np.ndarray:
-    """Accept a trajectory evaluator returning PhaseSpacePoint, tuple, or array."""
-    p = path(t)
-    if isinstance(p, PhaseSpacePoint):
-        return np.array([p.x, p.y])
-    return np.asarray(p, dtype=float)[:2]
-
-
-def phase_first_order(
-    config: TrapConfig,
-    path,
-    force,
-    t_final: float,
-    step: float | None = None,
-) -> float:
-    """(m / hbar) * integral_0^t_final r(t) . g(t) dt along the supplied path.
-
-    Composite Simpson quadrature; ``step`` defaults to (2 pi / omega_plus)/200
-    so the fastest oscillation is well resolved.  A final partial interval not
-    covered by an even number of Simpson panels is handled with a trapezoid
-    correction.  The m/hbar prefactor makes the result a phase in radians.
-    """
-    if t_final < 0:
-        raise ParameterError(f"t_final must be >= 0, got {t_final}")
-    if t_final == 0.0:
-        return 0.0
-    if step is None:
-        modes = derive_modes(config)
-        step = (2.0 * math.pi / modes.omega_plus) / 200.0
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
-
-    def integrand(t: float) -> float:
-        r = _position_of(path, t)
-        g = force.evaluate(t)
-        return float(r[0] * g[0] + r[1] * g[1])
-
-    n = int(math.floor(t_final / step + 1e-12))
-    if n % 2 == 1:
-        n -= 1
-    total = 0.0
-    if n >= 2:
-        ts = np.arange(n + 1) * step
-        vals = np.array([integrand(t) for t in ts])
-        total += (step / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-        t_done = n * step
-    else:
-        t_done = 0.0
-    if t_final - t_done > 1e-12 * t_final:
-        # trapezoid correction on the leftover partial interval
-        total += 0.5 * (t_final - t_done) * (integrand(t_done) + integrand(t_final))
-    return (config.mass / config.hbar) * total

@@ -247,27 +247,6 @@ class TestModalIntegral:
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-class TestSpectralLines:
-    def test_zero_and_constant(self):
-        assert Zero().spectral_lines() == []
-        (w, c), = Constant(0.3, -0.1).spectral_lines()
-        assert w == 0.0
-        assert c == pytest.approx([0.3, -0.1])
-
-    def test_sinusoid_line_reconstructs_waveform(self):
-        sig = Sinusoid(amplitude=(0.25, -0.6), omega=1800.0, phase=0.35)
-        (w, c), = sig.spectral_lines()
-        assert w == 1800.0
-        for t in np.linspace(0.0, 4e-3, 13):
-            recon = (c * np.exp(-1j * w * t)).real
-            assert recon == pytest.approx(sig.evaluate(float(t)), abs=1e-15)
-
-    def test_tabulated_has_no_line_spectrum(self):
-        tab = Tabulated(0.0, 1e-4, np.ones((5, 2)))
-        with pytest.raises(NotImplementedError):
-            tab.spectral_lines()
-
-
 class TestTabulatedIO:
     def test_from_csv_three_columns(self, tmp_path):
         path = tmp_path / "drive.csv"
@@ -293,19 +272,6 @@ class TestTabulatedIO:
         path.write_text("0.0,1.0\n0.001,2.0\n0.0025,3.0\n")
         with pytest.raises(ParameterError):
             Tabulated.from_csv(path)
-
-    def test_windowed_transform_matches_component_integrals(self):
-        ts = np.linspace(0.0, 2e-3, 21)
-        vals = np.column_stack([0.1 + 40.0 * ts, 0.2 - 90.0 * ts])
-        tab = Tabulated(0.0, 1e-4, vals)
-        for w in (0.0, 900.0, 7000.0):
-            gx, gy = tab.windowed_transform(w)
-            ox = ramp_integral(0.1, 40.0, w, 2e-3)
-            oy = ramp_integral(0.2, -90.0, w, 2e-3)
-            assert gx == pytest.approx(ox, rel=1e-9)
-            assert gy == pytest.approx(oy, rel=1e-9)
-        arr = tab.windowed_transform(np.array([0.0, 900.0]))
-        assert arr.shape == (2, 2)
 
 
 def quad_complex(f, a: float, b: float) -> complex:

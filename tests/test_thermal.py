@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from socaccel import (
+    Branch,
     Constant,
     ParameterError,
     Sinusoid,
+    SpinorCoherentState,
     SuppressionFactors,
     ThermalParams,
     TrapConfig,
@@ -19,10 +21,11 @@ from socaccel import (
     modal_integral,
     preset_cp,
     preset_up,
+    run_sequence,
     sample_initial_states,
     thermal_signal,
 )
-from socaccel.thermal import _phase_functionals, _phase_of, _states_from_raw
+from socaccel.thermal import _phase_functionals, _states_from_raw
 
 MASS = 1.44316e-25  # Rb-87, kg
 HBAR = 1.054571817e-34
@@ -35,6 +38,10 @@ MODES = derive_modes(CFG)
 L = MODES.l_osc
 T4 = 4 * math.pi / WT
 RESONANT = circular(0.68, MODES.omega_plus, sense=-1)  # rotates with the + mode
+# the README config's drive and sequences
+README_DRIVE = circular(0.68, 9424.77796, sense=-1)
+README_UP = preset_up((6.8e-7, 0.0), 0.002)
+README_CP = preset_cp((6.8e-7, 0.0), 0.0005)
 
 
 class TestMeanOccupation:
@@ -130,8 +137,8 @@ class TestGammaFactors:
             assert abs(two.gamma_minus - 2.0 * one.gamma_minus) < 1e-9
 
     def test_cp_matches_sequence_functionals(self):
-        # the echo gammas are defined as K/2 of the r0-free flip sequence and
-        # must match the functionals of the full preset at the same timing
+        # the echo gammas are K/2 of preset_cp((0, 0), t); K+- do not depend
+        # on r0, so they must match the functionals of the preset at another r0
         t = math.pi / WT
         drive = Sinusoid(amplitude=(0.15, 0.1), omega=0.7 * WT, phase=0.4)
         sf = gamma_factors(CFG, "cp", drive, t)
@@ -156,10 +163,16 @@ class TestGammaFactors:
             gamma_factors(CFG, "echo", RESONANT, T4)
 
 
+def coherent_phase(seq, drive, a_plus: complex, a_minus: complex) -> float:
+    """Engine phase of ``seq`` from one spin-up coherent state."""
+    branch = Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus, alpha_minus=a_minus)
+    return run_sequence(CFG, SpinorCoherentState(config=CFG, branches=(branch,)), seq, drive).phase
+
+
 class TestPhaseBasisProperty:
     def test_phase_decomposes_over_mode_functionals(self):
         # the differential phase is affine in the initial amplitudes, so the
-        # central-difference functionals K+- predict it at O(1) amplitudes
+        # functionals K+- predict it at O(1) amplitudes
         rng = np.random.default_rng(0)
         seq = preset_up((2.0 * L, 0.0), T4)
         for trial in range(20):
@@ -171,12 +184,29 @@ class TestPhaseBasisProperty:
                 phase=rng.uniform(0, 2 * math.pi),
             )
             k_plus, k_minus = _phase_functionals(CFG, seq, drive)
-            base = _phase_of(CFG, seq, drive, 0j, 0j)
+            base = coherent_phase(seq, drive, 0j, 0j)
             a_plus = complex(rng.normal(), rng.normal())
             a_minus = complex(rng.normal(), rng.normal())
-            direct = _phase_of(CFG, seq, drive, a_plus, a_minus)
+            direct = coherent_phase(seq, drive, a_plus, a_minus)
             linear = (np.conj(a_plus) * k_plus + np.conj(a_minus) * k_minus).real
             assert abs(direct - (base + linear)) < 1e-8 * abs(direct), f"trial {trial}"
+
+    @pytest.mark.parametrize("seq", [README_UP, README_CP], ids=["up", "cp"])
+    def test_functionals_do_not_depend_on_the_step(self, seq):
+        unit = _phase_functionals(CFG, seq, README_DRIVE)
+        tenth = _phase_functionals(CFG, seq, README_DRIVE, step=0.1)
+        for a, b in zip(unit, tenth):
+            assert abs(a - b) < 1e-14
+
+    def test_functionals_survive_a_base_phase_at_minus_pi(self):
+        # at this r0 the zero-amplitude phase of the README `up` run is -pi, where
+        # phase differences wrap; K+- and the suppression do not depend on r0
+        params = ThermalParams.from_occupations(1.0, 1.0)
+        wrapped = preset_up((6.792193841049813e-6, 0.0), 0.002)
+        assert abs(abs(coherent_phase(wrapped, README_DRIVE, 0j, 0j)) - math.pi) < 1e-6
+        got = thermal_signal(CFG, wrapped, README_DRIVE, params, count=100, seed=1).suppression
+        want = thermal_signal(CFG, README_UP, README_DRIVE, params, count=100, seed=1).suppression
+        assert abs(got - want) < 1e-12
 
 
 class TestSampler:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socaccel import (
-    Constant,
     DivergenceError,
     ParameterError,
     PhaseSpacePoint,
@@ -19,7 +18,6 @@ from socaccel import (
     h_perp,
     integrate_eom_numeric,
     mode_decompose,
-    phase_first_order,
 )
 
 MASS = 1.44316e-25  # Rb-87, kg
@@ -259,44 +257,6 @@ class TestHPerp:
         vals = h_perp(self.MODES, ts)
         assert vals.shape == ts.shape
         assert np.isfinite(vals).all()
-
-
-class TestPhaseFirstOrder:
-    CFG = TrapConfig.from_modes(MASS, 2 * math.pi * 1000.0, 3.0)
-    MODES = derive_modes(CFG)
-
-    def test_zero_force_gives_zero_phase(self):
-        path = lambda t: (1e-6, 0.0)  # noqa: E731
-        assert phase_first_order(self.CFG, path, Zero(), 1e-3) == 0.0
-
-    def test_constant_integrand_is_exact(self):
-        r0 = (1.3e-6, -0.2e-6)
-        g = Constant(gx=0.02, gy=0.015)
-        t_final = 1.234e-3  # not a multiple of the Simpson step
-        got = phase_first_order(self.CFG, lambda t: r0, g, t_final)
-        expect = (MASS / HBAR) * (r0[0] * 0.02 + r0[1] * 0.015) * t_final
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_sinusoid_along_closed_form_path(self):
-        """Simpson quadrature against a dense trapezoid oracle."""
-        r0 = (2.0e-6, 0.0)
-        drive = Sinusoid(amplitude=(0.0, 0.03), omega=1.3 * self.MODES.omega_plus, phase=0.4)
-        t_final = 4 * math.pi / self.MODES.omega_tilde
-
-        def path(t):
-            return classical_trajectory(self.MODES, +1, r0, t)
-
-        got = phase_first_order(self.CFG, path, drive, t_final)
-        ts = np.linspace(0.0, t_final, 40001)
-        pts = [path(float(t)) for t in ts]
-        gs = np.array([drive.evaluate(float(t)) for t in ts])
-        integrand = np.array([p.x for p in pts]) * gs[:, 0] + np.array([p.y for p in pts]) * gs[:, 1]
-        expect = (MASS / HBAR) * np.trapezoid(integrand, ts)
-        assert got == pytest.approx(expect, rel=1e-8)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ParameterError):
-            phase_first_order(self.CFG, lambda t: (0.0, 0.0), Zero(), -1.0)
 
 
 class TestModeEnergy:
