@@ -4,7 +4,7 @@ AC accelerometer.
 Layers, bottom up:
 
 - ``trap``: trap parameters, normal modes, closed-form classical paths,
-  an RK4 oracle integrator, the differential-path kernel ``h_perp``.
+  the differential-path kernel ``h_perp``.
 - ``signals``: time-dependent drive accelerations g(t).
 - ``pulses``: exact pulse-sequence engine on spin-labeled coherent branches.
 - ``response``: analytic and numerically extracted transfer functions.
@@ -32,7 +32,6 @@ from .trap import (
     classical_trajectory,
     derive_modes,
     h_perp,
-    integrate_eom_numeric,
 )
 from .signals import (
     Constant,
@@ -115,7 +114,6 @@ __all__ = [
     "PhaseSpacePoint",
     "derive_modes",
     "classical_trajectory",
-    "integrate_eom_numeric",
     "h_perp",
     "ForceSignal",
     "Zero",

@@ -9,7 +9,9 @@ dynamical phase, and a complex weight from the rotation history.  The
 amplitudes, phase and weight of a branch may also be shape-(N,) arrays, one
 entry per sample of N initial states that share a spin history; every
 primitive acts on them elementwise, and :func:`batch_signal` runs a whole
-sample set in one pass.
+sample set in one pass.  An array branch may also carry one drive per sample:
+the step walk then stacks the segment coefficients of the N drives into
+shape-(N,) arrays, computed for all windows and drives in one kernel pass.
 
 Conventions fixed here and relied on throughout:
 
@@ -75,7 +77,8 @@ _SIGNAL_SIGN = -1.0
 _MERGE_TOL = 1e-12
 _PRUNE_TOL = 1e-15
 
-# samples per engine pass in batch_signal; bounds the size of the batch temporaries
+# samples (initial states or probe drives) per engine pass; bounds the size of the
+# batch temporaries
 _BATCH_BLOCK = 2048
 
 
@@ -374,9 +377,10 @@ class _SegmentCoeffs:
     phase_g2: float
 
 
-# an entry keeps its drive alive (a Tabulated table by identity); a run fills the
-# missed windows of all its Evolve steps in one kernel pass per drive before it
-# steps, so the cache only needs to span repeated runs of one sequence
+# memo of segment coefficients across runs; an entry keeps its drive alive (a Tabulated
+# table by identity).  A walk takes the coefficients of all its windows from one
+# _segment_coeffs call and never reads them back here, so a run may have any number
+# of windows and drives
 _SEGMENT_CACHE: OrderedDict = OrderedDict()
 _SEGMENT_CACHE_MAX = 256
 
@@ -415,29 +419,36 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
     return w
 
 
-def _segment_coeffs(config: TrapConfig, drive: ForceSignal, windows) -> list[dict[int, _SegmentCoeffs]]:
-    """{sigma: coefficients} for each (t_start, duration) window of ``drive``.
+def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]]:
+    """{sigma: coefficients} for each (drive, t_start, duration) pair, drives in any mix.
 
-    Cached windows are looked up.  The others go through one kernel pass over all their
-    pieces, each offset from its own window's start, with nu = (omega_minus, -omega_plus)
-    for sigma = +1 stacked over (omega_plus, -omega_minus) for sigma = -1, and are cached
-    unless the drive is unhashable.  The driven response from rest is zeta_d =
-    (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde), so the g^2 phase
-    (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
+    Each pair and spin is looked up in the cache once.  The misses of all drives go through
+    one kernel pass over all their pieces, each offset from its own window's start, with
+    nu = (omega_minus, -omega_plus) for sigma = +1 stacked over (omega_plus, -omega_minus)
+    for sigma = -1; the per-window reductions run on slices, so every pair gets the bits of
+    a one-pair call.  A computed pair is handed back and, unless its drive is unhashable,
+    memoized for later runs; the cache is never read back within a run.  The driven
+    response from rest is zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde),
+    so the g^2 phase (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is
+    (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
     """
-    try:
-        found = [{s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)} for t, d in windows]
-        hashable = True
-    except TypeError:  # unhashable custom signal: compute without caching
-        found, hashable = [{+1: None, -1: None} for _ in windows], False
-    missed = [(t, d, f) for (t, d), f in zip(windows, found) if None in f.values()]
+    found, missed = [], []
+    for drive, t, d in pairs:
+        try:
+            coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
+            hashable = True
+        except TypeError:  # unhashable custom signal: compute without caching
+            coeffs, hashable = {+1: None, -1: None}, False
+        found.append(coeffs)
+        if None in coeffs.values():
+            missed.append((drive, t, d, coeffs, hashable))
     if not missed:
         return found
     modes = _modes_cached(config)
     wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
     nu = np.array([wm, -wp, wp, -wm])
     pieces, starts, bounds = [], [], [0]
-    for t_start, duration, _ in missed:
+    for drive, t_start, duration, _, _ in missed:
         own = drive.pieces(t_start, t_start + duration)
         pieces += own
         starts += [t_start] * len(own)
@@ -446,7 +457,7 @@ def _segment_coeffs(config: TrapConfig, drive: ForceSignal, windows) -> list[dic
     integrals = _piece_integrals(packed, nu)  # (4, pieces)
     w = _pair_sums(packed, nu, integrals, bounds)
     mh = config.mass / config.hbar
-    for i, (t_start, duration, coeffs) in enumerate(missed):
+    for i, (drive, t_start, duration, coeffs, hashable) in enumerate(missed):
         j = integrals[:, bounds[i] : bounds[i + 1]].sum(axis=1)
         for sigma, r in ((+1, 0), (-1, 2)):
             j1, j2 = complex(j[r]), complex(j[r + 1])
@@ -490,32 +501,22 @@ def apply_evolution(
         raise ParameterError(f"mode must be 'exact' or 'first_order', got {mode!r}")
     if duration == 0.0:
         return state
-    if drive is None:
-        drive = Zero()
+    pair = (Zero() if drive is None else drive, state.time, duration)
+    return _evolve(state, _segment_coeffs(state.config, [pair])[0], duration, mode)
 
-    per_sigma = _segment_coeffs(state.config, drive, [(state.time, duration)])[0]
+
+def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -> SpinorCoherentState:
+    """Evolve every branch for ``duration`` > 0 with the window's {sigma: coefficients}."""
     new_branches = []
     for b in state.branches:
         cf = per_sigma[b.spin]
-        dphase = (cf.p_lin * b.alpha_plus + cf.q_lin * b.alpha_minus.conjugate()).real
+        phase = b.phase + (cf.p_lin * b.alpha_plus + cf.q_lin * b.alpha_minus.conjugate()).real
+        a_plus, a_minus = b.alpha_plus, b.alpha_minus
         if mode == "exact":
-            new_branches.append(
-                replace(
-                    b,
-                    alpha_plus=cf.rot_plus * (b.alpha_plus + cf.kick_plus),
-                    alpha_minus=cf.rot_minus * (b.alpha_minus + cf.kick_minus),
-                    phase=b.phase + dphase + cf.phase_g2,
-                )
-            )
-        else:
-            new_branches.append(
-                replace(
-                    b,
-                    alpha_plus=cf.rot_plus * b.alpha_plus,
-                    alpha_minus=cf.rot_minus * b.alpha_minus,
-                    phase=b.phase + dphase,
-                )
-            )
+            a_plus, a_minus, phase = a_plus + cf.kick_plus, a_minus + cf.kick_minus, phase + cf.phase_g2
+        new_branches.append(
+            replace(b, alpha_plus=cf.rot_plus * a_plus, alpha_minus=cf.rot_minus * a_minus, phase=phase)
+        )
     return replace(state, branches=tuple(new_branches), time=state.time + duration)
 
 
@@ -595,37 +596,44 @@ def _coherence_record(state: SpinorCoherentState):
     return signal, coherence, phase, norm
 
 
-def _fill_segments(state: SpinorCoherentState, sequence: PulseSequence, drive) -> None:
-    """Cache the Evolve windows of ``sequence``, one kernel pass per hashable drive.
+def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drive) -> list[dict]:
+    """{sigma: coefficients} of each Evolve step of positive duration, in step order, in one call.
 
-    At most half the cache is filled per drive, so no window is evicted before its step reads it.
+    With a tuple of N > 1 drives, a step without its own drive gets the coefficients of
+    all N stacked into shape-(N,) fields, one entry per sample.
     """
-    windows: dict = {}
-    t = state.time
+    drives = drive if isinstance(drive, tuple) else (drive,)
+    pairs, bounds, t = [], [0], state.time
     for step in sequence:
         if isinstance(step, Evolve) and step.duration > 0.0:
-            step_drive = step.drive if step.drive is not None else drive
-            step_drive = Zero() if step_drive is None else step_drive
-            try:
-                windows.setdefault(step_drive, []).append((t, step.duration))
-            except TypeError:
-                pass
+            own = drives if step.drive is None else (step.drive,)
+            pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
+            bounds.append(len(pairs))
             t += step.duration
-    for step_drive, spans in windows.items():
-        _segment_coeffs(state.config, step_drive, spans[: _SEGMENT_CACHE_MAX // 2])
+    found = _segment_coeffs(state.config, pairs)
+    return [
+        found[lo] if hi - lo == 1 else {s: _stacked([c[s] for c in found[lo:hi]]) for s in (+1, -1)}
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _stacked(per_sample: list[_SegmentCoeffs]) -> _SegmentCoeffs:
+    """One coefficient set whose fields are shape-(N,) arrays over N samples."""
+    return _SegmentCoeffs(*map(np.array, zip(*(vars(c).values() for c in per_sample))))
 
 
 def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None):
     """Apply the steps of ``sequence`` in order.
 
-    Returns (final state, coherence state, readout axis or None).  The
+    ``drive`` is one drive (or None), or a tuple of N drives, one per sample of an
+    array branch.  Returns (final state, coherence state, readout axis or None).  The
     coherence state is the one just before the final recombination rotation
     when the sequence ends with one, else the final state; <sigma_y> is
     invariant under RotateY, so the signal is the same either way.  When
     ``trace`` is a list, one (step name, time, branches) entry is appended
     per step.
     """
-    _fill_segments(state, sequence, drive)
+    coeffs = iter(_window_coeffs(state, sequence, drive))
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
     for step in sequence:
@@ -636,9 +644,8 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None
             state = apply_displacement(state, step.shift)
             pre_rotation = None
         elif isinstance(step, Evolve):
-            state = apply_evolution(
-                state, step.duration, step.drive if step.drive is not None else drive, step.mode
-            )
+            if step.duration > 0.0:
+                state = _evolve(state, next(coeffs), step.duration, step.mode)
             pre_rotation = None
         elif isinstance(step, Readout):
             axis = step.axis

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AmplitudeTooLargeError, ParameterError, ResolutionError
-from .pulses import Displace, Evolve, PulseSequence, run_sequence
+from .pulses import _BATCH_BLOCK, Displace, Evolve, PulseSequence, _coherence_record, _walk, ground_state
 from .signals import Sinusoid
 from .trap import NormalModes, TrapConfig
 
@@ -166,6 +166,56 @@ def _probe_direction(sequence: PulseSequence) -> np.ndarray:
     raise ParameterError("sequence has no Displace step; probe direction undefined")
 
 
+def _numeric_transfer(config: TrapConfig, sequence: PulseSequence, omegas, amplitude: float, phases):
+    """Transfer coefficients at ``omegas`` from one array walk per ``_BATCH_BLOCK`` probes.
+
+    Every (omega, phi) probe is one drive of the walk, so all windows of all probes share
+    one kernel pass.  The design matrix of the fit depends only on the phases, so one
+    least-squares solve takes one right-hand side per frequency.  Errors are raised for
+    the first failing frequency, the 0.1 rad limit before the offset check.
+    """
+    if not amplitude > 0:
+        raise ParameterError(f"probe amplitude must be > 0, got {amplitude}")
+    omegas = np.asarray(omegas, dtype=float)
+    negative = omegas[omegas < 0]
+    if negative.size:
+        raise ParameterError(f"omega must be >= 0, got {float(negative[0])}")
+    phis = np.asarray(phases, dtype=float)
+    if phis.ndim != 1 or phis.shape[0] < 2:
+        raise ParameterError("need at least 2 probe phases")
+    e_perp = _probe_direction(sequence)
+
+    amp = (amplitude * e_perp[0], amplitude * e_perp[1])
+    probes = [Sinusoid(amp, omega, phi) for omega in omegas.tolist() for phi in phis.tolist()]
+    measured = np.empty(len(probes))
+    for lo in range(0, len(probes), _BATCH_BLOCK):
+        block = tuple(probes[lo : lo + _BATCH_BLOCK])
+        _, coh_state, _ = _walk(ground_state(config), sequence, block)
+        measured[lo : lo + len(block)] = _coherence_record(coh_state)[2]
+    measured = measured.reshape(omegas.shape[0], phis.shape[0])
+
+    cols = [np.cos(phis), np.sin(phis)]
+    if phis.shape[0] >= 3:
+        cols.append(np.ones_like(phis))
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), measured.T, rcond=None)
+    a, b = coef[0], coef[1]
+    c = coef[2] if phis.shape[0] >= 3 else np.zeros_like(a)
+    too_large = np.abs(measured) > 0.1
+    offset = np.abs(c) > 0.01 * np.maximum(np.hypot(a, b), 0.01)
+    failing = np.flatnonzero(too_large.any(axis=1) | offset)
+    if failing.size:
+        i = failing[0]
+        if too_large[i].any():
+            phase = measured[i, np.argmax(too_large[i])]
+            raise AmplitudeTooLargeError(f"probe phase {phase:.3g} rad exceeds the 0.1 rad linear regime")
+        raise AmplitudeTooLargeError(
+            f"quadratic phase offset {c[i]:.3g} rad exceeds 1% of the linear response"
+        )
+    values = np.empty(omegas.shape[0], dtype=complex)
+    values.real, values.imag = 2.0 * a / amplitude, 2.0 * b / amplitude
+    return values
+
+
 def numeric_response(
     config: TrapConfig,
     sequence: PulseSequence,
@@ -178,42 +228,12 @@ def numeric_response(
     Drives the sequence with A cos(omega t + phi) along zhat x rhat0 for each
     probe phase and fits the differential phase to
     Phi(phi) = (A/2) Re[exp(-i phi) F] (plus a constant when >= 3 phases are
-    given, absorbing the quadratic offset).  Raises AmplitudeTooLargeError if
+    given, absorbing the quadratic offset).  All probes share one kernel pass
+    and one array walk of the engine.  Raises AmplitudeTooLargeError if
     any probe phase exceeds 0.1 rad or the quadratic offset exceeds 1% of the
     linear response (with a 1e-4 rad absolute allowance near response zeros).
     """
-    if not amplitude > 0:
-        raise ParameterError(f"probe amplitude must be > 0, got {amplitude}")
-    if omega < 0:
-        raise ParameterError(f"omega must be >= 0, got {omega}")
-    phis = np.asarray(phases, dtype=float)
-    if phis.ndim != 1 or phis.shape[0] < 2:
-        raise ParameterError("need at least 2 probe phases")
-    e_perp = _probe_direction(sequence)
-
-    measured = np.empty(phis.shape[0])
-    for k, phi in enumerate(phis):
-        drive = Sinusoid((amplitude * e_perp[0], amplitude * e_perp[1]), omega, float(phi))
-        rec = run_sequence(config, None, sequence, drive)
-        if abs(rec.phase) > 0.1:
-            raise AmplitudeTooLargeError(
-                f"probe phase {rec.phase:.3g} rad exceeds the 0.1 rad linear regime"
-            )
-        measured[k] = rec.phase
-
-    cols = [np.cos(phis), np.sin(phis)]
-    if phis.shape[0] >= 3:
-        cols.append(np.ones_like(phis))
-    m = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(m, measured, rcond=None)
-    a, b = coef[0], coef[1]
-    c = coef[2] if phis.shape[0] >= 3 else 0.0
-    lin = math.hypot(a, b)
-    if abs(c) > 0.01 * max(lin, 0.01):
-        raise AmplitudeTooLargeError(
-            f"quadratic phase offset {c:.3g} rad exceeds 1% of the linear response"
-        )
-    return 2.0 * complex(a, b) / amplitude
+    return complex(_numeric_transfer(config, sequence, [omega], amplitude, phases)[0])
 
 
 def numeric_response_curve(
@@ -223,16 +243,14 @@ def numeric_response_curve(
     amplitude: float,
     phases=_DEFAULT_PHASES,
 ) -> ResponseCurve:
-    """Numeric transfer function on a frequency grid (one extraction per point)."""
+    """Numeric transfer function on a frequency grid, point by point as :func:`numeric_response`.
+
+    The probes of all frequencies and phases share one kernel pass and one array walk
+    (per 2,048 probes).
+    """
     omegas = np.asarray(omegas, dtype=float)
-    vals = np.array(
-        [numeric_response(config, sequence, float(w), amplitude, phases) for w in omegas]
-    )
-    r0 = None
-    for step in sequence:
-        if isinstance(step, Displace):
-            r0 = float(np.linalg.norm(np.asarray(step.shift)))
-            break
+    vals = _numeric_transfer(config, sequence, omegas, amplitude, phases)
+    r0 = next(float(np.linalg.norm(np.asarray(s.shift))) for s in sequence if isinstance(s, Displace))
     t_total = sum(s.duration for s in sequence if isinstance(s, Evolve))
     t_meta = t_total / 4.0 if sequence.name == "cp" else t_total
     return ResponseCurve(

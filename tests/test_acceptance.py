@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import _rk4_batch
 from socaccel import (
     RB87,
     ApparatusParams,
@@ -44,7 +45,6 @@ from socaccel import (
 )
 from socaccel.cli import main as cli_main
 from socaccel.pulses import _center_from_amplitudes
-from socaccel.trap import _rk4_batch
 
 MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0

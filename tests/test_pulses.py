@@ -1,6 +1,7 @@
 """Pulse primitives, the branch-tracking spinor engine, and preset sequences."""
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integrate_eom_numeric
 from socaccel import (
     Branch,
     Constant,
@@ -35,7 +37,6 @@ from socaccel import (
     expectation_spin,
     ground_state,
     h_perp,
-    integrate_eom_numeric,
     mode_decompose,
     preset_cp,
     preset_up,
@@ -363,7 +364,7 @@ class UnhashableDrive(ForceSignal):
 
 
 class TestSegmentFill:
-    """A run computes the segments of all its Evolve windows in one kernel pass per drive."""
+    """A run computes the segments of all its Evolve windows, of any drives, in one kernel pass."""
 
     T = math.pi / WT
     TONE = Sinusoid(amplitude=(0.0, 2e-3), omega=1.2 * WT, phase=0.3)
@@ -392,10 +393,10 @@ class TestSegmentFill:
         sequence = preset_up(R0, 2 * self.T) if preset == "up" else preset_cp(R0, self.T)
         drive = self.drives()[kind]
         windows = evolve_windows(sequence)
-        batched = pulses._segment_coeffs(CFG, drive, windows)
+        batched = pulses._segment_coeffs(CFG, [(drive, *window) for window in windows])
         for window, coeffs in zip(windows, batched):
             pulses._SEGMENT_CACHE.clear()
-            (single,) = pulses._segment_coeffs(CFG, drive, [window])
+            (single,) = pulses._segment_coeffs(CFG, [(drive, *window)])
             for sigma in (+1, -1):
                 for field in fields(pulses._SegmentCoeffs):
                     got, want = getattr(coeffs[sigma], field.name), getattr(single[sigma], field.name)
@@ -412,6 +413,57 @@ class TestSegmentFill:
         warm = run_sequence(CFG, None, sequence, self.TONE)
         assert len(calls) == 1
         assert (warm.signal, warm.phase, warm.state) == (cold.signal, cold.phase, cold.state)
+
+    def test_mixed_drives_equal_one_pair_calls(self):
+        windows = evolve_windows(preset_cp(R0, self.T))
+        pairs = [(drive, *window) for drive in self.drives().values() for window in windows]
+        batched = pulses._segment_coeffs(CFG, pairs)
+        for pair, coeffs in zip(pairs, batched):
+            pulses._SEGMENT_CACHE.clear()
+            (single,) = pulses._segment_coeffs(CFG, [pair])
+            for sigma in (+1, -1):
+                assert coeffs[sigma] == single[sigma], (pair, sigma)
+
+    def test_long_sequence_equals_stepping_by_hand(self):
+        """300 windows of one drive, more than the cache holds, step by step as by hand."""
+        dt = self.T / 37
+        steps = (RotateY(math.pi / 2), Displace(R0), *[Evolve(dt)] * 300, RotateY(-math.pi / 2))
+        rec = run_sequence(CFG, None, PulseSequence(steps), self.TONE)
+        assert len(pulses._SEGMENT_CACHE) == pulses._SEGMENT_CACHE_MAX
+        state = apply_displacement(apply_rotation(ground_state(CFG), math.pi / 2), R0)
+        for step in steps[2:-1]:
+            state = apply_evolution(state, step.duration, self.TONE)
+        state = apply_rotation(state, -math.pi / 2)
+        assert rec.state == state
+
+    def test_warm_run_looks_each_window_up_once(self, monkeypatch):
+        class CountingCache(OrderedDict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        cache = CountingCache()
+        monkeypatch.setattr(pulses, "_SEGMENT_CACHE", cache)
+        sequence = preset_cp(R0, self.T)
+        run_sequence(CFG, None, sequence, self.TONE)
+        cache.gets = 0
+        run_sequence(CFG, None, sequence, self.TONE)
+        assert cache.gets == 3 * 2  # (window, spin)
+
+    def test_drive_per_sample_walk_matches_scalar_runs(self, monkeypatch):
+        calls = []
+        kernel = pulses._piece_integrals
+        monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
+        sequence = preset_cp(R0, self.T)
+        drives = tuple(Sinusoid((0.0, 2e-3), w * WT, phi) for w in (0.3, 1.2, 2.9) for phi in (0.0, 1.1))
+        _, coh_state, _ = pulses._walk(ground_state(CFG), sequence, drives)
+        phases = pulses._coherence_record(coh_state)[2]
+        assert len(calls) == 1 and phases.shape == (len(drives),)
+        for drive, phase in zip(drives, phases):
+            want = run_sequence(CFG, None, sequence, drive).phase
+            assert abs(phase - want) <= 1e-12 * abs(want), drive
 
     def test_unhashable_drive_is_computed_not_cached(self):
         sequence = preset_cp(R0, self.T)

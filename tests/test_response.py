@@ -7,6 +7,7 @@ import pytest
 
 from socaccel import (
     AmplitudeTooLargeError,
+    Constant,
     Displace,
     Evolve,
     ParameterError,
@@ -30,6 +31,7 @@ from socaccel import (
     response_up,
     run_sequence,
 )
+from socaccel import pulses
 from socaccel.response import _parabolic_vertex
 
 MASS = 1.44316e-25  # Rb-87, kg
@@ -216,6 +218,87 @@ class TestNumericResponse:
         nc_cp = numeric_response_curve(CFG, cp_seq, sub[:3], 0.02 / self.peak_cp)
         assert nc_cp.kind == "numeric-cp"
         assert abs(nc_cp.t - T5) < 1e-15, "cp metadata t is the quarter window"
+
+
+def per_phase_response(config, sequence, omega, amplitude, phases=(0.0, math.pi / 2, math.pi, 1.5 * math.pi)):
+    """numeric_response as one run_sequence per probe phase, then one fit and its checks."""
+    shift = next(np.array(s.shift) for s in sequence if isinstance(s, Displace))
+    e_perp = np.array([-shift[1], shift[0]]) / np.linalg.norm(shift)
+    measured = []
+    for phi in phases:
+        drive = Sinusoid((amplitude * e_perp[0], amplitude * e_perp[1]), omega, phi)
+        phase = run_sequence(config, None, sequence, drive).phase
+        if abs(phase) > 0.1:
+            raise AmplitudeTooLargeError(f"probe phase {phase:.3g} rad exceeds the 0.1 rad linear regime")
+        measured.append(phase)
+    design = np.column_stack([np.cos(phases), np.sin(phases), np.ones(len(phases))])
+    (a, b, c), *_ = np.linalg.lstsq(design, measured, rcond=None)
+    if abs(c) > 0.01 * max(math.hypot(a, b), 0.01):
+        raise AmplitudeTooLargeError(f"quadratic phase offset {c:.3g} rad exceeds 1% of the linear response")
+    return 2.0 * complex(a, b) / amplitude
+
+
+def error_message(fn, *args) -> str:
+    with pytest.raises(AmplitudeTooLargeError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestBatchedProbes:
+    """All probes of a transfer extraction go through one kernel pass and one array walk."""
+
+    peak = {
+        "up": np.abs(response_up(MODES, R0, T5, grid=GRID).values).max(),
+        "cp": np.abs(response_cp(MODES, R0, T5, grid=GRID).values).max(),
+    }
+    presets = {"up": preset_up((R0, 0.0), T5), "cp": preset_cp((R0, 0.0), T5)}
+    # a second window with its own constant drive adds a probe-independent phase of -0.0225 rad
+    offset = PulseSequence(
+        steps=(
+            RotateY(math.pi / 2),
+            Displace((R0, 0.0)),
+            Evolve(T5),
+            Evolve(T5 / 3, Constant(0.0, 2e-3 * L * WT**2)),
+            RotateY(-math.pi / 2),
+            Readout("z"),
+        ),
+    )
+
+    @pytest.mark.parametrize("omega", [0.0, WM, WP, 0.37 * WT])
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    def test_matches_per_phase_runs(self, kind, omega):
+        amplitude = 0.02 / self.peak[kind]
+        got = numeric_response(CFG, self.presets[kind], omega, amplitude)
+        want = per_phase_response(CFG, self.presets[kind], omega, amplitude)
+        assert abs(got - want) <= 1e-12 * self.peak[kind]
+
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    def test_curve_is_numeric_response_point_by_point(self, kind, monkeypatch):
+        calls = []
+        kernel = pulses._piece_integrals
+        monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
+        omegas, amplitude = GRID[::171], 0.02 / self.peak[kind]
+        curve = numeric_response_curve(CFG, self.presets[kind], omegas, amplitude)
+        assert len(calls) == 1  # 24 frequencies x 4 phases x all windows
+        for omega, value in zip(omegas, curve.values):
+            single = numeric_response(CFG, self.presets[kind], omega, amplitude)
+            assert abs(value - single) <= 1e-12 * self.peak[kind]
+
+    def test_too_strong_probe_keeps_message_and_precedence(self):
+        up, amplitude = self.presets["up"], 0.5 / self.peak["up"]
+        for omegas in ([WP, WM], [WM, WP]):
+            want = error_message(lambda: [per_phase_response(CFG, up, w, amplitude) for w in omegas])
+            assert error_message(numeric_response_curve, CFG, up, omegas, amplitude) == want
+        assert error_message(numeric_response, CFG, up, WM, amplitude).startswith("probe phase ")
+
+    def test_offset_error_comes_after_the_phase_error_of_its_frequency(self):
+        amplitude = 0.5 / self.peak["up"]
+        both = error_message(numeric_response, CFG, self.offset, WM, amplitude)
+        assert both == error_message(per_phase_response, CFG, self.offset, WM, amplitude)
+        assert both.startswith("probe phase ")
+        first = error_message(numeric_response_curve, CFG, self.offset, [0.0, WM], amplitude)
+        assert first == error_message(per_phase_response, CFG, self.offset, 0.0, amplitude)
+        assert first.startswith("quadratic phase offset ")
 
 
 class TestCurveTools:

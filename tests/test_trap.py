@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integrate_eom_numeric
 from socaccel import (
     DivergenceError,
     ParameterError,
@@ -16,7 +17,6 @@ from socaccel import (
     classical_trajectory,
     derive_modes,
     h_perp,
-    integrate_eom_numeric,
     mode_decompose,
 )
 
