@@ -426,8 +426,9 @@ def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]
     one kernel pass over all their pieces, each offset from its own window's start, with
     nu = (omega_minus, -omega_plus) for sigma = +1 stacked over (omega_plus, -omega_minus)
     for sigma = -1; the per-window reductions run on slices, so every pair gets the bits of
-    a one-pair call.  A computed pair is handed back and, unless its drive is unhashable,
-    memoized for later runs; the cache is never read back within a run.  The driven
+    a one-pair call.  Computed pairs are handed back, and the last ``_SEGMENT_CACHE_MAX // 2``
+    of them with hashable drives (what the cache can hold) are memoized for later runs; the
+    cache is never read back within a run.  The driven
     response from rest is zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde),
     so the g^2 phase (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is
     (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
@@ -457,6 +458,7 @@ def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]
     integrals = _piece_integrals(packed, nu)  # (4, pieces)
     w = _pair_sums(packed, nu, integrals, bounds)
     mh = config.mass / config.hbar
+    memo_from = len(missed) - _SEGMENT_CACHE_MAX // 2
     for i, (drive, t_start, duration, coeffs, hashable) in enumerate(missed):
         j = integrals[:, bounds[i] : bounds[i + 1]].sum(axis=1)
         for sigma, r in ((+1, 0), (-1, 2)):
@@ -473,10 +475,10 @@ def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]
                 q_lin=mh * l * m_minus,
                 phase_g2=mh * float(((w[r, i] - w[r + 1, i]) / (2j * wt)).real),
             )
-            if hashable:
+            if hashable and i >= memo_from:
+                if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
+                    _SEGMENT_CACHE.popitem(last=False)
                 _SEGMENT_CACHE[drive, config, sigma, t_start, duration] = coeffs[sigma]
-    while len(_SEGMENT_CACHE) > _SEGMENT_CACHE_MAX:
-        _SEGMENT_CACHE.popitem(last=False)
     return found
 
 
@@ -596,13 +598,12 @@ def _coherence_record(state: SpinorCoherentState):
     return signal, coherence, phase, norm
 
 
-def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drive) -> list[dict]:
+def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple) -> list[dict]:
     """{sigma: coefficients} of each Evolve step of positive duration, in step order, in one call.
 
-    With a tuple of N > 1 drives, a step without its own drive gets the coefficients of
-    all N stacked into shape-(N,) fields, one entry per sample.
+    A step without its own drive gets the coefficients of every drive in ``drives``; for
+    N > 1 drives they are stacked into shape-(N,) fields, one entry per sample.
     """
-    drives = drive if isinstance(drive, tuple) else (drive,)
     pairs, bounds, t = [], [0], state.time
     for step in sequence:
         if isinstance(step, Evolve) and step.duration > 0.0:
@@ -622,18 +623,18 @@ def _stacked(per_sample: list[_SegmentCoeffs]) -> _SegmentCoeffs:
     return _SegmentCoeffs(*map(np.array, zip(*(vars(c).values() for c in per_sample))))
 
 
-def _walk(state: SpinorCoherentState, sequence: PulseSequence, drive, trace=None):
+def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None):
     """Apply the steps of ``sequence`` in order.
 
-    ``drive`` is one drive (or None), or a tuple of N drives, one per sample of an
-    array branch.  Returns (final state, coherence state, readout axis or None).  The
+    ``drives`` holds the sequence drive (a drive or None), or N drives, one per sample of
+    an array branch.  Returns (final state, coherence state, readout axis or None).  The
     coherence state is the one just before the final recombination rotation
     when the sequence ends with one, else the final state; <sigma_y> is
     invariant under RotateY, so the signal is the same either way.  When
     ``trace`` is a list, one (step name, time, branches) entry is appended
     per step.
     """
-    coeffs = iter(_window_coeffs(state, sequence, drive))
+    coeffs = iter(_window_coeffs(state, sequence, drives))
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
     for step in sequence:
@@ -688,7 +689,7 @@ def run_sequence(
         raise ParameterError(f"unsupported initial state {initial!r}")
 
     trace = [("init", state.time, state.branches)]
-    state, coh_state, axis = _walk(state, sequence, drive, trace)
+    state, coh_state, axis = _walk(state, sequence, (drive,), trace)
     signal, coherence, phase, _ = _coherence_record(coh_state)
 
     n_up, n_down, cross, norm = _normed_gram_sums(state)
@@ -742,7 +743,7 @@ def batch_signal(
                 Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus[block], alpha_minus=a_minus[block]),
             ),
         )
-        _, coh_state, _ = _walk(state, sequence, drive)
+        _, coh_state, _ = _walk(state, sequence, (drive,))
         signals[block] = _coherence_record(coh_state)[0]
     return signals
 

@@ -26,7 +26,6 @@ import math
 from abc import ABC, abstractmethod
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -171,11 +170,6 @@ class ForceSignal(ABC):
     def pieces(self, t0: float, t1: float) -> list[Piece]:
         """Exponential-polynomial expansion of gtilde on [t0, t1]."""
 
-    def _terms_at(self, starts: list[float]):
-        """Terms of a one-piece signal on pieces starting at ``starts``, one list per term
-        over the starts, as ``pieces`` gives them; None for other signals."""
-        return None
-
     def _as_2vec(self, gx, gy, t):
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
@@ -192,9 +186,6 @@ class Zero(ForceSignal):
     def pieces(self, t0, t1):
         return [(float(t0), float(t1), [])]
 
-    def _terms_at(self, starts):
-        return []
-
 
 @dataclass(frozen=True)
 class Constant(ForceSignal):
@@ -206,9 +197,6 @@ class Constant(ForceSignal):
 
     def pieces(self, t0, t1):
         return [(float(t0), float(t1), [(complex(self.gx, self.gy), 0.0, 0)])]
-
-    def _terms_at(self, starts):
-        return [[(complex(self.gx, self.gy), 0.0, 0)] * len(starts)]
 
 
 @dataclass(frozen=True)
@@ -245,19 +233,6 @@ class Sinusoid(ForceSignal):
         ]
         return [(float(t0), float(t1), terms)]
 
-    def _terms_at(self, starts):
-        # one np.exp over all starts (exp(-i th) is its conjugate, bit for bit); the products
-        # g0 * e are written out in real arithmetic, as scalar complex multiplication rounds them
-        g0 = complex(*self.amplitude) / 2.0
-        e = np.exp(1j * (self.omega * np.asarray(starts, dtype=float) + self.phase))
-        columns = []
-        for e_im, mu in ((e.imag, self.omega), (-e.imag, -self.omega)):
-            coef = np.empty_like(e)
-            coef.real = g0.real * e.real - g0.imag * e_im
-            coef.imag = g0.real * e_im + g0.imag * e.real
-            columns.append(list(zip(coef.tolist(), repeat(mu), repeat(0))))
-        return columns
-
 
 @dataclass(frozen=True)
 class SumSignal(ForceSignal):
@@ -274,15 +249,6 @@ class SumSignal(ForceSignal):
         return out
 
     def pieces(self, t0, t1):
-        t0, t1 = float(t0), float(t1)
-        tables = [p for p in self.parts if isinstance(p, Tabulated)]
-        if t1 > t0 and len(tables) <= 1:
-            # the nodes of at most one table are the sub-interval edges; every other part
-            # that is one parametric piece is expanded at all sub-interval starts at once
-            edges, own = tables[0]._columns(t0, t1) if tables else ([t0, t1], [])
-            columns = [own if tables and p is tables[0] else p._terms_at(edges[:-1]) for p in self.parts]
-            if None not in columns:
-                return _from_columns(edges, [column for part in columns for column in part])
         # split at the union of the parts' internal boundaries, then merge terms; a part's
         # own piece is reused where it is exactly the sub-interval, and only a part whose
         # piece spans more is expanded again on the sub-interval
@@ -299,12 +265,6 @@ class SumSignal(ForceSignal):
                 terms.extend(sub[0][2])
             out.append((a, b, terms))
         return out
-
-
-def _from_columns(edges: list[float], columns: list[list]) -> list[Piece]:
-    """Pieces between consecutive ``edges``; piece k's terms are entry k of every column."""
-    rows = map(list, zip(*columns)) if columns else ([] for _ in edges[1:])
-    return list(zip(edges, edges[1:], rows))
 
 
 class Tabulated(ForceSignal):
@@ -367,13 +327,10 @@ class Tabulated(ForceSignal):
         return np.stack([gx, gy])
 
     def pieces(self, t0, t1):
-        return _from_columns(*self._columns(float(t0), float(t1)))
-
-    def _columns(self, t0: float, t1: float):
-        """Piece edges on [t0, t1] and the two term columns (value, slope) of ``pieces``."""
+        t0, t1 = float(t0), float(t1)
         self._check_cover(t0, t1)
         if not t1 > t0:
-            return [], []
+            return []
         # grid nodes strictly inside (t0, t1)
         k_lo = int(math.ceil((t0 - self.t_start) / self.dt - 1e-9))
         k_hi = int(math.floor((t1 - self.t_start) / self.dt + 1e-9))
@@ -384,8 +341,8 @@ class Tabulated(ForceSignal):
         width = np.diff(nodes)
         start = (gx + 1j * gy)[:-1].tolist()
         slope = (np.diff(gx) / width + 1j * (np.diff(gy) / width)).tolist()
-        columns = [list(zip(start, repeat(0.0), repeat(0))), list(zip(slope, repeat(0.0), repeat(1)))]
-        return nodes.tolist(), columns
+        edges = zip(nodes[:-1].tolist(), nodes[1:].tolist(), start, slope)
+        return [(a, b, [(ga, 0.0, 0), (s, 0.0, 1)]) for a, b, ga, s in edges]
 
 
 def circular(amplitude: float, omega: float, phase: float = 0.0, sense: int = -1) -> SumSignal:

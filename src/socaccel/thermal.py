@@ -145,7 +145,7 @@ def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step:
         alpha_plus=np.concatenate(([0j], steps, none)),
         alpha_minus=np.concatenate(([0j], none, steps)),
     )
-    _, coh_state, _ = _walk(SpinorCoherentState(config=config, branches=(branch,)), sequence, drive)
+    _, coh_state, _ = _walk(SpinorCoherentState(config=config, branches=(branch,)), sequence, (drive,))
     cross = _normed_gram_sums(coh_state)[2]
     d_small, d_step = (-np.angle(cross[1:] * np.conj(cross[0]))).reshape(4, 2).T
     turns = np.round((step * d_small / _BRANCH_STEP - d_step) / (2.0 * math.pi))

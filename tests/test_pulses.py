@@ -436,6 +436,25 @@ class TestSegmentFill:
         state = apply_rotation(state, -math.pi / 2)
         assert rec.state == state
 
+    def test_memo_stays_bounded_within_a_run(self, monkeypatch):
+        """A run of 300 new windows memoizes only the last 128, never exceeding the bound."""
+
+        class SizedCache(OrderedDict):
+            inserts = largest = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.inserts += 1
+                self.largest = max(self.largest, len(self))
+
+        cache = SizedCache()
+        monkeypatch.setattr(pulses, "_SEGMENT_CACHE", cache)
+        run_sequence(CFG, None, preset_cp(R0, self.T), self.TONE)
+        steps = (RotateY(math.pi / 2), Displace(R0), *[Evolve(self.T / 37)] * 300, RotateY(-math.pi / 2))
+        run_sequence(CFG, None, PulseSequence(steps), self.TONE)
+        assert cache.largest == len(cache) == pulses._SEGMENT_CACHE_MAX
+        assert cache.inserts == 6 + pulses._SEGMENT_CACHE_MAX
+
     def test_warm_run_looks_each_window_up_once(self, monkeypatch):
         class CountingCache(OrderedDict):
             gets = 0

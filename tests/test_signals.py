@@ -374,22 +374,6 @@ def test_sum_pieces_equal_the_per_sub_interval_expansion(t0, t1):
         assert signal.pieces(t0, t1) == sum_pieces_reference(signal, t0, t1)
 
 
-def test_sum_expands_a_tone_over_a_table_in_one_call(monkeypatch):
-    table = Tabulated(0.0, 1e-6, np.random.default_rng(12).normal(size=(3001, 2)))
-    signal = SumSignal([table, Sinusoid((0.3, -0.1), 2100.0, 0.4), Constant(0.1, 0.05), Zero()])
-    want = sum_pieces_reference(signal, 2.5e-5, 2.9e-3)
-    calls = []
-    for name in ("pieces", "_terms_at"):
-
-        def counted(self, *args, name=name, method=getattr(Sinusoid, name)):
-            calls.append(name)
-            return method(self, *args)
-
-        monkeypatch.setattr(Sinusoid, name, counted)
-    assert signal.pieces(2.5e-5, 2.9e-3) == want
-    assert calls == ["_terms_at"]
-
-
 @dataclass(frozen=True)
 class Ragged(ForceSignal):
     """Pieces with 1, 3 and 0 terms and powers up to 2; windows start and end on an edge."""
