@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -44,8 +45,8 @@ from .pulses import (
     preset_cp,
     preset_up,
 )
-from .response import find_peaks, find_zeros, main_lobe_fwhm, response_cp, response_up
-from .sensitivity import RB87, ApparatusParams, SpeciesParams, sensitivity
+from .response import _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_cp, response_up
+from .sensitivity import RB87, ApparatusParams, SpeciesParams, _sensitivity_reports
 from .signals import Constant, Sinusoid, SumSignal, Tabulated, Zero, circular
 from .thermal import ThermalParams, thermal_signal
 from .trap import TrapConfig, _trajectory_arrays, derive_modes
@@ -75,6 +76,14 @@ _SECTION_KEYS = {
     "trajectory": {"kind", "r0", "t", "points"},
     "sweep": {"atoms_min", "atoms_max", "points"},
     "output": {"directory", "format"},
+}
+
+# largest accepted counts; each bounds the arrays and files its subcommand makes
+_MAX_COUNT = {
+    "monte_carlo.count": 1_000_000,
+    "response.points": 1 << 17,
+    "sweep.points": 1_000,
+    "trajectory.points": 100_000,
 }
 
 
@@ -305,6 +314,14 @@ def _config_int(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
+def _config_count(value, where: str) -> int:
+    """A JSON integer no larger than ``_MAX_COUNT[where]``."""
+    n = _config_int(value, where)
+    if n > _MAX_COUNT[where]:
+        raise ConfigError(f"{where} must be <= {_MAX_COUNT[where]}, got {value!r}")
+    return n
+
+
 def _config_bool(value, where: str) -> bool:
     """A JSON boolean, true or false, nothing else."""
     if isinstance(value, bool):
@@ -339,11 +356,9 @@ def _write_json(path: str, obj) -> None:
         f.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, columns) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join("%.17g" % float(v) for v in row) + "\n")
+        f.write(_csv_text(header, columns))
 
 
 def _out_dir(args, cfg: dict) -> str:
@@ -426,7 +441,7 @@ def cmd_trajectory(args) -> int:
     t = _config_float(sec["t"], "trajectory.t")
     if not t > 0:
         raise ConfigError(f"trajectory.t must be > 0, got {t}")
-    n = _config_int(sec.get("points", 1000), "trajectory.points")
+    n = _config_count(sec.get("points", 1000), "trajectory.points")
     if n < 2:
         raise ConfigError(f"trajectory.points must be >= 2, got {n}")
     if kind not in ("up", "cp"):
@@ -436,11 +451,10 @@ def cmd_trajectory(args) -> int:
     times, z_up = _sequence_path(modes, sequence, z0, +1, n)
     _, z_dn = _sequence_path(modes, sequence, z0, -1, n)
     if fmt == "csv":
-        rows = zip(times, z_up.real, z_up.imag, z_dn.real, z_dn.imag)
         _write_csv(
             os.path.join(out, "trajectory.csv"),
             "t_s,x_up_m,y_up_m,x_down_m,y_down_m",
-            rows,
+            (times, z_up.real, z_up.imag, z_dn.real, z_dn.imag),
         )
     else:
         _write_json(
@@ -473,7 +487,7 @@ def cmd_response(args) -> int:
     sec = cfg.get("response", {})
     t = _config_float(sec.get("t", 5.0 * math.pi / modes.omega_tilde), "response.t")
     r0 = _config_float(sec.get("r0", modes.l_osc), "response.r0")
-    points = _config_int(sec.get("points", 4096), "response.points")
+    points = _config_count(sec.get("points", 4096), "response.points")
     omega_max = _config_float(sec.get("omega_max", 3.0 * modes.omega_plus), "response.omega_max")
     rescale = _config_bool(sec.get("rescale_cp", False), "response.rescale_cp") or args.rescale_cp
     if points < 16:
@@ -515,7 +529,7 @@ def cmd_thermal(args) -> int:
     mc = _section(cfg, "monte_carlo")
     if "count" not in mc:
         raise ConfigError("monte_carlo.count is required")
-    count = _config_int(mc["count"], "monte_carlo.count")
+    count = _config_count(mc["count"], "monte_carlo.count")
     if args.seed is not None:
         seed = _check_seed(args.seed, "--seed")
     else:
@@ -536,30 +550,26 @@ def cmd_sensitivity(args) -> int:
     out = _out_dir(args, cfg)
     species = _species_from(cfg)
     apparatus = _apparatus_from(cfg)
-    report = sensitivity(species, apparatus)
-    _write_json(os.path.join(out, "sensitivity.json"), report.as_dict())
-
     sweep = cfg.get("sweep", {})
     lo = _config_float(sweep.get("atoms_min", 10.0), "sweep.atoms_min")
     hi = _config_float(sweep.get("atoms_max", 1e7), "sweep.atoms_max")
-    n = _config_int(sweep.get("points", 25), "sweep.points")
+    n = _config_count(sweep.get("points", 25), "sweep.points")
     if not (0 < lo < hi) or n < 2:
         raise ConfigError("sweep needs 0 < atoms_min < atoms_max and points >= 2")
 
-    s_rows, bw_rows = [], []
-    for n_a in np.geomspace(lo, hi, n):
-        rep = sensitivity(species, dataclasses.replace(apparatus, atoms_per_layer=n_a))
-        s_rows.append((n_a, n_a * rep.n_layers, rep.S))
-        bw_rows.append((n_a, rep.bandwidth, rep.tau))
+    atoms = np.geomspace(lo, hi, n)
+    points = [dataclasses.replace(apparatus, atoms_per_layer=n_a) for n_a in atoms]
+    report, *reps = _sensitivity_reports(species, [apparatus, *points])
+    _write_json(os.path.join(out, "sensitivity.json"), report.as_dict())
     _write_csv(
         os.path.join(out, "sweep_s_vs_n.csv"),
         "atoms_per_layer,atoms_total,s_mps2_per_sqrthz",
-        s_rows,
+        (atoms, [n_a * rep.n_layers for n_a, rep in zip(atoms, reps)], [rep.S for rep in reps]),
     )
     _write_csv(
         os.path.join(out, "sweep_bandwidth_vs_n.csv"),
         "atoms_per_layer,bandwidth_rad_per_s,tau_s",
-        bw_rows,
+        (atoms, [rep.bandwidth for rep in reps], [rep.tau for rep in reps]),
     )
     print(
         f"S = {report.S:.6g} (m/s^2)/sqrt(Hz) at N_a = {apparatus.atoms_per_layer:.6g}; "
@@ -579,13 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("modes", cmd_modes, "normal-mode report for a trap config"),
-        ("trajectory", cmd_trajectory, "classical paths of both spin branches (CSV)"),
-        ("response", cmd_response, "transfer-function curves, zeros, peaks"),
-        ("thermal", cmd_thermal, "Monte-Carlo thermal signal vs. analytic suppression"),
-        ("sensitivity", cmd_sensitivity, "capability report and atom-number sweeps"),
+        ("modes", "normal-mode report for a trap config"),
+        ("trajectory", "classical paths of both spin branches (CSV)"),
+        ("response", "transfer-function curves, zeros, peaks"),
+        ("thermal", "Monte-Carlo thermal signal vs. analytic suppression"),
+        ("sensitivity", "capability report and atom-number sweeps"),
     ]
-    for name, func, help_text in specs:
+    for name, help_text in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (default from config)")
@@ -602,14 +612,20 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="rescale_cp",
                 help="scale the echo curve amplitude x4 (power x16) for plotting",
             )
-        p.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a handler swapped into the module is the one run
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ConfigError, ParameterError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -70,12 +70,16 @@ class ResponseCurve:
         return float(self.omega[1] - self.omega[0])
 
     def to_csv(self, path) -> None:
-        lines = ["omega_rad_per_s,re,im,abs2"]
-        for w, v in zip(self.omega, self.values):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g" % (w, v.real, v.imag, abs(v) ** 2)
-            )
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        # abs() of a Python complex and ** 2 of a Python float are bit-equal to
+        # numpy's scalar abs(v) ** 2; np.abs on the array is not, nor is m * m
+        mags = [abs(v) for v in self.values.tolist()]
+        try:
+            abs2 = [m ** 2 for m in mags]
+        except OverflowError:  # numpy's power reads inf past the float range
+            with np.errstate(over="ignore"):
+                abs2 = [float(np.float64(m) ** 2) for m in mags]
+        columns = (self.omega, self.values.real, self.values.imag, abs2)
+        Path(path).write_text(_csv_text("omega_rad_per_s,re,im,abs2", columns), newline="\n")
 
     def as_dict(self) -> dict:
         return {
@@ -89,6 +93,13 @@ class ResponseCurve:
 
     def to_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n", newline="\n")
+
+
+def _csv_text(header: str, columns) -> str:
+    """CSV of equal-length numeric columns, each cell %.17g, made by one % for the file."""
+    cells = np.array(columns, dtype=float)
+    row = ",".join(["%.17g"] * cells.shape[0]) + "\n"
+    return header + "\n" + (row * cells.shape[1]) % tuple(cells.T.ravel().tolist())
 
 
 def _r0_magnitude(r0) -> float:

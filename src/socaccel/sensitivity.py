@@ -229,32 +229,49 @@ def sensitivity(species: SpeciesParams, apparatus: ApparatusParams) -> Sensitivi
     echo sequence spans 4t); it therefore widens once collisions shorten tau.
     omega_opt reports the closed-form large-N optimum 2 v / r_l.
     """
-    geometry = thermal_geometry(species, apparatus)
-    budget = collision_budget(species, apparatus, geometry)
-    n_total = apparatus.atoms_per_layer * geometry.n_layers
-    s_val = _shot_noise(species, geometry.r_0, n_total, budget.tau)
+    return _sensitivity_reports(species, (apparatus,))[0]
 
-    config = TrapConfig.from_modes(species.mass, apparatus.omega_tilde, apparatus.epsilon)
-    modes = derive_modes(config)
-    thermal = ThermalParams.from_temperature(modes, apparatus.temperature)
-    g_max = signal_ceiling(config, modes, thermal, geometry.r_0, budget.tau)
 
-    t_eff = min(math.pi / apparatus.omega_tilde, budget.tau / 4.0)
-    bandwidth = math.inf if t_eff <= 0 else _cp_fwhm(modes, geometry.r_0, t_eff)
-    omega_opt = 2.0 * geometry.v_mean / apparatus.homogeneity_radius
-    return SensitivityReport(
-        v_mean=geometry.v_mean,
-        r_t=geometry.r_t,
-        r_0=geometry.r_0,
-        n_layers=geometry.n_layers,
-        gamma_coll=budget.gamma_coll,
-        N_c=budget.N_c,
-        tau=budget.tau,
-        g_max=g_max,
-        S=s_val,
-        omega_opt=omega_opt,
-        bandwidth=bandwidth,
-    )
+def _sensitivity_reports(species: SpeciesParams, apparatuses) -> list[SensitivityReport]:
+    """``sensitivity`` of each apparatus, in order, with one bandwidth curve per
+    distinct (modes, r_0, t) among them: an atom-number sweep below the
+    collision limit repeats t = pi/omega_tilde."""
+    bandwidths = {}
+    reports = []
+    for apparatus in apparatuses:
+        geometry = thermal_geometry(species, apparatus)
+        budget = collision_budget(species, apparatus, geometry)
+        n_total = apparatus.atoms_per_layer * geometry.n_layers
+        s_val = _shot_noise(species, geometry.r_0, n_total, budget.tau)
+
+        config = TrapConfig.from_modes(species.mass, apparatus.omega_tilde, apparatus.epsilon)
+        modes = derive_modes(config)
+        thermal = ThermalParams.from_temperature(modes, apparatus.temperature)
+        g_max = signal_ceiling(config, modes, thermal, geometry.r_0, budget.tau)
+
+        t_eff = min(math.pi / apparatus.omega_tilde, budget.tau / 4.0)
+        bandwidth = math.inf
+        if t_eff > 0:
+            key = (modes, geometry.r_0, t_eff)
+            if key not in bandwidths:
+                bandwidths[key] = _cp_fwhm(modes, geometry.r_0, t_eff)
+            bandwidth = bandwidths[key]
+        reports.append(
+            SensitivityReport(
+                v_mean=geometry.v_mean,
+                r_t=geometry.r_t,
+                r_0=geometry.r_0,
+                n_layers=geometry.n_layers,
+                gamma_coll=budget.gamma_coll,
+                N_c=budget.N_c,
+                tau=budget.tau,
+                g_max=g_max,
+                S=s_val,
+                omega_opt=2.0 * geometry.v_mean / apparatus.homogeneity_radius,
+                bandwidth=bandwidth,
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)

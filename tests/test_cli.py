@@ -1,17 +1,22 @@
 """End-to-end CLI runs: determinism, file contents, exit codes."""
+import dataclasses
 import filecmp
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import socaccel
-from socaccel import derive_modes, TrapConfig
+from socaccel import (
+    RB87, ApparatusParams, ResponseCurve, TrapConfig, cli, derive_modes, response_cp, response_up,
+)
 from socaccel.cli import main
+from socaccel.sensitivity import _sensitivity_reports
 
 WT = 2 * math.pi * 1000.0
 
@@ -339,6 +344,137 @@ class TestConfigValidation:
     def test_seed_must_fit_64_bits(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         assert main(["thermal", "--config", cfg_path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+
+
+class TestCountBounds:
+    READERS = {
+        "monte_carlo": "thermal", "response": "response",
+        "sweep": "sensitivity", "trajectory": "trajectory",
+    }
+
+    @pytest.mark.parametrize("key", sorted(cli._MAX_COUNT))
+    @pytest.mark.parametrize("over", ["bound+1", "1e308"])
+    def test_count_above_bound_exits_2(self, tmp_path, capsys, key, over):
+        bound = cli._MAX_COUNT[key]
+        value = bound + 1 if over == "bound+1" else 1e308
+        cfg = base_config()
+        section, leaf = key.split(".")
+        cfg[section][leaf] = value
+        cfg_path = write_config(tmp_path, cfg)
+        assert run(self.READERS[section], cfg_path, tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {key} must be <= {bound}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("monte_carlo.count", 10_000), ("monte_carlo.count", 1e6), ("response.points", 4096),
+        ("sweep.points", 25), ("trajectory.points", 200),
+    ])
+    def test_readme_and_large_thermal_counts_stay_legal(self, key, value):
+        # read only: an accepted count is never run here
+        assert cli._config_count(value, key) == value
+
+
+# the writers before they formatted a whole file with one %, kept as the reference
+def per_row_write_csv(path, header, rows):
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join("%.17g" % float(v) for v in row) + "\n")
+
+
+def per_row_to_csv(curve, path):
+    lines = ["omega_rad_per_s,re,im,abs2"]
+    with np.errstate(over="ignore"):
+        for w, v in zip(curve.omega, curve.values):
+            lines.append("%.17g,%.17g,%.17g,%.17g" % (w, v.real, v.imag, abs(v) ** 2))
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+README_TRAP = TrapConfig.from_modes(1.44316e-25, 6283.185307179586, 3.0)
+README_APPARATUS = ApparatusParams(
+    temperature=1e-6, layer_spacing=1e-6, homogeneity_radius=25e-6,
+    omega_tilde=6283.185307179586, epsilon=22.0, atoms_per_layer=1e6,
+)
+
+
+def readme_curves():
+    """The README response curves: default t and r0, 4096 points, and the x4 echo curve."""
+    modes = derive_modes(README_TRAP)
+    t = 5.0 * math.pi / modes.omega_tilde
+    grid = np.linspace(0.0, 3.0 * modes.omega_plus, 4096)
+    cp = response_cp(modes, modes.l_osc, t, grid=grid)
+    return {
+        "up": response_up(modes, modes.l_osc, t, grid=grid),
+        "cp": cp,
+        "cp-x4": ResponseCurve(cp.omega, cp.values * 4.0, kind="cp-x4"),
+    }
+
+
+class TestWriters:
+    def assert_same_curve_file(self, tmp_path, curve):
+        curve.to_csv(tmp_path / "new.csv")
+        per_row_to_csv(curve, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["up", "cp", "cp-x4"])
+    def test_readme_curve_matches_per_row_writer(self, tmp_path, name):
+        self.assert_same_curve_file(tmp_path, readme_curves()[name])
+
+    def test_overflowing_abs2_reads_inf(self, tmp_path):
+        values = np.array([1e200, -3e200j, 1e200 + 1e200j, 1.3e154, 2.5e-200j, -0.0, 1.0 - 2.0j])
+        curve = ResponseCurve(np.linspace(0.0, 6.0, 7), values)
+        self.assert_same_curve_file(tmp_path, curve)
+        rows = (tmp_path / "new.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows[:3]] == ["inf"] * 3
+
+    def assert_same_table(self, tmp_path, columns):
+        cli._write_csv(tmp_path / "new.csv", "a,b,c", columns)
+        per_row_write_csv(tmp_path / "old.csv", "a,b,c", zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_readme_sweep_matches_per_row_writer(self, tmp_path):
+        atoms = np.geomspace(100, 1e6, 25)
+        points = [dataclasses.replace(README_APPARATUS, atoms_per_layer=n) for n in atoms]
+        reps = _sensitivity_reports(RB87, points)
+        self.assert_same_table(
+            tmp_path, (atoms, [n * r.n_layers for n, r in zip(atoms, reps)], [r.S for r in reps])
+        )
+        self.assert_same_table(tmp_path, (atoms, [r.bandwidth for r in reps], [r.tau for r in reps]))
+
+    def test_special_values_match_per_row_writer(self, tmp_path):
+        columns = (
+            [0.0, -0.0, np.float64(-0.0), 25],
+            [math.inf, -math.inf, 5e-324, 1e308],
+            np.array([math.nan, -1.5e-310, 0.1, -7.0]),
+        )
+        self.assert_same_table(tmp_path, columns)
+        rows = (tmp_path / "new.csv").read_text().splitlines()
+        assert rows[1] == "0,inf,nan" and rows[2].startswith("-0,-inf,")
+
+
+class TestDispatch:
+    def test_swapped_handler_runs_after_parser_was_built(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, base_config())
+        assert run("modes", cfg_path, tmp_path / "first") == 0  # builds the parser
+        seen = []
+        real = cli.cmd_modes
+
+        def wrapper(args):
+            seen.append(args.command)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_modes", wrapper)
+        assert run("modes", cfg_path, tmp_path / "second") == 0
+        assert seen == ["modes"]
+        assert (tmp_path / "second" / "modes.json").read_bytes() == (
+            tmp_path / "first" / "modes.json"
+        ).read_bytes()
+
+    def test_parser_is_built_once_and_not_at_import(self):
+        assert cli._parser() is cli._parser()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(socaccel.__file__)))
+        code = "import socaccel.cli as c; assert c._parser.cache_info().currsize == 0"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,5 +1,6 @@
 """Capability model: geometry, collision budget, shot-noise floor, optimizer."""
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from socaccel import (
     signal_ceiling,
     thermal_geometry,
 )
-from socaccel.sensitivity import _s_of_omega
+from socaccel.sensitivity import _s_of_omega, _sensitivity_reports
+
+sensitivity_module = importlib.import_module("socaccel.sensitivity")  # the package's name is the function
 
 HBAR = 1.054571817e-34
 
@@ -196,6 +199,31 @@ class TestSensitivity:
             "v_mean", "r_t", "r_0", "n_layers", "gamma_coll", "N_c",
             "tau", "g_max", "S", "omega_opt", "bandwidth",
         }
+
+
+class TestSweepBatch:
+    # the README config: its apparatus is AP, its sweep 25 points over 100..1e6 atoms
+    SWEEP = [AP] + [with_atoms(n) for n in np.geomspace(100.0, 1e6, 25)]
+
+    def test_reports_equal_one_call_per_point(self):
+        reports = _sensitivity_reports(RB87, self.SWEEP)
+        assert len(reports) == len(self.SWEEP)
+        for ap, rep in zip(self.SWEEP, reports):
+            assert rep == sensitivity(RB87, ap)
+
+    def test_one_curve_per_distinct_segment_time(self, monkeypatch):
+        calls = []
+        real = sensitivity_module.response_cp
+
+        def counting(modes, r0, t, grid=None):
+            calls.append(t)
+            return real(modes, r0, t, grid=grid)
+
+        monkeypatch.setattr(sensitivity_module, "response_cp", counting)
+        reports = _sensitivity_reports(RB87, self.SWEEP)
+        t_eff = [min(math.pi / AP.omega_tilde, rep.tau / 4.0) for rep in reports]
+        assert len(set(t_eff)) == 14
+        assert sorted(calls) == sorted(set(t_eff))
 
 
 class TestOptimizeTrap:
