@@ -385,6 +385,15 @@ _SEGMENT_CACHE: OrderedDict = OrderedDict()
 _SEGMENT_CACHE_MAX = 256
 
 
+def _window_sums(values: np.ndarray, bounds) -> np.ndarray:
+    """Sums of ``values`` over its last axis per window bounds[i]:bounds[i + 1], in one reduction."""
+    bounds = np.asarray(bounds)
+    filled = bounds[1:] > bounds[:-1]
+    out = np.zeros(values.shape[:-1] + filled.shape, dtype=values.dtype)
+    out[..., filled] = np.add.reduceat(values, bounds[:-1][filled], axis=-1)
+    return out
+
+
 def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) -> np.ndarray:
     """W_nu = integral conj(gtilde) e^{i nu tau} J_nu d tau per window, shape (len(nu), windows).
 
@@ -392,12 +401,14 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
     On piece k, J_nu is the sum P_k of the window's earlier ``integrals`` I plus a running part,
     so W_nu = sum_k conj(I_k) P_k + sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu,
     delta_k); T is the triangular integral of ``signals`` (by parts, swap or series at
-    |k delta| = 0.5), called once per pair of term powers for every nu and piece.  The sums
-    run per window on slices, in the order a pass over that window alone takes.
+    |k delta| = 0.5), called once per pair of term powers for every nu and distinct piece.  The
+    P_k sums run per window of two or more pieces (P_k is zero on one piece); the T terms are
+    gathered back to the pieces and summed per window in one reduction per power pair, so a
+    window gets the bits of a pass over it alone.
     """
-    w = np.empty((nu.shape[0], len(bounds) - 1), dtype=complex)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        own = integrals[:, lo:hi]
+    w = np.zeros((nu.shape[0], len(bounds) - 1), dtype=complex)
+    for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        own = integrals[:, bounds[i] : bounds[i + 1]]
         w[:, i] = np.sum(own.conj() * (np.cumsum(own, axis=1) - own), axis=1)
     pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
     pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]
@@ -411,38 +422,42 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
             sel = pair_valid & (packed.power[:, :, None] == q) & (packed.power[:, None, :] == p)
             if sel.any():
                 t = _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
-                terms = pair_coef[sel] * t
-                ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds].tolist()
-                for i, (a, b) in enumerate(zip(ends, ends[1:])):
-                    if b > a:
-                        w[:, i] += np.sum(terms[:, a:b], axis=1)
+                slot = (np.cumsum(sel) - 1).reshape(sel.shape)[packed.shape]  # column of t per term
+                sel = sel[packed.shape]
+                ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
+                w += _window_sums(pair_coef[sel] * t[:, slot[sel]], ends)
     return w
 
 
-def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]]:
+def _segment_coeffs(config: TrapConfig, pairs, memo: bool = True) -> list[dict[int, _SegmentCoeffs]]:
     """{sigma: coefficients} for each (drive, t_start, duration) pair, drives in any mix.
 
-    Each pair and spin is looked up in the cache once.  The misses of all drives go through
-    one kernel pass over all their pieces, each offset from its own window's start, with
-    nu = (omega_minus, -omega_plus) for sigma = +1 stacked over (omega_plus, -omega_minus)
-    for sigma = -1; the per-window reductions run on slices, so every pair gets the bits of
-    a one-pair call.  Computed pairs are handed back, and the last ``_SEGMENT_CACHE_MAX // 2``
-    of them with hashable drives (what the cache can hold) are memoized for later runs; the
-    cache is never read back within a run.  The driven
+    With ``memo`` each pair and spin is looked up in the cache once; without it (the
+    single-use drives of a walk over N > 1 samples) nothing is looked up or memoized.  The
+    misses of all drives go through one kernel pass, each piece offset from its own window's
+    start, with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
+    (omega_plus, -omega_minus) for sigma = -1.  The kernels run once per distinct piece
+    shape (the bits of its width and term rates, powers and padding) and are gathered back
+    to every piece before its own coefficients and offset apply; each window sum is one
+    array reduction over the window's own pieces, so every pair gets the bits of a one-pair
+    call.  Computed pairs are handed back, and with ``memo`` the last
+    ``_SEGMENT_CACHE_MAX // 2`` of them with hashable drives (what the cache can hold) are
+    memoized for later runs; the cache is never read back within a run.  The driven
     response from rest is zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde),
     so the g^2 phase (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is
     (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
     """
     found, missed = [], []
     for drive, t, d in pairs:
-        try:
-            coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
-            hashable = True
-        except TypeError:  # unhashable custom signal: compute without caching
-            coeffs, hashable = {+1: None, -1: None}, False
+        coeffs, keep = {+1: None, -1: None}, memo
+        if memo:
+            try:
+                coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
+            except TypeError:  # unhashable custom signal: compute without caching
+                keep = False
         found.append(coeffs)
         if None in coeffs.values():
-            missed.append((drive, t, d, coeffs, hashable))
+            missed.append((drive, t, d, coeffs, keep))
     if not missed:
         return found
     modes = _modes_cached(config)
@@ -457,12 +472,12 @@ def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]
     packed = _pack_pieces(pieces, np.array(starts, dtype=float))
     integrals = _piece_integrals(packed, nu)  # (4, pieces)
     w = _pair_sums(packed, nu, integrals, bounds)
+    j = _window_sums(integrals, bounds)
     mh = config.mass / config.hbar
     memo_from = len(missed) - _SEGMENT_CACHE_MAX // 2
-    for i, (drive, t_start, duration, coeffs, hashable) in enumerate(missed):
-        j = integrals[:, bounds[i] : bounds[i + 1]].sum(axis=1)
+    for i, (drive, t_start, duration, coeffs, keep) in enumerate(missed):
         for sigma, r in ((+1, 0), (-1, 2)):
-            j1, j2 = complex(j[r]), complex(j[r + 1])
+            j1, j2 = complex(j[r, i]), complex(j[r + 1, i])
             # kicks: integral of gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
             m_plus, m_minus = (j2, j1.conjugate()) if sigma == +1 else (j1, j2.conjugate())
             scale = sigma * 1j / (2.0 * wt * l)
@@ -475,7 +490,7 @@ def _segment_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]
                 q_lin=mh * l * m_minus,
                 phase_g2=mh * float(((w[r, i] - w[r + 1, i]) / (2j * wt)).real),
             )
-            if hashable and i >= memo_from:
+            if keep and i >= memo_from:
                 if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
                     _SEGMENT_CACHE.popitem(last=False)
                 _SEGMENT_CACHE[drive, config, sigma, t_start, duration] = coeffs[sigma]
@@ -602,7 +617,8 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
     """{sigma: coefficients} of each Evolve step of positive duration, in step order, in one call.
 
     A step without its own drive gets the coefficients of every drive in ``drives``; for
-    N > 1 drives they are stacked into shape-(N,) fields, one entry per sample.
+    N > 1 drives they are stacked into shape-(N,) fields, one entry per sample.  Such a
+    walk's drives are used once (transfer probes), so its windows bypass the cache.
     """
     pairs, bounds, t = [], [0], state.time
     for step in sequence:
@@ -611,7 +627,7 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
             pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
             bounds.append(len(pairs))
             t += step.duration
-    found = _segment_coeffs(state.config, pairs)
+    found = _segment_coeffs(state.config, pairs, memo=len(drives) == 1)
     return [
         found[lo] if hi - lo == 1 else {s: _stacked([c[s] for c in found[lo:hi]]) for s in (+1, -1)}
         for lo, hi in zip(bounds, bounds[1:])

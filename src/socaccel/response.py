@@ -129,6 +129,12 @@ def response_up(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
     which equals 4 r0 (m/hbar) integral_0^t h_perp(t') exp(-i omega t') dt'.
     Linear in r0.
     """
+    r0_mag, w, vals = _up_values(modes, r0, t, grid)
+    return ResponseCurve(omega=w, values=vals, kind="up", r0=r0_mag, t=t, modes=modes)
+
+
+def _up_values(modes: NormalModes, r0, t: float, grid):
+    """(|r0|, grid, F0 values) of :func:`response_up`, the grid not yet validated."""
     if not t > 0:
         raise ParameterError(f"t must be > 0, got {t}")
     r0_mag = _r0_magnitude(r0)
@@ -142,7 +148,7 @@ def response_up(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
         - wp * _f_window(w + wm, t)
         + wp * _f_window(w - wm, t)
     )
-    return ResponseCurve(omega=w, values=vals, kind="up", r0=r0_mag, t=t, modes=modes)
+    return r0_mag, w, vals
 
 
 def response_cp(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
@@ -153,8 +159,7 @@ def response_cp(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
     equivalently (1 - e^{-2i omega t})(F0 + e^{-2i omega t} F0*).  Vanishes at
     omega = 0 and, when omega_pm t is a multiple of pi, exactly at omega_pm.
     """
-    base = response_up(modes, r0, t, grid)
-    w, f0 = base.omega, base.values
+    r0_mag, w, f0 = _up_values(modes, r0, t, grid)
     wt_arg = w * t
     vals = (
         2j
@@ -162,7 +167,7 @@ def response_cp(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
         * (f0 * np.exp(1j * wt_arg) + np.conj(f0) * np.exp(-1j * wt_arg))
         * np.exp(-2j * wt_arg)
     )
-    return ResponseCurve(omega=w, values=vals, kind="cp", r0=base.r0, t=t, modes=modes)
+    return ResponseCurve(omega=w, values=vals, kind="cp", r0=r0_mag, t=t, modes=modes)
 
 
 def _probe_direction(sequence: PulseSequence) -> np.ndarray:

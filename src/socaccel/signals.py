@@ -8,8 +8,9 @@ pieces: over each piece [a, b],
 
 Parametric waveforms produce a single piece; tabulated data produces one
 piece per grid interval of its linear interpolant.  :func:`modal_integral`
-and the engine's segment coefficients are closed forms over the pieces, all
-pieces at once, built from two array kernels split at |k delta| = 0.5:
+and the engine's segment coefficients are closed forms over the pieces, with
+each kernel evaluated once per distinct piece (a uniform grid gives a handful),
+built from two array kernels split at |k delta| = 0.5:
 
 - E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series
   where |mu delta| < 0.5, the recursion in p elsewhere;
@@ -122,9 +123,11 @@ def _triangle_integral(q: int, k1, p: int, k2, delta):
 
 
 # a piece list as arrays, term lists padded with zero terms to the longest:
-# offset from its window start t0 (one for all pieces or one per piece) and
-# width, both (K,); coef, mu, power, valid (K, M)
-_Packed = namedtuple("_Packed", "offset width coef mu power valid")
+# offset from its window start t0 (one for all pieces or one per piece), (K,),
+# and coef, (K, M).  The kernels see a piece only through the bits of its width
+# and of its mu, power and valid rows, its shape: width (U,) and mu, power,
+# valid (U, M) hold each distinct shape once, and shape (K,) is each piece's row
+_Packed = namedtuple("_Packed", "offset coef shape width mu power valid")
 
 
 def _pack_pieces(pieces: list[Piece], t0: float) -> _Packed:
@@ -135,14 +138,19 @@ def _pack_pieces(pieces: list[Piece], t0: float) -> _Packed:
     if flat:
         coef[valid], mu[valid], power[valid] = zip(*flat)
     start, end = np.array([(a, b) for a, b, _ in pieces], dtype=float).reshape(-1, 2).T
-    return _Packed(start - t0, end - start, coef, mu, power, valid)
+    width = end - start
+    key = np.column_stack([width.view(np.int64), mu.view(np.int64), power, valid])
+    row = np.dtype((np.void, key.itemsize * key.shape[1]))
+    _, first, shape = np.unique(key.view(row).ravel(), return_index=True, return_inverse=True)
+    return _Packed(start - t0, coef, shape, width[first], mu[first], power[first], valid[first])
 
 
 def _piece_integrals(packed: _Packed, nu):
     """I[..., k] = integral over piece k of gtilde(t) e^{-i nu (t - t0)} dt, for nu of any shape.
 
-    Products and sums of terms follow scalar complex arithmetic (numpy's vector
-    multiply may fuse a multiply-add), so one piece gives the scalar loop's bits.
+    E_p runs once per distinct piece and is gathered back to every piece.  Products and
+    sums of terms follow scalar complex arithmetic (numpy's vector multiply may fuse a
+    multiply-add), so one piece gives the scalar loop's bits.
     """
     nu = np.asarray(nu, dtype=float)
     kappa = packed.mu - nu[..., None, None]
@@ -151,10 +159,10 @@ def _piece_integrals(packed: _Packed, nu):
     for p in np.unique(packed.power[packed.valid]).tolist():
         sel = packed.valid & (packed.power == p)
         e[..., sel] = _exp_poly_integral(p, kappa[..., sel], width[sel])
-    c = packed.coef
+    e, c = e[..., packed.shape, :], packed.coef
     terms = (c.real * e.real - c.imag * e.imag) + 1j * (c.real * e.imag + c.imag * e.real)
-    total = np.zeros(kappa.shape[:-1], dtype=complex)
-    for m in range(kappa.shape[-1]):
+    total = np.zeros(terms.shape[:-1], dtype=complex)
+    for m in range(terms.shape[-1]):
         total = total + terms[..., m]
     return np.exp(-1j * nu[..., None] * packed.offset) * total
 

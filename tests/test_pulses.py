@@ -42,7 +42,7 @@ from socaccel import (
     preset_up,
     run_sequence,
 )
-from socaccel import pulses
+from socaccel import pulses, signals
 from socaccel.pulses import _center_from_amplitudes, _gram_sums, _merge_branches
 
 MASS = 1.44316e-25  # Rb-87, kg
@@ -401,6 +401,51 @@ class TestSegmentFill:
                 for field in fields(pulses._SegmentCoeffs):
                     got, want = getattr(coeffs[sigma], field.name), getattr(single[sigma], field.name)
                     assert got == want, (window, sigma, field.name)
+
+    def test_kernel_rows_do_not_grow_with_the_table(self, monkeypatch):
+        """A uniform table's pieces share a few shapes, so a pass evaluates the kernels on those rows only."""
+        rows = {"T": 0, "E": 0}
+        triangle, exp_poly = pulses._triangle_integral, signals._exp_poly_integral
+
+        def count(kernel, name):
+            def counted(*args):
+                rows[name] += np.broadcast(*args[1:]).size
+                return kernel(*args)
+
+            return counted
+
+        monkeypatch.setattr(pulses, "_triangle_integral", count(triangle, "T"))
+        monkeypatch.setattr(signals, "_exp_poly_integral", count(exp_poly, "E"))
+        counts = {}
+        for n in (700, 2800):
+            pulses._SEGMENT_CACHE.clear()
+            rows.update(T=0, E=0)
+            table = Tabulated(0.0, 4 * self.T / (n - 1), 1e-3 * np.random.default_rng(3).normal(size=(n, 2)))
+            run_sequence(CFG, None, preset_cp(R0, self.T), table)
+            counts[n] = dict(rows)
+        for name in ("T", "E"):
+            assert 0 < counts[2800][name] <= 2 * counts[700][name], counts
+        assert counts[700]["T"] < 700, counts  # a per-piece pass makes 16 rows a piece (4 nu x 4 power pairs)
+
+    def test_shapes_are_keyed_on_bits(self):
+        """Rates +0.0 / -0.0 and widths one ulp apart stay distinct shapes; each pair keeps its bits."""
+        still = Sinusoid(amplitude=(1e-3, -2e-3), omega=0.0, phase=0.4)
+        twin = SumSignal([Constant(1e-3, 2e-3), Constant(-3e-3, 1e-3)])
+        ((_, _, terms),) = still.pieces(0.0, self.T)
+        assert [math.copysign(1.0, mu) for _, mu, _ in terms] == [1.0, -1.0]
+        packed = signals._pack_pieces(still.pieces(0.0, self.T) + twin.pieces(0.0, self.T), 0.0)
+        assert len(packed.width) == 2  # two shapes
+        table = Tabulated(0.0, 4 * self.T / 696, 1e-3 * np.random.default_rng(5).normal(size=(697, 2)))
+        windows = [(a, b - a) for a, b, _ in table.pieces(0.0, 4 * self.T)[:40]]  # one piece each
+        widths = np.unique([b - a for t, d in windows for a, b, _ in table.pieces(t, t + d)])
+        assert np.any(np.diff(widths) == np.spacing(widths[:-1]))  # neighbours one ulp apart
+        pairs = [(still, 0.0, self.T), (twin, 0.0, self.T)] + [(table, *window) for window in windows]
+        batched = pulses._segment_coeffs(CFG, pairs)
+        for pair, coeffs in zip(pairs, batched):
+            pulses._SEGMENT_CACHE.clear()
+            (single,) = pulses._segment_coeffs(CFG, [pair])
+            for sigma in (+1, -1):
+                assert coeffs[sigma] == single[sigma], (pair, sigma)
 
     def test_cold_cp_run_makes_one_kernel_pass(self, monkeypatch):
         calls = []

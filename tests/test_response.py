@@ -1,6 +1,7 @@
 """Analytic response curves, numeric transfer extraction, and curve tools."""
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ class TestResponseCp:
             * np.exp(-2j * w * T5)
         )
         assert np.max(np.abs(cp.values - expected)) < 1e-12 * np.abs(cp.values).max()
+
+    def test_grid_is_validated_once(self, monkeypatch):
+        calls = []
+        check = ResponseCurve.__post_init__
+        monkeypatch.setattr(ResponseCurve, "__post_init__", lambda self: calls.append(self) or check(self))
+        cp = response_cp(MODES, R0, T5, grid=GRID)
+        assert calls == [cp]
+        up = response_up(MODES, R0, T5, grid=GRID)
+        w = GRID * T5
+        f0 = up.values
+        expected = 2j * np.sin(w) * (f0 * np.exp(1j * w) + np.conj(f0) * np.exp(-1j * w)) * np.exp(-2j * w)
+        assert cp.values.tobytes() == expected.tobytes()
+        assert (cp.omega.tobytes(), cp.r0, cp.t, cp.kind) == (up.omega.tobytes(), up.r0, up.t, "cp")
 
     def test_zeros_bracket_mode_frequencies(self):
         cp = response_cp(MODES, R0, T5, grid=GRID)
@@ -283,6 +297,31 @@ class TestBatchedProbes:
         for omega, value in zip(omegas, curve.values):
             single = numeric_response(CFG, self.presets[kind], omega, amplitude)
             assert abs(value - single) <= 1e-12 * self.peak[kind]
+
+    def test_probe_walk_leaves_the_segment_cache_alone(self, monkeypatch):
+        """Probe drives are used once: a curve neither reads nor fills the memo of warm runs."""
+
+        class CountingCache(OrderedDict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        cache = CountingCache()
+        monkeypatch.setattr(pulses, "_SEGMENT_CACHE", cache)
+        drive = Sinusoid((0.0, 1e-3), 1.3 * WT, 0.2)
+        warm = run_sequence(CFG, None, self.presets["cp"], drive)
+        held = list(cache.items())
+        cache.gets = 0
+        numeric_response_curve(CFG, self.presets["cp"], GRID[::171], 0.02 / self.peak["cp"])
+        assert cache.gets == 0 and list(cache.items()) == held
+        calls = []
+        kernel = pulses._piece_integrals
+        monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
+        again = run_sequence(CFG, None, self.presets["cp"], drive)
+        assert cache.gets == 3 * 2 and calls == []  # one lookup per (window, spin), all hits
+        assert again.state == warm.state
 
     def test_too_strong_probe_keeps_message_and_precedence(self):
         up, amplitude = self.presets["up"], 0.5 / self.peak["up"]
