@@ -7,8 +7,9 @@ the two-body collision budget, the shot-noise sensitivity
 
 the signal ceiling g_max, the optimal trap frequency, and the measurement
 bandwidth (FWHM of the echo-sequence response main lobe).  Everything here
-is algebra plus a 1-D minimization; the response machinery is only used for
-the bandwidth figure.
+is closed-form algebra, the optimal trap frequency included (the positive
+root of a cubic); the response machinery is only used for the bandwidth
+figure.
 """
 
 from __future__ import annotations
@@ -117,8 +118,19 @@ def thermal_geometry(species: SpeciesParams, apparatus: ApparatusParams) -> Ther
             f"thermal radius {r_t:.3e} m exceeds homogeneity radius {r_l:.3e} m; "
             "lower the temperature or stiffen the trap"
         )
+    if v_mean > 0 and not r_t ** 2 > 0:
+        raise ParameterError(
+            f"omega_tilde {apparatus.omega_tilde:.3e} rad/s leaves a thermal radius "
+            f"{r_t:.3e} m whose square underflows"
+        )
+    layers = r_l / apparatus.layer_spacing
+    if not math.isfinite(layers):
+        raise ParameterError(
+            f"homogeneity_radius / layer_spacing = {r_l:.3e} / "
+            f"{apparatus.layer_spacing:.3e} overflows"
+        )
     # forgive float dust when r_l is an exact multiple of the spacing
-    n_layers = int(math.floor(r_l / apparatus.layer_spacing + 1e-9))
+    n_layers = int(math.floor(layers + 1e-9))
     return ThermalGeometry(v_mean=v_mean, r_t=r_t, r_0=r_l - r_t, n_layers=n_layers)
 
 
@@ -213,6 +225,8 @@ def _cp_fwhm(modes: NormalModes, r_0: float, t: float) -> float:
     """FWHM of the echo-response main lobe at interrogation segment t."""
     probe = 2.0 * math.pi / t
     w_hi = max(3.0 * modes.omega_plus, 8.0 * probe)
+    if not math.isfinite(w_hi):
+        raise ParameterError(f"segment time {t:.3e} s is too short: its response grid overflows")
     n = int(w_hi / (probe / 64.0)) + 2
     n = min(max(n, 1024), 1 << 17)
     grid = np.linspace(0.0, w_hi, n)
@@ -282,35 +296,6 @@ class TrapOptimum:
     boundary: bool
 
 
-def _s_of_omega(species: SpeciesParams, apparatus: ApparatusParams, omega: float) -> float:
-    ap = dataclasses.replace(apparatus, omega_tilde=omega)
-    try:
-        geometry = thermal_geometry(species, ap)
-    except InfeasibleGeometryError:
-        return math.inf
-    budget = collision_budget(species, ap, geometry)
-    n_total = ap.atoms_per_layer * geometry.n_layers
-    return _shot_noise(species, geometry.r_0, n_total, budget.tau)
-
-
-def _golden_min(f, a: float, b: float) -> tuple[float, float]:
-    """(x, f(x)) at the minimum of a unimodal f on [a, b] by golden-section search
-    (Kiefer, Proc. AMS 4 (1953) 502), until b - a <= 1e-12 (|c| + |d|)."""
-    r = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - r * (b - a), a + r * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12 * (abs(c) + abs(d)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - r * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + r * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def optimize_trap(
     species: SpeciesParams,
     apparatus: ApparatusParams,
@@ -319,42 +304,51 @@ def optimize_trap(
 ) -> TrapOptimum:
     """Minimize S over the trap frequency; apparatus.omega_tilde is ignored.
 
-    Coarse log-spaced scan followed by golden-section refinement of any
-    interior minimum.  When S is monotonic over the range the edge value is
-    returned with boundary=True, unless require_interior is set, in which
-    case a BracketingError is raised.  The reported bandwidth is the
-    response-lobe FWHM at the natural segment time t = pi/omega_opt (no
-    lifetime cap, matching the per-shot optimum).
+    With v = sqrt(3kT/m) and gamma_coll proportional to omega^2, S^2 is
+    proportional to (gamma_se + gamma_coll) / (r_l - v/omega)^2, and dS/domega
+    = 0 is the cubic r_l omega^3 - 2 v omega^2 - v omega^2 gamma_se/gamma_coll
+    = 0.  Its one positive root (Descartes) lies above the large-N limit
+    2 v / r_l, where the cloud fits; S falls below it and rises above it.  The
+    optimum is the root clipped to omega_range; a clipped root is a range edge,
+    returned with boundary=True, or a BracketingError if require_interior is
+    set.  The bandwidth is the response-lobe FWHM at the natural segment time
+    t = pi/omega_opt (no lifetime cap, matching the per-shot optimum).
     """
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0 < lo < hi):
         raise ParameterError(f"omega_range must satisfy 0 < lo < hi, got {omega_range}")
 
-    grid = np.geomspace(lo, hi, 200)
-    vals = np.array([_s_of_omega(species, apparatus, w) for w in grid])
-    if not np.isfinite(vals).any():
-        raise InfeasibleGeometryError(
-            "no feasible trap frequency in the search range (cloud never fits)"
+    ap = dataclasses.replace(apparatus, omega_tilde=hi)
+    none_feasible = "no feasible trap frequency in the search range: "
+    try:  # r_t falls as omega rises, so a cloud that misses at hi never fits
+        geometry = thermal_geometry(species, ap)
+    except InfeasibleGeometryError as exc:
+        raise InfeasibleGeometryError(f"{none_feasible}the cloud never fits ({exc})") from None
+    if apparatus.atoms_per_layer * geometry.n_layers == 0:
+        raise InfeasibleGeometryError(none_feasible + "no atoms or no layers (N = 0)")
+    if geometry.v_mean == 0:
+        # collision_budget: a point-like (T = 0) cloud with atoms collides at a divergent rate
+        raise InfeasibleGeometryError(none_feasible + "zero lifetime (T = 0 with atoms)")
+    # In x = omega / hi the cubic reads x^3 - 2 rho x^2 - rho N_c / N_a = 0, with
+    # rho = r_t / r_l and N_c taken at hi.  Cardano's real root (Numerical Recipes
+    # 3rd ed., sec. 5.6), written as a sum of positive terms so nothing cancels.
+    rho = geometry.r_t / apparatus.homogeneity_radius
+    b = 2.0 * rho / 3.0
+    h = rho * collision_budget(species, ap, geometry).N_c / (2.0 * apparatus.atoms_per_layer)
+    u = (b ** 3 + h + math.sqrt(h * (h + 2.0 * b ** 3))) ** (1.0 / 3.0)
+    root = hi * (b + u + b * b / u)
+    omega_opt = min(max(root, lo), hi)
+    boundary = omega_opt != root
+    if boundary and require_interior:
+        raise BracketingError(
+            "S has no interior minimum in the given range; it is "
+            f"{'decreasing' if root > hi else 'increasing'} there"
         )
-    i = int(np.argmin(vals))
-    interior = 0 < i < len(grid) - 1 and vals[i] < vals[i - 1] and vals[i] < vals[i + 1]
-    if interior:
-        omega_opt, s_min = _golden_min(
-            lambda w: _s_of_omega(species, apparatus, w), float(grid[i - 1]), float(grid[i + 1])
-        )
-        boundary = False
-    else:
-        if require_interior:
-            raise BracketingError(
-                "S has no interior minimum in the given range; it is "
-                f"{'decreasing' if i == len(grid) - 1 else 'increasing'} there"
-            )
-        omega_opt, s_min = float(grid[i]), float(vals[i])
-        boundary = True
 
     ap = dataclasses.replace(apparatus, omega_tilde=omega_opt)
     geometry = thermal_geometry(species, ap)
+    tau = collision_budget(species, ap, geometry).tau
+    s_min = _shot_noise(species, geometry.r_0, apparatus.atoms_per_layer * geometry.n_layers, tau)
     modes = derive_modes(TrapConfig.from_modes(species.mass, omega_opt, ap.epsilon))
-    r_probe = geometry.r_0 if geometry.r_0 > 0 else modes.l_osc
-    bandwidth = _cp_fwhm(modes, r_probe, math.pi / omega_opt)
+    bandwidth = _cp_fwhm(modes, geometry.r_0, math.pi / omega_opt)
     return TrapOptimum(omega_opt=omega_opt, S_min=s_min, bandwidth=bandwidth, boundary=boundary)

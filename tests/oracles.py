@@ -6,15 +6,23 @@ for one state (``integrate_eom_numeric``) and for a batch of independent
 configs (``_rk4_batch``); one RK4 step and one right-hand side serve both.
 They work in dimensionless units (time * omega_tilde, length / l_osc), so
 state components stay O(1) across the uK/kHz/um regime.
+
+``_s_of_omega`` is the shot-noise sensitivity at one trap frequency through
+the full geometry and collision-budget chain, the per-point reference that
+``optimize_trap``'s closed-form optimum is checked against.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-from socaccel.errors import DivergenceError, ParameterError
+from socaccel.errors import DivergenceError, InfeasibleGeometryError, ParameterError
+from socaccel.sensitivity import (
+    ApparatusParams, SpeciesParams, _shot_noise, collision_budget, thermal_geometry,
+)
 from socaccel.trap import PhaseSpacePoint, TrapConfig, _check_sigma, derive_modes
 
 
@@ -159,3 +167,15 @@ def _rk4_batch(omega0, omega_c, sigma, z0, v0, g_const, g_amp, g_freq, g_phase,
     if not np.all(np.isfinite(x)):
         raise DivergenceError("non-finite state in batched integration")
     return np.array(times), np.array(zs), np.array(vs)
+
+
+def _s_of_omega(species: SpeciesParams, apparatus: ApparatusParams, omega: float) -> float:
+    """S with apparatus.omega_tilde set to omega; inf where the cloud does not fit."""
+    ap = dataclasses.replace(apparatus, omega_tilde=omega)
+    try:
+        geometry = thermal_geometry(species, ap)
+    except InfeasibleGeometryError:
+        return math.inf
+    budget = collision_budget(species, ap, geometry)
+    n_total = ap.atoms_per_layer * geometry.n_layers
+    return _shot_noise(species, geometry.r_0, n_total, budget.tau)

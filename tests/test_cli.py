@@ -225,6 +225,14 @@ class TestSensitivity:
         cfg_path = write_config(tmp_path, cfg)
         assert run("sensitivity", cfg_path, tmp_path / "out") == 3
 
+    @pytest.mark.parametrize("key", ["omega_tilde", "homogeneity_radius", "atoms_per_layer"])
+    def test_overflowing_apparatus_exits_2(self, tmp_path, capsys, key):
+        cfg = base_config()
+        cfg["apparatus"][key] = 1e308
+        assert run("sensitivity", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):

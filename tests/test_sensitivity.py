@@ -22,7 +22,8 @@ from socaccel import (
     signal_ceiling,
     thermal_geometry,
 )
-from socaccel.sensitivity import _s_of_omega, _sensitivity_reports
+from oracles import _s_of_omega
+from socaccel.sensitivity import _sensitivity_reports
 
 sensitivity_module = importlib.import_module("socaccel.sensitivity")  # the package's name is the function
 
@@ -191,6 +192,18 @@ class TestSensitivity:
         assert 1e2 < rep.omega_opt < 1e5, "rad/s"
         assert 1e1 < rep.bandwidth < 1e6, "rad/s"
 
+    @pytest.mark.parametrize(
+        "key, cause",
+        [
+            ("omega_tilde", "square underflows"),
+            ("homogeneity_radius", "homogeneity_radius / layer_spacing"),
+            ("atoms_per_layer", "response grid overflows"),
+        ],
+    )
+    def test_overflowing_apparatus_is_parameter_error(self, key, cause):
+        with pytest.raises(ParameterError, match=cause):
+            sensitivity(RB87, dataclasses.replace(AP, **{key: 1e308}))
+
     def test_as_dict_round_trip(self):
         rep = sensitivity(RB87, AP)
         d = rep.as_dict()
@@ -271,8 +284,45 @@ class TestOptimizeTrap:
         assert abs(opt.omega_opt - W_LARGE_N * 3) < 1e-9 * W_LARGE_N
 
     def test_require_interior_raises_on_monotone(self):
-        with pytest.raises(BracketingError):
+        with pytest.raises(BracketingError, match="decreasing"):
             optimize_trap(RB87, with_atoms(10.0), (W_LARGE_N / 3, W_LARGE_N * 3), require_interior=True)
+
+    def test_optimum_below_range_is_lower_edge(self):
+        # collisions bite at 1e8 atoms: the optimum sits near W_LARGE_N, below this range
+        lo, hi = 3 * W_LARGE_N, 30 * W_LARGE_N
+        opt = optimize_trap(RB87, with_atoms(1e8), (lo, hi))
+        assert opt.boundary and opt.omega_opt == lo
+        with pytest.raises(BracketingError, match="increasing"):
+            optimize_trap(RB87, with_atoms(1e8), (lo, hi), require_interior=True)
+
+    def test_optimum_is_stationary_over_atom_numbers(self):
+        lo, hi = W_LARGE_N / 30, W_LARGE_N * 30
+        for n_a in np.geomspace(1e3, 1e9, 43):
+            ap = with_atoms(n_a)
+            opt = optimize_trap(RB87, ap, (lo, hi))
+            assert not opt.boundary, n_a
+            for w in (opt.omega_opt * (1 - 1e-6), opt.omega_opt * (1 + 1e-6)):
+                assert _s_of_omega(RB87, ap, w) >= opt.S_min, (n_a, w)
+
+    def test_range_straddling_the_fit_threshold(self):
+        # the cloud fits only above v / r_l = W_LARGE_N / 2, inside this range
+        opt = optimize_trap(RB87, AP, (W_LARGE_N / 3, W_LARGE_N * 30))
+        assert not opt.boundary
+        assert abs(opt.omega_opt - 1358.46) < 1e-5 * 1358.46
+
+    @pytest.mark.parametrize(
+        "change, top, cause",
+        [
+            ({"atoms_per_layer": 0.0}, 30, "no atoms or no layers"),
+            ({"homogeneity_radius": 0.5e-6}, 30, "no atoms or no layers"),
+            ({"temperature": 0.0}, 30, "zero lifetime"),
+            ({}, 1 / 3, "the cloud never fits"),  # the whole range lies below v / r_l
+        ],
+    )
+    def test_infinite_s_everywhere_names_its_cause(self, change, top, cause):
+        ap = dataclasses.replace(AP, **change)
+        with pytest.raises(InfeasibleGeometryError, match=cause):
+            optimize_trap(RB87, ap, (W_LARGE_N / 30, W_LARGE_N * top))
 
     def test_range_validation(self):
         with pytest.raises(ParameterError):
