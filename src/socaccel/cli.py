@@ -2,7 +2,9 @@
 
 Subcommands: modes | trajectory | response | thermal | sensitivity.  One JSON
 document (schema_version 1) describes the run; unknown keys anywhere in it
-are hard errors so config typos never pass silently.  Outputs are plain CSV
+are hard errors so config typos never pass silently.  The schema is three
+tables, ``_SECTIONS``, ``_DRIVES`` and ``_STEPS``, and ``_fields`` is the one
+function that reads a config object by them.  Outputs are plain CSV
 (curves, %.17g columns) and JSON (reports, sorted keys) with no timestamps,
 so identical configs and seeds reproduce byte-identical files.
 
@@ -57,247 +59,6 @@ __all__ = ["main", "build_parser", "load_config"]
 # ---------------------------------------------------------------------------
 # config schema (version 1)
 
-_SECTION_KEYS = {
-    "trap": {"mass", "omega0", "omega_c", "omega_tilde", "epsilon"},
-    "species": None,  # "Rb87" or an explicit parameter dict, checked in _species_from
-    "sequence": {"kind", "name", "r0", "t", "steps"},
-    "drive": None,  # recursive, checked in _drive_from
-    "thermal": {"temperature", "n_plus", "n_minus"},
-    "monte_carlo": {"count", "seed"},
-    "apparatus": {
-        "temperature",
-        "layer_spacing",
-        "homogeneity_radius",
-        "omega_tilde",
-        "epsilon",
-        "atoms_per_layer",
-    },
-    "response": {"t", "r0", "points", "omega_max", "rescale_cp"},
-    "trajectory": {"kind", "r0", "t", "points"},
-    "sweep": {"atoms_min", "atoms_max", "points"},
-    "output": {"directory", "format"},
-}
-
-# largest accepted counts; each bounds the arrays and files its subcommand makes
-_MAX_COUNT = {
-    "monte_carlo.count": 1_000_000,
-    "response.points": 1 << 17,
-    "sweep.points": 1_000,
-    "trajectory.points": 100_000,
-}
-
-
-def load_config(path: str) -> dict:
-    """Read and validate a run config; rejects unknown keys at every level."""
-    try:
-        with open(path, "r") as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    if "schema_version" not in cfg:
-        raise ConfigError("config is missing required key 'schema_version'")
-    if cfg["schema_version"] != 1:
-        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r} (expected 1)")
-    for key, value in cfg.items():
-        if key == "schema_version":
-            continue
-        if key not in _SECTION_KEYS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        allowed = _SECTION_KEYS[key]
-        if allowed is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            for sub in value:
-                if sub not in allowed:
-                    raise ConfigError(f"unknown config key: '{key}.{sub}'")
-    return cfg
-
-
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ConfigError(f"config is missing required section {name!r}")
-    return cfg[name]
-
-
-def _two_vector(value, where: str) -> tuple[float, float]:
-    if not isinstance(value, list):
-        return (_config_float(value, where), 0.0)
-    if len(value) != 2:
-        raise ConfigError(f"{where} must be a number or a 2-element list")
-    return (_config_float(value[0], f"{where}[0]"), _config_float(value[1], f"{where}[1]"))
-
-
-def _trap_from(cfg: dict) -> TrapConfig:
-    sec = _section(cfg, "trap")
-    if "mass" not in sec:
-        raise ConfigError("trap.mass is required")
-    mass = _config_float(sec["mass"], "trap.mass")
-    by_modes = "omega_tilde" in sec or "epsilon" in sec
-    by_raw = "omega0" in sec or "omega_c" in sec
-    if by_modes and by_raw:
-        raise ConfigError("trap accepts (omega0, omega_c) or (omega_tilde, epsilon), not both")
-    if by_raw:
-        if "omega0" not in sec:
-            raise ConfigError("trap.omega0 is required with omega_c")
-        omega0 = _config_float(sec["omega0"], "trap.omega0")
-        return TrapConfig(mass, omega0, _config_float(sec.get("omega_c", 0.0), "trap.omega_c"))
-    if by_modes:
-        if "omega_tilde" not in sec:
-            raise ConfigError("trap.omega_tilde is required with epsilon")
-        wt = _config_float(sec["omega_tilde"], "trap.omega_tilde")
-        return TrapConfig.from_modes(mass, wt, _config_float(sec.get("epsilon", 1.0), "trap.epsilon"))
-    raise ConfigError("trap needs either omega0 (+ omega_c) or omega_tilde (+ epsilon)")
-
-
-def _species_from(cfg: dict) -> SpeciesParams:
-    sec = _section(cfg, "species")
-    if isinstance(sec, str):
-        if sec.lower() in ("rb87", "rb-87", "87rb"):
-            return RB87
-        raise ConfigError(f"unknown species preset {sec!r} (try 'Rb87')")
-    if not isinstance(sec, dict):
-        raise ConfigError("species must be a preset name or a parameter object")
-    keys = ("gamma_se", "mass", "scattering_length")
-    for key in sec:
-        if key not in keys:
-            raise ConfigError(f"unknown config key: 'species.{key}'")
-    return SpeciesParams(**_required_floats(sec, "species", keys))
-
-
-_DRIVE_KEYS = {
-    "zero": set(),
-    "constant": {"gx", "gy"},
-    "sinusoid": {"amplitude", "omega", "phase"},
-    "circular": {"amplitude", "omega", "phase", "sense"},
-    "sum": {"parts"},
-    "tabulated": {"path"},
-}
-
-
-def _drive_from(spec, where: str = "drive"):
-    if spec is None:
-        return Zero()
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{where} must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _DRIVE_KEYS:
-        raise ConfigError(f"{where}.kind must be one of {sorted(_DRIVE_KEYS)}, got {kind!r}")
-    for key in spec:
-        if key != "kind" and key not in _DRIVE_KEYS[kind]:
-            raise ConfigError(f"unknown config key: '{where}.{key}'")
-    if kind == "zero":
-        return Zero()
-    if kind == "constant":
-        return Constant(*(_config_float(spec.get(k, 0.0), f"{where}.{k}") for k in ("gx", "gy")))
-    if kind == "sinusoid":
-        if "amplitude" not in spec or "omega" not in spec:
-            raise ConfigError(f"{where} sinusoid needs amplitude and omega")
-        return Sinusoid(
-            amplitude=_two_vector(spec["amplitude"], f"{where}.amplitude"),
-            omega=_config_float(spec["omega"], f"{where}.omega"),
-            phase=_config_float(spec.get("phase", 0.0), f"{where}.phase"),
-        )
-    if kind == "circular":
-        if "amplitude" not in spec or "omega" not in spec:
-            raise ConfigError(f"{where} circular needs amplitude and omega")
-        return circular(
-            amplitude=_config_float(spec["amplitude"], f"{where}.amplitude"),
-            omega=_config_float(spec["omega"], f"{where}.omega"),
-            phase=_config_float(spec.get("phase", 0.0), f"{where}.phase"),
-            sense=_config_int(spec.get("sense", -1), f"{where}.sense"),
-        )
-    if kind == "sum":
-        parts = spec.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ConfigError(f"{where}.parts must be a non-empty list")
-        return SumSignal(
-            parts=tuple(_drive_from(p, f"{where}.parts[{i}]") for i, p in enumerate(parts))
-        )
-    # tabulated
-    if "path" not in spec:
-        raise ConfigError(f"{where} tabulated needs a path")
-    try:
-        return Tabulated.from_csv(spec["path"])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}.path: cannot read {spec['path']!r}: {exc}") from exc
-
-
-_STEP_KEYS = {
-    "rotate_y": {"angle"},
-    "displace": {"shift"},
-    "evolve": {"duration", "mode"},
-    "readout": {"axis"},
-}
-
-
-def _step_from(spec, where: str):
-    if not isinstance(spec, dict) or "op" not in spec:
-        raise ConfigError(f"{where} must be an object with an 'op' field")
-    op = spec["op"]
-    if not isinstance(op, str) or op not in _STEP_KEYS:
-        raise ConfigError(f"{where}.op must be one of {sorted(_STEP_KEYS)}, got {op!r}")
-    for key in spec:
-        if key != "op" and key not in _STEP_KEYS[op]:
-            raise ConfigError(f"unknown config key: '{where}.{key}'")
-    if op == "rotate_y":
-        return RotateY(_config_float(spec.get("angle"), f"{where}.angle"))
-    if op == "displace":
-        return Displace(_two_vector(spec["shift"], f"{where}.shift"))
-    if op == "evolve":
-        duration = _config_float(spec.get("duration"), f"{where}.duration")
-        return Evolve(duration=duration, mode=spec.get("mode", "exact"))
-    return Readout(axis=spec.get("axis", "z"))
-
-
-def _sequence_from(cfg: dict, modes) -> PulseSequence:
-    sec = _section(cfg, "sequence")
-    kind = sec.get("kind", "up")
-    if kind in ("up", "cp"):
-        if "r0" not in sec or "t" not in sec:
-            raise ConfigError(f"sequence kind {kind!r} needs r0 and t")
-        r0 = _two_vector(sec["r0"], "sequence.r0")
-        t = _config_float(sec["t"], "sequence.t")
-        return preset_up(r0, t) if kind == "up" else preset_cp(r0, t, modes=modes)
-    if kind == "custom":
-        steps = sec.get("steps")
-        if not isinstance(steps, list) or not steps:
-            raise ConfigError("sequence.steps must be a non-empty list for kind 'custom'")
-        built = tuple(_step_from(s, f"sequence.steps[{i}]") for i, s in enumerate(steps))
-        return PulseSequence(steps=built, name=sec.get("name", "custom"))
-    raise ConfigError(f"sequence.kind must be 'up', 'cp' or 'custom', got {kind!r}")
-
-
-def _thermal_from(cfg: dict, modes) -> ThermalParams:
-    sec = _section(cfg, "thermal")
-    if "temperature" in sec and ("n_plus" in sec or "n_minus" in sec):
-        raise ConfigError("thermal accepts temperature or occupations, not both")
-    if "temperature" in sec:
-        temperature = _config_float(sec["temperature"], "thermal.temperature")
-        return ThermalParams.from_temperature(modes, temperature)
-    if "n_plus" in sec or "n_minus" in sec:
-        return ThermalParams.from_occupations(
-            *(_config_float(sec.get(k, 0.0), f"thermal.{k}") for k in ("n_plus", "n_minus"))
-        )
-    raise ConfigError("thermal needs temperature or (n_plus, n_minus)")
-
-
-def _apparatus_from(cfg: dict) -> ApparatusParams:
-    keys = sorted(_SECTION_KEYS["apparatus"])
-    return ApparatusParams(**_required_floats(_section(cfg, "apparatus"), "apparatus", keys))
-
-
-def _required_floats(sec: dict, where: str, keys) -> dict:
-    """Every one of ``keys`` from a config section, each read as a number."""
-    for key in keys:
-        if key not in sec:
-            raise ConfigError(f"{where}.{key} is required")
-    return {key: _config_float(sec[key], f"{where}.{key}") for key in keys}
-
-
 def _config_float(value, where: str) -> float:
     """A JSON number, integer or float; strings, booleans and null are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -322,6 +83,14 @@ def _config_count(value, where: str) -> int:
     return n
 
 
+def _config_seed(value, where: str) -> int:
+    """A JSON integer that fits in 64 unsigned bits."""
+    seed = _config_int(value, where)
+    if not 0 <= seed < (1 << 64):
+        raise ConfigError(f"{where} must fit in 64 bits, got {seed}")
+    return seed
+
+
 def _config_bool(value, where: str) -> bool:
     """A JSON boolean, true or false, nothing else."""
     if isinstance(value, bool):
@@ -329,10 +98,234 @@ def _config_bool(value, where: str) -> bool:
     raise ConfigError(f"{where} must be a boolean, got {value!r}")
 
 
-def _check_seed(seed: int, where: str) -> int:
-    if not 0 <= seed < (1 << 64):
-        raise ConfigError(f"{where} must fit in 64 bits, got {seed}")
-    return seed
+def _two_vector(value, where: str) -> tuple[float, float]:
+    """A number x, read as (x, 0), or a 2-element list of numbers."""
+    if not isinstance(value, list):
+        return (_config_float(value, where), 0.0)
+    if len(value) != 2:
+        raise ConfigError(f"{where} must be a number or a 2-element list")
+    return (_config_float(value[0], f"{where}[0]"), _config_float(value[1], f"{where}[1]"))
+
+
+def _as_is(value, where: str):
+    """A name, mode, path or list, checked where it is used."""
+    return value
+
+
+# largest accepted counts; each bounds the arrays and files its subcommand makes
+_MAX_COUNT = {
+    "monte_carlo.count": 1_000_000,
+    "response.points": 1 << 17,
+    "sweep.points": 1_000,
+    "trajectory.points": 100_000,
+}
+
+_REQUIRED = object()  # the default of a key that must be given
+
+# section -> key -> (reader, default).  A None default leaves the value to the
+# section's builder: derived from the trap (response), or one of two forms (trap,
+# thermal) or a preset's key (sequence).  species may instead be a preset name.
+_SECTIONS = {
+    "trap": {
+        "mass": (_config_float, _REQUIRED),
+        "omega0": (_config_float, None),
+        "omega_c": (_config_float, 0.0),
+        "omega_tilde": (_config_float, None),
+        "epsilon": (_config_float, 1.0),
+    },
+    "species": {f.name: (_config_float, _REQUIRED) for f in dataclasses.fields(SpeciesParams)},
+    "sequence": {
+        "kind": (_as_is, "up"),
+        "name": (_as_is, "custom"),
+        "r0": (_two_vector, None),
+        "t": (_config_float, None),
+        "steps": (_as_is, None),
+    },
+    "drive": None,  # one object of _DRIVES
+    "thermal": {
+        "temperature": (_config_float, None),
+        "n_plus": (_config_float, 0.0),
+        "n_minus": (_config_float, 0.0),
+    },
+    "monte_carlo": {"count": (_config_count, _REQUIRED), "seed": (_config_seed, 0)},
+    "apparatus": {f.name: (_config_float, _REQUIRED) for f in dataclasses.fields(ApparatusParams)},
+    "response": {
+        "t": (_config_float, None),
+        "r0": (_config_float, None),
+        "points": (_config_count, 4096),
+        "omega_max": (_config_float, None),
+        "rescale_cp": (_config_bool, False),
+    },
+    "trajectory": {
+        "kind": (_as_is, "up"),
+        "r0": (_two_vector, _REQUIRED),
+        "t": (_config_float, _REQUIRED),
+        "points": (_config_count, 1000),
+    },
+    "sweep": {
+        "atoms_min": (_config_float, 10.0),
+        "atoms_max": (_config_float, 1e7),
+        "points": (_config_count, 25),
+    },
+    "output": {"directory": (_as_is, "."), "format": (_as_is, "csv")},
+}
+
+# drive kind -> (constructor, fields) and step op -> (constructor, fields); the field
+# names are the constructor's keywords
+_TONE = {"omega": (_config_float, _REQUIRED), "phase": (_config_float, 0.0)}
+_DRIVES = {
+    "zero": (Zero, {}),
+    "constant": (Constant, {"gx": (_config_float, 0.0), "gy": (_config_float, 0.0)}),
+    "sinusoid": (Sinusoid, {"amplitude": (_two_vector, _REQUIRED), **_TONE}),
+    "circular": (
+        circular, {"amplitude": (_config_float, _REQUIRED), **_TONE, "sense": (_config_int, -1)}
+    ),
+    "sum": (SumSignal, {"parts": (_as_is, _REQUIRED)}),
+    "tabulated": (Tabulated.from_csv, {"path": (_as_is, _REQUIRED)}),
+}
+_STEPS = {
+    "rotate_y": (RotateY, {"angle": (_config_float, _REQUIRED)}),
+    "displace": (Displace, {"shift": (_two_vector, _REQUIRED)}),
+    "evolve": (Evolve, {"duration": (_config_float, _REQUIRED), "mode": (_as_is, "exact")}),
+    "readout": (Readout, {"axis": (_as_is, "z")}),
+}
+
+
+def load_config(path: str) -> dict:
+    """Read and validate a run config; rejects unknown keys at every level."""
+    try:
+        with open(path, "r") as f:
+            cfg = json.load(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    if "schema_version" not in cfg:
+        raise ConfigError("config is missing required key 'schema_version'")
+    if cfg["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r} (expected 1)")
+    for key, value in cfg.items():
+        if key == "schema_version":
+            continue
+        if key not in _SECTIONS:
+            raise ConfigError(f"unknown config key: {key!r}")
+        if key not in ("species", "drive"):  # a preset name or a drive: checked when read
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {key!r} must be an object")
+            _check_keys(value, _SECTIONS[key], key)
+    return cfg
+
+
+def _check_keys(spec: dict, schema: dict, where: str) -> None:
+    for key in spec:
+        if key not in schema:
+            raise ConfigError(f"unknown config key: '{where}.{key}'")
+
+
+def _fields(spec: dict, schema: dict, where: str) -> dict:
+    """Every key of ``schema``: read from ``spec`` by its reader, else its default."""
+    _check_keys(spec, schema, where)
+    fields = {}
+    for key, (read, default) in schema.items():
+        if key in spec:
+            fields[key] = read(spec[key], f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where}.{key} is required")
+        else:
+            fields[key] = default
+    return fields
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """The fields of config section ``name``; an absent section has only defaults."""
+    return _fields(cfg.get(name, {}), _SECTIONS[name], name)
+
+
+def _tagged(spec, table: dict, tag: str, where: str):
+    """(name, constructor, fields) of a drive or step object, named by its ``tag`` field."""
+    if not isinstance(spec, dict) or tag not in spec:
+        raise ConfigError(f"{where} must be an object with a field {tag!r}")
+    spec = dict(spec)
+    name = spec.pop(tag)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{where}.{tag} must be one of {sorted(table)}, got {name!r}")
+    make, schema = table[name]
+    return name, make, _fields(spec, schema, where)
+
+
+def _trap_from(cfg: dict) -> TrapConfig:
+    f = _section(cfg, "trap")
+    given = cfg.get("trap", {})
+    by_modes = "omega_tilde" in given or "epsilon" in given
+    by_raw = "omega0" in given or "omega_c" in given
+    if by_modes and by_raw:
+        raise ConfigError("trap accepts (omega0, omega_c) or (omega_tilde, epsilon), not both")
+    if by_raw:
+        if f["omega0"] is None:
+            raise ConfigError("trap.omega0 is required with omega_c")
+        return TrapConfig(f["mass"], f["omega0"], f["omega_c"])
+    if by_modes:
+        if f["omega_tilde"] is None:
+            raise ConfigError("trap.omega_tilde is required with epsilon")
+        return TrapConfig.from_modes(f["mass"], f["omega_tilde"], f["epsilon"])
+    raise ConfigError("trap needs either omega0 (+ omega_c) or omega_tilde (+ epsilon)")
+
+
+def _species_from(cfg: dict) -> SpeciesParams:
+    sec = cfg.get("species", {})
+    if isinstance(sec, str):
+        if sec.lower() in ("rb87", "rb-87", "87rb"):
+            return RB87
+        raise ConfigError(f"unknown species preset {sec!r} (try 'Rb87')")
+    if not isinstance(sec, dict):
+        raise ConfigError("species must be a preset name or a parameter object")
+    return SpeciesParams(**_section(cfg, "species"))
+
+
+def _drive_from(spec, where: str = "drive"):
+    if spec is None:
+        return Zero()
+    kind, make, f = _tagged(spec, _DRIVES, "kind", where)
+    if kind == "sum":
+        if not isinstance(f["parts"], list) or not f["parts"]:
+            raise ConfigError(f"{where}.parts must be a non-empty list")
+        f["parts"] = tuple(_drive_from(p, f"{where}.parts[{i}]") for i, p in enumerate(f["parts"]))
+    elif kind == "tabulated":
+        try:
+            return make(**f)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.path: cannot read {f['path']!r}: {exc}") from exc
+    return make(**f)
+
+
+def _sequence_from(cfg: dict, modes) -> PulseSequence:
+    f = _section(cfg, "sequence")
+    kind, r0, t, steps = f["kind"], f["r0"], f["t"], f["steps"]
+    if kind in ("up", "cp"):
+        if r0 is None or t is None:
+            raise ConfigError(f"sequence kind {kind!r} needs r0 and t")
+        return preset_up(r0, t) if kind == "up" else preset_cp(r0, t, modes=modes)
+    if kind == "custom":
+        if not isinstance(steps, list) or not steps:
+            raise ConfigError("sequence.steps must be a non-empty list for kind 'custom'")
+        built = [_tagged(s, _STEPS, "op", f"sequence.steps[{i}]") for i, s in enumerate(steps)]
+        return PulseSequence(tuple(make(**fields) for _, make, fields in built), name=f["name"])
+    raise ConfigError(f"sequence.kind must be 'up', 'cp' or 'custom', got {kind!r}")
+
+
+def _thermal_from(cfg: dict, modes) -> ThermalParams:
+    f = _section(cfg, "thermal")
+    given = cfg.get("thermal", {})
+    occupations = "n_plus" in given or "n_minus" in given
+    if f["temperature"] is not None and occupations:
+        raise ConfigError("thermal accepts temperature or occupations, not both")
+    if f["temperature"] is not None:
+        return ThermalParams.from_temperature(modes, f["temperature"])
+    if occupations:
+        return ThermalParams.from_occupations(f["n_plus"], f["n_minus"])
+    raise ConfigError("thermal needs temperature or (n_plus, n_minus)")
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +355,7 @@ def _write_csv(path: str, header: str, columns) -> None:
 
 
 def _out_dir(args, cfg: dict) -> str:
-    out = args.out or cfg.get("output", {}).get("directory", ".")
+    out = args.out or _section(cfg, "output")["directory"]
     try:
         os.makedirs(out, exist_ok=True)
     except (OSError, TypeError) as exc:
@@ -371,7 +364,7 @@ def _out_dir(args, cfg: dict) -> str:
 
 
 def _out_format(args, cfg: dict) -> str:
-    fmt = args.format or cfg.get("output", {}).get("format", "csv")
+    fmt = args.format or _section(cfg, "output")["format"]
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     return fmt
@@ -433,15 +426,10 @@ def cmd_trajectory(args) -> int:
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
-    sec = _section(cfg, "trajectory")
-    kind = sec.get("kind", "up")
-    if "r0" not in sec or "t" not in sec:
-        raise ConfigError("trajectory needs r0 and t")
-    r0 = _two_vector(sec["r0"], "trajectory.r0")
-    t = _config_float(sec["t"], "trajectory.t")
+    f = _section(cfg, "trajectory")
+    kind, r0, t, n = f["kind"], f["r0"], f["t"], f["points"]
     if not t > 0:
         raise ConfigError(f"trajectory.t must be > 0, got {t}")
-    n = _config_count(sec.get("points", 1000), "trajectory.points")
     if n < 2:
         raise ConfigError(f"trajectory.points must be >= 2, got {n}")
     if kind not in ("up", "cp"):
@@ -470,12 +458,11 @@ def cmd_trajectory(args) -> int:
 
 
 def _curve_summary(curve) -> dict:
-    summary = {
+    return {
         "zeros_rad_per_s": find_zeros(curve),
         "peaks": [{"omega_rad_per_s": w, "height": h} for w, h in find_peaks(curve)],
         "main_lobe_fwhm_rad_per_s": main_lobe_fwhm(curve),
     }
-    return summary
 
 
 def cmd_response(args) -> int:
@@ -484,27 +471,21 @@ def cmd_response(args) -> int:
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
-    sec = cfg.get("response", {})
-    t = _config_float(sec.get("t", 5.0 * math.pi / modes.omega_tilde), "response.t")
-    r0 = _config_float(sec.get("r0", modes.l_osc), "response.r0")
-    points = _config_count(sec.get("points", 4096), "response.points")
-    omega_max = _config_float(sec.get("omega_max", 3.0 * modes.omega_plus), "response.omega_max")
-    rescale = _config_bool(sec.get("rescale_cp", False), "response.rescale_cp") or args.rescale_cp
+    f = _section(cfg, "response")
+    t = 5.0 * math.pi / modes.omega_tilde if f["t"] is None else f["t"]
+    r0 = modes.l_osc if f["r0"] is None else f["r0"]
+    omega_max = 3.0 * modes.omega_plus if f["omega_max"] is None else f["omega_max"]
+    points, rescale = f["points"], f["rescale_cp"] or args.rescale_cp
     if points < 16:
         raise ConfigError(f"response.points must be >= 16, got {points}")
     grid = np.linspace(0.0, omega_max, points)
     up = response_up(modes, r0, t, grid=grid)
     cp = response_cp(modes, r0, t, grid=grid)
-    cp_out = cp
-    if rescale:
-        # plotting normalization only: x4 amplitude = x16 in |F|^2
-        cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4")
-    if fmt == "csv":
-        up.to_csv(os.path.join(out, "response_up.csv"))
-        cp_out.to_csv(os.path.join(out, "response_cp.csv"))
-    else:
-        up.to_json(os.path.join(out, "response_up.json"))
-        cp_out.to_json(os.path.join(out, "response_cp.json"))
+    # plotting normalization only: x4 amplitude = x16 in |F|^2
+    cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4") if rescale else cp
+    for name, curve in (("up", up), ("cp", cp_out)):
+        write = curve.to_csv if fmt == "csv" else curve.to_json
+        write(os.path.join(out, f"response_{name}.{fmt}"))
     summary = {
         "t_s": t,
         "r0_m": r0,
@@ -527,17 +508,9 @@ def cmd_thermal(args) -> int:
     drive = _drive_from(cfg.get("drive"))
     params = _thermal_from(cfg, modes)
     mc = _section(cfg, "monte_carlo")
-    if "count" not in mc:
-        raise ConfigError("monte_carlo.count is required")
-    count = _config_count(mc["count"], "monte_carlo.count")
-    if args.seed is not None:
-        seed = _check_seed(args.seed, "--seed")
-    else:
-        seed = _check_seed(_config_int(mc.get("seed", 0), "monte_carlo.seed"), "monte_carlo.seed")
-    report = thermal_signal(config, sequence, drive, params, count=count, seed=seed)
-    payload = report.as_dict()
-    payload["sequence"] = sequence.name
-    _write_json(os.path.join(out, "thermal.json"), payload)
+    seed = mc["seed"] if args.seed is None else _config_seed(args.seed, "--seed")
+    report = thermal_signal(config, sequence, drive, params, count=mc["count"], seed=seed)
+    _write_json(os.path.join(out, "thermal.json"), {**report.as_dict(), "sequence": sequence.name})
     print(
         f"MC mean = {report.mc_mean:.6g} +- {report.mc_stderr:.2g} "
         f"(analytic {report.analytic:.6g}, suppression {report.suppression:.6g})"
@@ -549,11 +522,9 @@ def cmd_sensitivity(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     species = _species_from(cfg)
-    apparatus = _apparatus_from(cfg)
-    sweep = cfg.get("sweep", {})
-    lo = _config_float(sweep.get("atoms_min", 10.0), "sweep.atoms_min")
-    hi = _config_float(sweep.get("atoms_max", 1e7), "sweep.atoms_max")
-    n = _config_count(sweep.get("points", 25), "sweep.points")
+    apparatus = ApparatusParams(**_section(cfg, "apparatus"))
+    sweep = _section(cfg, "sweep")
+    lo, hi, n = sweep["atoms_min"], sweep["atoms_max"], sweep["points"]
     if not (0 < lo < hi) or n < 2:
         raise ConfigError("sweep needs 0 < atoms_min < atoms_max and points >= 2")
 

@@ -465,6 +465,8 @@ def _segment_coeffs(config: TrapConfig, pairs, memo: bool = True) -> list[dict[i
     nu = np.array([wm, -wp, wp, -wm])
     pieces, starts, bounds = [], [], [0]
     for drive, t_start, duration, _, _ in missed:
+        if not math.isfinite(wp * duration):
+            raise ParameterError(f"omega_plus * duration overflows at duration {duration:.3e} s")
         own = drive.pieces(t_start, t_start + duration)
         pieces += own
         starts += [t_start] * len(own)

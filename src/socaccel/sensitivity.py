@@ -143,11 +143,16 @@ def collision_budget(
     tau = 1 / (gamma_se + gamma_coll).  A point-like cloud (r_t = 0) has a
     divergent collision rate for any nonzero atom number.
     """
-    a2 = species.scattering_length ** 2
+    a = species.scattering_length
     d = apparatus.layer_spacing
     n_a = apparatus.atoms_per_layer
     if geometry.r_t > 0:
-        rate_per_atom = geometry.v_mean * a2 / (d * geometry.r_t ** 2)
+        try:
+            rate_per_atom = geometry.v_mean * a ** 2 / (d * geometry.r_t ** 2)
+        except OverflowError:  # a**2
+            rate_per_atom = math.inf
+        if not 0 < rate_per_atom < math.inf:
+            raise ParameterError(f"collision rate per atom is {rate_per_atom} 1/s for {species}")
         gamma_coll = n_a * rate_per_atom
         n_c = species.gamma_se / rate_per_atom
     else:
@@ -230,8 +235,10 @@ def _cp_fwhm(modes: NormalModes, r_0: float, t: float) -> float:
     n = int(w_hi / (probe / 64.0)) + 2
     n = min(max(n, 1024), 1 << 17)
     grid = np.linspace(0.0, w_hi, n)
-    curve = response_cp(modes, r_0, t, grid=grid)
-    return main_lobe_fwhm(curve)
+    try:
+        return main_lobe_fwhm(response_cp(modes, r_0, t, grid=grid))
+    except ParameterError as exc:
+        raise ParameterError(f"bandwidth curve at r_0 = {r_0:.3e} m, segment t = {t:.3e} s: {exc}")
 
 
 def sensitivity(species: SpeciesParams, apparatus: ApparatusParams) -> SensitivityReport:

@@ -61,6 +61,8 @@ def mean_occupation(omega: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)
+    if not x > 0:
+        raise ParameterError(f"hbar omega / kT is {x} for omega {omega:.3e}, T {temperature:.3e}")
     if x > 700.0:
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -146,7 +148,8 @@ def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step:
         alpha_minus=np.concatenate(([0j], none, steps)),
     )
     _, coh_state, _ = _walk(SpinorCoherentState(config=config, branches=(branch,)), sequence, (drive,))
-    cross = _normed_gram_sums(coh_state)[2]
+    # a sequence that never splits the spin has no cross sum: 0 for every sample, so K = 0
+    cross = np.broadcast_to(_normed_gram_sums(coh_state)[2], branch.alpha_plus.shape)
     d_small, d_step = (-np.angle(cross[1:] * np.conj(cross[0]))).reshape(4, 2).T
     turns = np.round((step * d_small / _BRANCH_STEP - d_step) / (2.0 * math.pi))
     k = (d_step + 2.0 * math.pi * turns) / step

@@ -111,14 +111,21 @@ class PhaseSpacePoint:
 
 
 def derive_modes(config: TrapConfig) -> NormalModes:
-    """Normal-mode frequencies and oscillator length for a trap config."""
+    """Normal-mode frequencies and oscillator length; l_osc and omega_minus must be finite, > 0."""
     omega_tilde = math.hypot(config.omega0, config.omega_c / 2.0)
-    l_osc = math.sqrt(config.hbar / (config.mass * omega_tilde))
+    m_omega = config.mass * omega_tilde
+    l_osc = math.sqrt(config.hbar / m_omega) if m_omega > 0 else math.inf
     omega_plus = omega_tilde + config.omega_c / 2.0
     # omega_tilde - omega_c/2 cancels catastrophically when omega_c >> omega0;
     # dividing keeps the product identity omega_plus * omega_minus = omega0^2
     # at machine precision for any ratio
-    omega_minus = config.omega0 ** 2 / omega_plus
+    try:
+        omega_minus = config.omega0 ** 2 / omega_plus
+    except OverflowError:  # omega0**2 overflows, though omega_minus <= omega0
+        omega_minus = math.inf
+    for name, value in (("l_osc", l_osc), ("omega_minus", omega_minus)):
+        if not 0 < value < math.inf:
+            raise ParameterError(f"{name} is {value} in floating point for {config}")
     return NormalModes(
         omega_plus=omega_plus,
         omega_minus=omega_minus,

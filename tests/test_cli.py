@@ -490,3 +490,94 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import socaccel.cli, sys; assert 'scipy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+class TestSchema:
+    """The one config schema: its README table, and configs that used to raise."""
+
+    def readme_rows(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [line for line in text.splitlines() if line.startswith("| ")]
+        return {row.split("|")[1].strip(): row for row in rows if "`" in row.split("|")[1]}
+
+    def test_every_key_kind_and_op_is_in_the_readme_table(self):
+        rows = self.readme_rows()
+        tables = {f"`{name}`": schema for name, schema in cli._SECTIONS.items()}
+        tables.update({f"drive `{kind}`": schema for kind, (_, schema) in cli._DRIVES.items()})
+        tables.update({f"step `{op}`": schema for op, (_, schema) in cli._STEPS.items()})
+        assert sorted(rows) == sorted(tables), "README table rows and schema tables differ"
+        for label, schema in tables.items():
+            missing = [key for key in schema or () if f"`{key}`" not in rows[label]]
+            assert not missing, f"README row {label} does not list {missing}"
+
+    @pytest.mark.parametrize(
+        "section, value, key",
+        [
+            ("drive", {"kind": "circular", "amplitude": 0.68, "omega": 9e3, "sens": -1}, "drive.sens"),
+            ("drive", {"kind": "sum", "parts": [{"kind": "zero", "gx": 1.0}]}, "drive.parts[0].gx"),
+            ("sequence", {"kind": "custom", "steps": [{"op": "readout", "axes": "z"}]},
+             "sequence.steps[0].axes"),
+            ("species", {"mass": 1e-25, "scattering_length": 5e-9, "gamma_se": 14.0, "a": 1.0},
+             "species.a"),
+        ],
+    )
+    def test_unknown_key_in_a_nested_object_exits_2(self, tmp_path, capsys, section, value, key):
+        cfg = base_config()
+        cfg[section] = value
+        cmd = "sensitivity" if section == "species" else "thermal"
+        assert run(cmd, write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: unknown config key: '{key}'\n"
+
+    def test_step_without_its_required_key_exits_2(self, tmp_path, capsys):
+        cfg = base_config()
+        steps = [{"op": "rotate_y", "angle": 1.0}, {"op": "displace"}]
+        cfg["sequence"] = {"kind": "custom", "steps": steps}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: sequence.steps[1].shift is required\n"
+
+    @pytest.mark.parametrize("path", [[1.0], 0, None, {}])
+    def test_tabulated_path_that_names_no_file_exits_2(self, tmp_path, capsys, path):
+        cfg = base_config()
+        cfg["drive"] = {"kind": "tabulated", "path": path}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: drive.path: cannot read {path!r}: ")
+
+    @pytest.mark.parametrize("cmd", ["modes", "trajectory", "response", "thermal"])
+    def test_trap_without_an_oscillator_length_exits_2(self, tmp_path, capsys, cmd):
+        cfg = base_config()
+        cfg["trap"]["mass"] = 1e308  # l_osc = sqrt(hbar / (mass * omega_tilde)) is 0
+        assert run(cmd, write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: l_osc is 0.0 in floating point for TrapConfig(mass=1e+308")
+
+    @pytest.mark.parametrize("first_angle", [0.0, None])  # a zero-angle split, or none at all
+    def test_thermal_on_a_sequence_that_never_splits(self, tmp_path, first_angle):
+        steps = [
+            {"op": "displace", "shift": [6.8e-7, 0.0]},
+            {"op": "evolve", "duration": 4 * math.pi / WT},
+            {"op": "rotate_y", "angle": -math.pi / 2},
+            {"op": "readout"},
+        ]
+        if first_angle is not None:
+            steps.insert(0, {"op": "rotate_y", "angle": first_angle})
+        cfg = base_config()
+        cfg["sequence"] = {"kind": "custom", "steps": steps}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 0
+        payload = json.loads((tmp_path / "out" / "thermal.json").read_text())
+        assert payload["analytic"] == payload["mc_mean"] == 0.0
+        assert payload["suppression"] == 1.0
+
+    @pytest.mark.parametrize(
+        "key, value, cause",
+        [
+            ("homogeneity_radius", 1e290, "curve values must be finite"),
+            ("temperature", 1e-300, "curve is identically zero"),
+        ],
+    )
+    def test_degenerate_bandwidth_curve_names_its_cause(self, tmp_path, capsys, key, value, cause):
+        cfg = base_config()
+        cfg["apparatus"][key] = value
+        assert run("sensitivity", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth curve at r_0 = ") and " m, segment t = " in err
+        assert err.endswith(f" s: {cause}\n")

@@ -218,6 +218,14 @@ class TestDisplacement:
 
 
 class TestEvolution:
+    def test_overflowing_mode_phase_is_parameter_error(self):
+        # omega_plus * duration = inf: cmath.exp of the mode rotation has no value
+        state = apply_displacement(ground_state(CFG), R0)
+        with pytest.raises(ParameterError, match="omega_plus \\* duration overflows"):
+            apply_evolution(state, 1e308)
+        with pytest.raises(ParameterError, match="omega_plus \\* duration overflows"):
+            run_sequence(CFG, None, preset_up(R0, 1e308), Sinusoid((0.1, 0.0), WT))
+
     def test_zero_duration_is_identity(self):
         state = apply_displacement(ground_state(CFG), R0)
         assert apply_evolution(state, 0.0) is state

@@ -104,6 +104,12 @@ class TestCollisionBudget:
         at_nc = collision_budget(RB87, with_atoms(bud.N_c), GEO)
         assert abs(at_nc.gamma_coll - RB87.gamma_se) < 1e-12 * RB87.gamma_se
 
+    @pytest.mark.parametrize("length", [1e308, 1e-300])  # a**2 overflows / rate underflows
+    def test_unrepresentable_collision_rate_is_parameter_error(self, length):
+        species = dataclasses.replace(RB87, scattering_length=length)
+        with pytest.raises(ParameterError, match="collision rate per atom .* scattering_length"):
+            collision_budget(species, AP, GEO)
+
     def test_collision_rate_linear_in_atoms(self):
         one = collision_budget(RB87, with_atoms(1e4), GEO)
         two = collision_budget(RB87, with_atoms(2e4), GEO)

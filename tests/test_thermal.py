@@ -7,7 +7,12 @@ import pytest
 from socaccel import (
     Branch,
     Constant,
+    Displace,
+    Evolve,
     ParameterError,
+    PulseSequence,
+    Readout,
+    RotateY,
     Sinusoid,
     SpinorCoherentState,
     SuppressionFactors,
@@ -62,6 +67,12 @@ class TestMeanOccupation:
     def test_deep_quantum_no_overflow(self):
         n = mean_occupation(WT, 1e-9)
         assert 0.0 < n < 1e-10
+
+    @pytest.mark.parametrize("omega, temperature", [(3e-301, 2e-8), (1e-6, 1e308)])
+    def test_underflowing_ratio_is_parameter_error(self, omega, temperature):
+        # hbar omega / kT = 0 in floating point: the occupation would be 1 / 0
+        with pytest.raises(ParameterError, match="^hbar omega / kT is 0.0 for omega "):
+            mean_occupation(omega, temperature)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -282,6 +293,16 @@ class TestThermalSignal:
         assert tuple(rep) == (rep.mc_mean, rep.mc_stderr, rep.analytic)
         d = rep.as_dict()
         assert d["mc_mean"] == rep.mc_mean and d["seed"] == 4 and d["count"] == 150
+
+    @pytest.mark.parametrize("split", [0.0, None])  # a zero-angle split, or none at all
+    def test_sequence_that_never_splits_has_zero_signal(self, split):
+        steps = [Displace((2.0 * L, 0.0)), Evolve(T4), RotateY(-math.pi / 2), Readout("z")]
+        seq = PulseSequence(steps=([] if split is None else [RotateY(split)]) + steps)
+        assert _phase_functionals(CFG, seq, RESONANT) == (0j, 0j)
+        params = ThermalParams.from_occupations(1, 1)
+        rep = thermal_signal(CFG, seq, RESONANT, params, count=100, seed=3)
+        assert rep.analytic == rep.mc_mean == rep.zero_temperature_signal == 0.0
+        assert rep.suppression == 1.0 and rep.mc_stderr == 0.0
 
     def test_count_validation(self):
         with pytest.raises(ParameterError):

@@ -88,6 +88,24 @@ class TestDeriveModes:
         assert modes.omega_tilde == pytest.approx(wt, rel=1e-12)
         assert modes.epsilon == pytest.approx(eps, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "config, quantity",
+        [
+            (TrapConfig.from_modes(1e308, 2 * math.pi * 1000.0, 3.0), "l_osc"),  # l_osc = 0
+            (TrapConfig.from_modes(MASS, 1e-300, 3.0), "l_osc"),  # mass * omega_tilde = 0
+            (TrapConfig(MASS, 1e308, 2 * math.pi * 1000.0), "omega_minus"),  # omega0**2 overflows
+            (TrapConfig(MASS, 1e-300, 2 * math.pi * 1000.0), "omega_minus"),  # underflows to 0
+        ],
+    )
+    def test_unrepresentable_modes_are_parameter_errors(self, config, quantity):
+        with pytest.raises(ParameterError, match=f"^{quantity} is "):
+            derive_modes(config)
+
+    def test_extreme_representable_trap_still_derives(self):
+        modes = derive_modes(TrapConfig(1e-300, 1e150, 0.0))
+        assert modes.omega_minus == modes.omega_plus == 1e150
+        assert 0 < modes.l_osc < math.inf
+
     @pytest.mark.parametrize("eps", [0.5, 1.0 - 1e-12, -3.0, math.nan, math.inf])
     def test_from_modes_rejects_bad_epsilon(self, eps):
         with pytest.raises(ParameterError):
