@@ -46,12 +46,13 @@ from .pulses import (
     RotateY,
     preset_cp,
     preset_up,
+    run_sequence,
 )
 from .response import _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_cp, response_up
 from .sensitivity import RB87, ApparatusParams, SpeciesParams, _sensitivity_reports
 from .signals import Constant, Sinusoid, SumSignal, Tabulated, Zero, circular
 from .thermal import ThermalParams, thermal_signal
-from .trap import TrapConfig, _trajectory_arrays, derive_modes
+from .trap import TrapConfig, _undriven_center, derive_modes
 
 __all__ = ["main", "build_parser", "load_config"]
 
@@ -107,6 +108,13 @@ def _two_vector(value, where: str) -> tuple[float, float]:
     return (_config_float(value[0], f"{where}[0]"), _config_float(value[1], f"{where}[1]"))
 
 
+def _config_str(value, where: str) -> str:
+    """A JSON string, nothing else."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{where} must be a string, got {value!r}")
+
+
 def _as_is(value, where: str):
     """A name, mode, path or list, checked where it is used."""
     return value
@@ -136,7 +144,7 @@ _SECTIONS = {
     "species": {f.name: (_config_float, _REQUIRED) for f in dataclasses.fields(SpeciesParams)},
     "sequence": {
         "kind": (_as_is, "up"),
-        "name": (_as_is, "custom"),
+        "name": (_config_str, "custom"),
         "r0": (_two_vector, None),
         "t": (_config_float, None),
         "steps": (_as_is, None),
@@ -294,6 +302,8 @@ def _drive_from(spec, where: str = "drive"):
         f["parts"] = tuple(_drive_from(p, f"{where}.parts[{i}]") for i, p in enumerate(f["parts"]))
     elif kind == "tabulated":
         try:
+            if not isinstance(f["path"], str):  # np.loadtxt would read a list as CSV lines
+                raise TypeError("a path must be a string")
             return make(**f)
         except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.path: cannot read {f['path']!r}: {exc}") from exc
@@ -396,30 +406,6 @@ def cmd_modes(args) -> int:
     return 0
 
 
-def _sequence_path(modes, sequence: PulseSequence, z0: complex, spin: int, n_per: int):
-    """Sampled center path of one spin through ``sequence``, starting at rest at z0.
-
-    Each Evolve is a segment of ``n_per`` samples that continues the phase-space
-    point where the last one ended; each RotateY(+-pi) flips sigma.
-    """
-    times, zetas = [], []
-    z, v = z0, 0j
-    t_abs = 0.0
-    sigma = spin
-    for step in sequence:
-        if isinstance(step, RotateY) and abs(step.angle) == math.pi:
-            sigma = -sigma
-        elif isinstance(step, Evolve):
-            local = np.linspace(0.0, step.duration, n_per)
-            zeta, zeta_dot = _trajectory_arrays(modes, sigma, z, v, local)
-            keep = slice(None) if t_abs == 0.0 else slice(1, None)
-            times.append(t_abs + local[keep])
-            zetas.append(zeta[keep])
-            z, v = zeta[-1], zeta_dot[-1]
-            t_abs += step.duration
-    return np.concatenate(times), np.concatenate(zetas)
-
-
 def cmd_trajectory(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
@@ -435,9 +421,18 @@ def cmd_trajectory(args) -> int:
     if kind not in ("up", "cp"):
         raise ConfigError(f"trajectory.kind must be 'up' or 'cp', got {kind!r}")
     sequence = (preset_up if kind == "up" else preset_cp)(r0, t)
-    z0 = complex(r0[0], r0[1])
-    times, z_up = _sequence_path(modes, sequence, z0, +1, n)
-    _, z_dn = _sequence_path(modes, sequence, z0, -1, n)
+    # the engine's undriven branches at the start of each step; the split makes the spin-up
+    # branch first, and the pi flips keep the order, so paths[0] is the one that left it up
+    trace = run_sequence(config, None, sequence, Zero()).trace
+    times, paths = [], ([], [])
+    for step, (_, start, branches) in zip(sequence, trace):
+        if isinstance(step, Evolve):
+            local = np.linspace(0.0, step.duration, n)
+            local = local if start == 0.0 else local[1:]  # a later step starts where the last ended
+            times.append(start + local)
+            for path, b in zip(paths, branches):
+                path.append(_undriven_center(modes, b.spin, b.alpha_plus, b.alpha_minus, local)[0])
+    times, z_up, z_dn = (np.concatenate(c) for c in (times, *paths))
     if fmt == "csv":
         _write_csv(
             os.path.join(out, "trajectory.csv"),
@@ -561,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("modes", "normal-mode report for a trap config"),
-        ("trajectory", "classical paths of both spin branches (CSV)"),
+        ("trajectory", "engine center paths of both spin branches"),
         ("response", "transfer-function curves, zeros, peaks"),
         ("thermal", "Monte-Carlo thermal signal vs. analytic suppression"),
         ("sensitivity", "capability report and atom-number sweeps"),

@@ -18,7 +18,7 @@ Conventions fixed here and relied on throughout:
 - amplitudes map to the trap-frame center via
       zeta  = l * (alpha_plus + conj(alpha_minus)),
       zeta' = -i sigma l * (omega_plus alpha_plus - omega_minus conj(alpha_minus)),
-  the inverse of :func:`mode_decompose`;
+  the inverse of :func:`mode_decompose` (both directions live in ``trap``);
 - undriven evolution rotates amplitudes as alpha_pm -> exp(-i sigma omega_pm t) alpha_pm;
 - the branch phase integrates (m/hbar) g(t) . r(t) along the branch's own
   (driven) center path in the trap frame; branch wave packets are referenced
@@ -47,7 +47,10 @@ import numpy as np
 
 from .errors import ParameterError
 from .signals import ForceSignal, Zero, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
-from .trap import NormalModes, PhaseSpacePoint, TrapConfig, _check_sigma, derive_modes
+from .trap import (
+    NormalModes, PhaseSpacePoint, TrapConfig, _amplitudes_from_center, _center_from_amplitudes,
+    _check_sigma, derive_modes,
+)
 
 __all__ = [
     "Branch",
@@ -168,20 +171,6 @@ def mode_decompose(config: TrapConfig, sigma: int, point: PhaseSpacePoint):
     zeta = complex(point.x, point.y)
     zdot = complex(point.px, point.py) / config.mass
     return _amplitudes_from_center(modes, sigma, zeta, zdot)
-
-
-def _amplitudes_from_center(modes: NormalModes, sigma: int, zeta: complex, zdot: complex):
-    wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    a_plus = (wm * zeta + 1j * sigma * zdot) / (2.0 * wt * l)
-    a_minus = ((wp * zeta - 1j * sigma * zdot) / (2.0 * wt * l)).conjugate()
-    return a_plus, a_minus
-
-
-def _center_from_amplitudes(modes: NormalModes, sigma: int, a_plus: complex, a_minus: complex):
-    wp, wm, l = modes.omega_plus, modes.omega_minus, modes.l_osc
-    zeta = l * (a_plus + a_minus.conjugate())
-    zdot = -1j * sigma * l * (wp * a_plus - wm * a_minus.conjugate())
-    return zeta, zdot
 
 
 def _branch_zeta(modes: NormalModes, b: Branch) -> complex:
@@ -343,11 +332,8 @@ def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState
     sx, sy = (float(shift[0]), float(shift[1]))
     if not (math.isfinite(sx) and math.isfinite(sy)):
         raise ParameterError(f"shift must be finite, got {shift!r}")
-    modes = state.modes
-    stilde = complex(sx, sy)
-    wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    d_plus = -wm * stilde / (2.0 * wt * l)
-    d_minus = -(wp * stilde).conjugate() / (2.0 * wt * l)
+    # the kicks are the amplitudes of a center at rest at -shift, the same for either spin
+    d_plus, d_minus = _amplitudes_from_center(state.modes, +1, complex(-sx, -sy), 0j)
     branches = tuple(
         replace(b, alpha_plus=b.alpha_plus + d_plus, alpha_minus=b.alpha_minus + d_minus)
         for b in state.branches

@@ -13,9 +13,10 @@ whose undriven solutions are two counter-rotating circular modes at
     omega_pm = omega_tilde +/- omega_c / 2,
     omega_tilde = sqrt(omega0**2 + (omega_c / 2)**2).
 
-This module holds the parameter types, the normal modes, the closed-form
-undriven trajectory and the differential-path kernel ``h_perp``.  Public
-interfaces are SI.
+This module holds the parameter types, the normal modes, the map between a
+center (zeta, zeta') and its mode amplitudes, the closed-form undriven
+trajectory and the differential-path kernel ``h_perp``.  Public interfaces
+are SI.
 """
 
 from __future__ import annotations
@@ -140,29 +141,33 @@ def _check_sigma(sigma: int) -> int:
     return int(sigma)
 
 
-def _mode_coefficients(modes: NormalModes, sigma: int, z0: complex, v0: complex):
-    """Coefficients of the undriven solution for initial (position, velocity).
+def _amplitudes_from_center(modes: NormalModes, sigma: int, zeta, zdot):
+    """Mode amplitudes (alpha_plus, alpha_minus) of the spin-sigma center (zeta, zeta')."""
+    wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
+    a_plus = (wm * zeta + 1j * sigma * zdot) / (2.0 * wt * l)
+    a_minus = ((wp * zeta - 1j * sigma * zdot) / (2.0 * wt * l)).conjugate()
+    return a_plus, a_minus
 
-    For sigma the solution is
-        zeta(t) = c_slow * exp(i sigma omega_minus t) + c_fast * exp(-i sigma omega_plus t)
-    fixed by zeta(0) = z0 and zeta'(0) = v0.
-    """
-    wp, wm, wt = modes.omega_plus, modes.omega_minus, modes.omega_tilde
-    c_slow = (wp * z0 - 1j * sigma * v0) / (2.0 * wt)
-    c_fast = (wm * z0 + 1j * sigma * v0) / (2.0 * wt)
-    return c_slow, c_fast
+
+def _center_from_amplitudes(modes: NormalModes, sigma: int, a_plus, a_minus):
+    """Center (zeta, zeta') of the spin-sigma mode amplitudes; inverse of the map above."""
+    wp, wm, l = modes.omega_plus, modes.omega_minus, modes.l_osc
+    zeta = l * (a_plus + a_minus.conjugate())
+    zdot = -1j * sigma * l * (wp * a_plus - wm * a_minus.conjugate())
+    return zeta, zdot
+
+
+def _undriven_center(modes: NormalModes, sigma: int, a_plus, a_minus, t):
+    """Center (zeta, zeta') at times t after amplitudes evolve as alpha_pm e^{-i sigma omega_pm t}."""
+    t = np.asarray(t, dtype=float)
+    a_plus = a_plus * np.exp(-1j * sigma * modes.omega_plus * t)
+    a_minus = a_minus * np.exp(-1j * sigma * modes.omega_minus * t)
+    return _center_from_amplitudes(modes, sigma, a_plus, a_minus)
 
 
 def _trajectory_arrays(modes: NormalModes, sigma: int, z0: complex, v0: complex, t):
-    """Vectorized closed-form (zeta, zeta_dot) of the undriven motion."""
-    t = np.asarray(t, dtype=float)
-    wp, wm = modes.omega_plus, modes.omega_minus
-    c_slow, c_fast = _mode_coefficients(modes, sigma, z0, v0)
-    e_slow = np.exp(1j * sigma * wm * t)
-    e_fast = np.exp(-1j * sigma * wp * t)
-    zeta = c_slow * e_slow + c_fast * e_fast
-    zeta_dot = 1j * sigma * (wm * c_slow * e_slow - wp * c_fast * e_fast)
-    return zeta, zeta_dot
+    """Vectorized closed-form (zeta, zeta_dot) of the undriven motion from (z0, v0) at t = 0."""
+    return _undriven_center(modes, sigma, *_amplitudes_from_center(modes, sigma, z0, v0), t)
 
 
 def classical_trajectory(

@@ -1,4 +1,5 @@
 """End-to-end CLI runs: determinism, file contents, exit codes."""
+import copy
 import dataclasses
 import filecmp
 import json
@@ -13,10 +14,13 @@ import pytest
 
 import socaccel
 from socaccel import (
-    RB87, ApparatusParams, ResponseCurve, TrapConfig, cli, derive_modes, response_cp, response_up,
+    RB87, ApparatusParams, ResponseCurve, TrapConfig, cli, derive_modes, preset_cp, preset_up, pulses,
+    response_cp, response_up, run_sequence,
 )
 from socaccel.cli import main
+from socaccel.pulses import Evolve, RotateY, _center_from_amplitudes
 from socaccel.sensitivity import _sensitivity_reports
+from test_cli_fuzz import CUSTOM_CONFIG
 
 WT = 2 * math.pi * 1000.0
 
@@ -102,8 +106,8 @@ class TestTrajectory:
         assert run("trajectory", cfg_path, tmp_path / "out") == 0
         data = self.load(tmp_path / "out")
         assert data[0, 0] == 0.0
-        assert data[0, 1] == 6.8e-7 and data[0, 2] == 0.0
-        assert data[0, 3] == 6.8e-7 and data[0, 4] == 0.0
+        assert data[0, 1] == -6.8e-7 and data[0, 2] == 0.0
+        assert data[0, 3] == -6.8e-7 and data[0, 4] == 0.0
         # spin paths mirror across the release axis (x here)
         assert np.allclose(data[:, 1], data[:, 3], rtol=0, atol=1e-12 * 6.8e-7)
         assert np.allclose(data[:, 2], -data[:, 4], rtol=0, atol=1e-12 * 6.8e-7)
@@ -129,6 +133,52 @@ class TestTrajectory:
         cfg["trajectory"]["kind"] = "spiral"
         cfg_path = write_config(tmp_path, cfg)
         assert run("trajectory", cfg_path, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    def test_evolve_boundaries_are_the_engine_trace_centers(self, tmp_path, kind):
+        r0, t, n = [6.8e-7, 2e-7], 1.3 * math.pi / WT, 57  # t off the velocity-zero times
+        cfg = base_config()
+        cfg["trajectory"] = {"kind": kind, "r0": r0, "t": t, "points": n}
+        assert run("trajectory", write_config(tmp_path, cfg), tmp_path / "out") == 0
+        data = self.load(tmp_path / "out")
+        config = TrapConfig.from_modes(1.44316e-25, WT, 3.0)
+        modes = derive_modes(config)
+        sequence = (preset_up if kind == "up" else preset_cp)(r0, t)
+        trace = run_sequence(config, None, sequence).trace
+        # the column of the path that leaves the split spin up (down) follows spin +1 (-1),
+        # flipped by every pi pulse
+        spins, row, checked = {1: +1, 3: -1}, 0, 0
+        for step, before, after in zip(sequence, trace, trace[1:]):
+            if isinstance(step, RotateY) and abs(step.angle) == math.pi:
+                spins = {col: -spin for col, spin in spins.items()}
+            if not isinstance(step, Evolve):
+                continue
+            for i, branches in ((row, before[2]), (row + n - 1, after[2])):
+                assert data[i, 0] == (before[1] if i == row else after[1])
+                for col, spin in spins.items():
+                    (b,) = [b for b in branches if b.spin == spin]
+                    zeta = _center_from_amplitudes(modes, spin, b.alpha_plus, b.alpha_minus)[0]
+                    assert abs(complex(*data[i, col : col + 2]) - zeta) <= 1e-12 * modes.l_osc
+                    checked += 1
+            row += n - 1
+        assert checked == (4 if kind == "up" else 12) and row == len(data) - 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_products_do_not_depend_on_the_segment_cache(self, tmp_path, fmt):
+        cfg_path = write_config(tmp_path, base_config())
+        pulses._SEGMENT_CACHE.clear()
+        assert run("trajectory", cfg_path, tmp_path / "cold", "--format", fmt) == 0
+        assert pulses._SEGMENT_CACHE, "the second run must find its windows in the cache"
+        assert run("trajectory", cfg_path, tmp_path / "warm", "--format", fmt) == 0
+        name = f"trajectory.{fmt}"
+        assert filecmp.cmp(tmp_path / "cold" / name, tmp_path / "warm" / name, shallow=False)
+
+    @pytest.mark.parametrize("r0", [1e308, -1e308, [1e308, 0.0]])
+    def test_unrepresentable_displacement_exits_2(self, tmp_path, capsys, r0):
+        cfg = base_config()
+        cfg["trajectory"]["r0"] = r0
+        assert run("trajectory", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: Branch.alpha_plus is not finite\n"
 
 
 class TestResponse:
@@ -535,12 +585,19 @@ class TestSchema:
         assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err == "error: sequence.steps[1].shift is required\n"
 
-    @pytest.mark.parametrize("path", [[1.0], 0, None, {}])
+    @pytest.mark.parametrize("path", [[1.0], 0, None, {}, ["0,0.1,0", "0.01,0.1,0"]])
     def test_tabulated_path_that_names_no_file_exits_2(self, tmp_path, capsys, path):
         cfg = base_config()
         cfg["drive"] = {"kind": "tabulated", "path": path}
         assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith(f"error: drive.path: cannot read {path!r}: ")
+
+    @pytest.mark.parametrize("name", [{}, 0, None])
+    def test_sequence_name_must_be_a_string(self, tmp_path, capsys, name):
+        cfg = copy.deepcopy(CUSTOM_CONFIG)
+        cfg["sequence"]["name"] = name
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: sequence.name must be a string, got {name!r}\n"
 
     @pytest.mark.parametrize("cmd", ["modes", "trajectory", "response", "thermal"])
     def test_trap_without_an_oscillator_length_exits_2(self, tmp_path, capsys, cmd):
