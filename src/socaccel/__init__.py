@@ -11,159 +11,30 @@ Layers, bottom up:
 - ``thermal``: Glauber-P thermal averaging, suppression factors, MC sampler.
 - ``sensitivity``: shot-noise sensitivity budget and trap optimization.
 - ``cli``: command-line front end emitting deterministic CSV/JSON.
+
+Each layer's ``__all__`` is its public API (``constants`` and ``errors``
+included); the package re-exports all of them, ``cli`` aside.
 """
 
-from .constants import HBAR, K_B
-from .errors import (
-    AmplitudeTooLargeError,
-    BracketingError,
-    ConfigError,
-    CoverageError,
-    DivergenceError,
-    InfeasibleGeometryError,
-    ParameterError,
-    ResolutionError,
-    SocAccelError,
-)
-from .trap import (
-    NormalModes,
-    PhaseSpacePoint,
-    TrapConfig,
-    classical_trajectory,
-    derive_modes,
-    h_perp,
-)
-from .signals import (
-    Constant,
-    ForceSignal,
-    Sinusoid,
-    SumSignal,
-    Tabulated,
-    Zero,
-    circular,
-    modal_integral,
-)
-from .pulses import (
-    Branch,
-    Displace,
-    Evolve,
-    MeasurementRecord,
-    PulseSequence,
-    Readout,
-    RotateY,
-    SpinorCoherentState,
-    apply_displacement,
-    apply_evolution,
-    apply_rotation,
-    batch_signal,
-    expectation_spin,
-    ground_state,
-    mode_decompose,
-    preset_cp,
-    preset_up,
-    run_sequence,
-)
-from .response import (
-    ResponseCurve,
-    find_peaks,
-    find_zeros,
-    main_lobe_fwhm,
-    numeric_response,
-    numeric_response_curve,
-    response_cp,
-    response_up,
-)
-from .thermal import (
-    SuppressionFactors,
-    ThermalParams,
-    ThermalReport,
-    gamma_factors,
-    mean_occupation,
-    sample_initial_states,
-    thermal_signal,
-)
-from .sensitivity import (
-    RB87,
-    ApparatusParams,
-    SensitivityReport,
-    SpeciesParams,
-    TrapOptimum,
-    collision_budget,
-    optimize_trap,
-    sensitivity,
-    signal_ceiling,
-    thermal_geometry,
-)
+import sys
+
+from .constants import *
+from .errors import *
+from .trap import *
+from .signals import *
+from .pulses import *
+from .response import *
+from .thermal import *
+from .sensitivity import *
 
 __version__ = "0.1.0"
 
+# read from sys.modules: the package attribute ``sensitivity`` is the function,
+# which the star import above binds over the submodule
 __all__ = [
-    "HBAR",
-    "K_B",
-    "SocAccelError",
-    "ParameterError",
-    "ConfigError",
-    "CoverageError",
-    "DivergenceError",
-    "ResolutionError",
-    "AmplitudeTooLargeError",
-    "InfeasibleGeometryError",
-    "BracketingError",
-    "TrapConfig",
-    "NormalModes",
-    "PhaseSpacePoint",
-    "derive_modes",
-    "classical_trajectory",
-    "h_perp",
-    "ForceSignal",
-    "Zero",
-    "Constant",
-    "Sinusoid",
-    "SumSignal",
-    "Tabulated",
-    "circular",
-    "modal_integral",
-    "Branch",
-    "SpinorCoherentState",
-    "RotateY",
-    "Displace",
-    "Evolve",
-    "Readout",
-    "PulseSequence",
-    "MeasurementRecord",
-    "ground_state",
-    "mode_decompose",
-    "apply_rotation",
-    "apply_displacement",
-    "apply_evolution",
-    "expectation_spin",
-    "run_sequence",
-    "batch_signal",
-    "preset_up",
-    "preset_cp",
-    "ResponseCurve",
-    "response_up",
-    "response_cp",
-    "numeric_response",
-    "numeric_response_curve",
-    "find_zeros",
-    "find_peaks",
-    "main_lobe_fwhm",
-    "ThermalParams",
-    "SuppressionFactors",
-    "ThermalReport",
-    "mean_occupation",
-    "gamma_factors",
-    "sample_initial_states",
-    "thermal_signal",
-    "SpeciesParams",
-    "ApparatusParams",
-    "SensitivityReport",
-    "TrapOptimum",
-    "RB87",
-    "thermal_geometry",
-    "collision_budget",
-    "signal_ceiling",
-    "sensitivity",
-    "optimize_trap",
+    name
+    for layer in (
+        "constants", "errors", "trap", "signals", "pulses", "response", "thermal", "sensitivity"
+    )
+    for name in sys.modules[f"{__name__}.{layer}"].__all__
 ]

@@ -389,12 +389,9 @@ def cmd_modes(args) -> int:
     config = _trap_from(cfg)
     modes = derive_modes(config)
     report = {
-        "omega_plus": modes.omega_plus,
-        "omega_minus": modes.omega_minus,
-        "omega_tilde": modes.omega_tilde,
+        **dataclasses.asdict(modes),
         "omega_c": modes.omega_c,
         "epsilon": modes.epsilon,
-        "l_osc": modes.l_osc,
         "mass": config.mass,
     }
     _write_json(os.path.join(out, "modes.json"), report)

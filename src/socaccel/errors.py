@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SocAccelError",
+    "ParameterError",
+    "ConfigError",
+    "CoverageError",
+    "DivergenceError",
+    "ResolutionError",
+    "AmplitudeTooLargeError",
+    "InfeasibleGeometryError",
+    "BracketingError",
+]
+
 
 class SocAccelError(Exception):
     """Base class for all package-specific errors."""

@@ -45,6 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constants import HBAR
 from .errors import ParameterError
 from .signals import ForceSignal, Zero, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
 from .trap import (
@@ -461,7 +462,7 @@ def _segment_coeffs(config: TrapConfig, pairs, memo: bool = True) -> list[dict[i
     integrals = _piece_integrals(packed, nu)  # (4, pieces)
     w = _pair_sums(packed, nu, integrals, bounds)
     j = _window_sums(integrals, bounds)
-    mh = config.mass / config.hbar
+    mh = config.mass / HBAR
     memo_from = len(missed) - _SEGMENT_CACHE_MAX // 2
     for i, (drive, t_start, duration, coeffs, keep) in enumerate(missed):
         for sigma, r in ((+1, 0), (-1, 2)):

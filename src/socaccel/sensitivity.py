@@ -184,7 +184,7 @@ def signal_ceiling(
         return math.inf
     gamma_d = 1.0 / tau
     return (2.0 * gamma_d / math.sqrt(n_dom)) * (
-        2.0 * math.pi * config.hbar / (config.mass * r_0)
+        2.0 * math.pi * HBAR / (config.mass * r_0)
     )
 
 
@@ -205,19 +205,7 @@ class SensitivityReport:
     bandwidth: float
 
     def as_dict(self) -> dict:
-        return {
-            "v_mean": self.v_mean,
-            "r_t": self.r_t,
-            "r_0": self.r_0,
-            "n_layers": self.n_layers,
-            "gamma_coll": self.gamma_coll,
-            "N_c": self.N_c,
-            "tau": self.tau,
-            "g_max": self.g_max,
-            "S": self.S,
-            "omega_opt": self.omega_opt,
-            "bandwidth": self.bandwidth,
-        }
+        return dataclasses.asdict(self)
 
 
 def _shot_noise(species: SpeciesParams, r_0: float, n_total: float, tau: float) -> float:
@@ -227,14 +215,16 @@ def _shot_noise(species: SpeciesParams, r_0: float, n_total: float, tau: float) 
 
 
 def _cp_fwhm(modes: NormalModes, r_0: float, t: float) -> float:
-    """FWHM of the echo-response main lobe at interrogation segment t."""
+    """FWHM of the echo-response main lobe at interrogation segment t <= pi / omega_tilde.
+
+    The grid spans eight probe frequencies 2 pi / t >= 2 omega_tilde, so it
+    also covers both modes (omega_plus < 2 omega_tilde).
+    """
     probe = 2.0 * math.pi / t
-    w_hi = max(3.0 * modes.omega_plus, 8.0 * probe)
+    w_hi = 8.0 * probe
     if not math.isfinite(w_hi):
         raise ParameterError(f"segment time {t:.3e} s is too short: its response grid overflows")
-    n = int(w_hi / (probe / 64.0)) + 2
-    n = min(max(n, 1024), 1 << 17)
-    grid = np.linspace(0.0, w_hi, n)
+    grid = np.linspace(0.0, w_hi, 1024)
     try:
         return main_lobe_fwhm(response_cp(modes, r_0, t, grid=grid))
     except ParameterError as exc:
@@ -279,13 +269,8 @@ def _sensitivity_reports(species: SpeciesParams, apparatuses) -> list[Sensitivit
             bandwidth = bandwidths[key]
         reports.append(
             SensitivityReport(
-                v_mean=geometry.v_mean,
-                r_t=geometry.r_t,
-                r_0=geometry.r_0,
-                n_layers=geometry.n_layers,
-                gamma_coll=budget.gamma_coll,
-                N_c=budget.N_c,
-                tau=budget.tau,
+                **geometry._asdict(),
+                **budget._asdict(),
                 g_max=g_max,
                 S=s_val,
                 omega_opt=2.0 * geometry.v_mean / apparatus.homogeneity_radius,

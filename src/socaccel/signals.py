@@ -287,6 +287,8 @@ class Tabulated(ForceSignal):
             raise ParameterError(f"values must have shape (n, 2), got {values.shape}")
         if values.shape[0] < 2:
             raise ParameterError("tabulated signal needs at least 2 samples")
+        if not np.isfinite(values).all():
+            raise ParameterError("tabulated samples must be finite")
         if not dt > 0:
             raise ParameterError(f"dt must be > 0, got {dt}")
         self.t_start = float(t_start)

@@ -18,7 +18,7 @@ revival interrogation times).  The Monte-Carlo path certifies that identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -242,17 +242,7 @@ class ThermalReport:
         return iter((self.mc_mean, self.mc_stderr, self.analytic))
 
     def as_dict(self) -> dict:
-        return {
-            "mc_mean": self.mc_mean,
-            "mc_stderr": self.mc_stderr,
-            "analytic": self.analytic,
-            "zero_temperature_signal": self.zero_temperature_signal,
-            "suppression": self.suppression,
-            "count": self.count,
-            "seed": self.seed,
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-        }
+        return asdict(self)
 
 
 def thermal_signal(
@@ -276,9 +266,9 @@ def thermal_signal(
         raise ParameterError(f"count must be >= 100 for a meaningful average, got {count}")
     zero_t = run_sequence(config, None, sequence, drive).signal
     k_plus, k_minus = _phase_functionals(config, sequence, drive)
-    suppression = math.exp(
-        -params.n_plus * abs(k_plus / 2.0) ** 2 - params.n_minus * abs(k_minus / 2.0) ** 2
-    )
+    suppression = SuppressionFactors(
+        k_plus / 2.0, k_minus / 2.0, params.n_plus, params.n_minus
+    ).suppression
 
     alphas = sample_initial_states(params, count, seed)
     signals = batch_signal(config, alphas[:, 0], alphas[:, 1], sequence, drive)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, K_B
+from .constants import HBAR
 from .errors import ParameterError
 
 __all__ = [
@@ -45,13 +45,12 @@ class TrapConfig:
 
     ``omega_c`` is the synthetic cyclotron frequency (the spin-orbit coupling
     scale); ``omega_c = 0`` is allowed and reproduces spin-independent physics.
+    Planck's constant is ``constants.HBAR``; it is not a trap parameter.
     """
 
     mass: float            # kg
     omega0: float          # rad/s, bare trap frequency
     omega_c: float = 0.0   # rad/s, synthetic cyclotron frequency
-    hbar: float = HBAR
-    k_B: float = K_B
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mass) and self.mass > 0):
@@ -60,8 +59,6 @@ class TrapConfig:
             raise ParameterError(f"omega0 must be positive and finite, got {self.omega0}")
         if not (math.isfinite(self.omega_c) and self.omega_c >= 0):
             raise ParameterError(f"omega_c must be non-negative and finite, got {self.omega_c}")
-        if not (self.hbar > 0 and self.k_B > 0):
-            raise ParameterError("hbar and k_B must be positive")
 
     @classmethod
     def from_modes(cls, mass: float, omega_tilde: float, epsilon: float = 1.0) -> "TrapConfig":
@@ -115,7 +112,7 @@ def derive_modes(config: TrapConfig) -> NormalModes:
     """Normal-mode frequencies and oscillator length; l_osc and omega_minus must be finite, > 0."""
     omega_tilde = math.hypot(config.omega0, config.omega_c / 2.0)
     m_omega = config.mass * omega_tilde
-    l_osc = math.sqrt(config.hbar / m_omega) if m_omega > 0 else math.inf
+    l_osc = math.sqrt(HBAR / m_omega) if m_omega > 0 else math.inf
     omega_plus = omega_tilde + config.omega_c / 2.0
     # omega_tilde - omega_c/2 cancels catastrophically when omega_c >> omega0;
     # dividing keeps the product identity omega_plus * omega_minus = omega0^2
@@ -170,27 +167,21 @@ def _trajectory_arrays(modes: NormalModes, sigma: int, z0: complex, v0: complex,
     return _undriven_center(modes, sigma, *_amplitudes_from_center(modes, sigma, z0, v0), t)
 
 
-def classical_trajectory(
-    modes: NormalModes,
-    sigma: int,
-    r0,
-    t: float,
-    hbar: float = HBAR,
-) -> PhaseSpacePoint:
+def classical_trajectory(modes: NormalModes, sigma: int, r0, t: float) -> PhaseSpacePoint:
     """Undriven (g = 0) trajectory released from rest at ``r0``.
 
     The path is a superposition of the two circular modes with rotation sense
     set by ``sigma``; the sigma = -1 path is the mirror image of the sigma = +1
     path across the axis through the origin and ``r0``.  Velocity vanishes at
     every t = pi * n / omega_tilde.  Momenta in the returned point are kinetic,
-    with the mass recovered from hbar / (omega_tilde * l_osc**2).
+    with the mass recovered from HBAR / (omega_tilde * l_osc**2).
     """
     sigma = _check_sigma(sigma)
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
     z0 = complex(r0[0], r0[1])
     zeta, zeta_dot = _trajectory_arrays(modes, sigma, z0, 0.0, t)
-    mass = hbar / (modes.omega_tilde * modes.l_osc**2)
+    mass = HBAR / (modes.omega_tilde * modes.l_osc**2)
     return PhaseSpacePoint(
         x=float(zeta.real),
         y=float(zeta.imag),

@@ -127,6 +127,11 @@ class TestValidation:
             Tabulated(0.0, 1e-3, [[1.0, 2.0]])
         with pytest.raises(ParameterError):
             Tabulated(0.0, 0.0, np.zeros((5, 2)))
+        for bad in (math.nan, math.inf):
+            values = np.zeros((5, 2))
+            values[2, 1] = bad
+            with pytest.raises(ParameterError, match="^tabulated samples must be finite$"):
+                Tabulated(0.0, 1e-3, values)
 
     def test_tabulated_outside_grid_is_coverage_error(self):
         tab = Tabulated(1e-3, 1e-4, np.ones((11, 2)))
