@@ -10,7 +10,7 @@ amplitudes, phase and weight of a branch may also be shape-(N,) arrays, one
 entry per sample of N initial states that share a spin history; every
 primitive acts on them elementwise, and :func:`batch_signal` runs a whole
 sample set in one pass.  An array branch may also carry one drive per sample:
-the step walk then stacks the segment coefficients of the N drives into
+the step walk then takes the segment coefficients of the N drives as
 shape-(N,) arrays, computed for all windows and drives in one kernel pass.
 
 Conventions fixed here and relied on throughout:
@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -353,21 +353,14 @@ def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState
 # initial amplitudes and quadratic in the drive; these coefficients capture it:
 #   alpha_pm' = rot_pm * (alpha_pm + kick_pm)
 #   phase    += Re[p_lin * alpha_plus + q_lin * conj(alpha_minus)] + phase_g2
-@dataclass(frozen=True)
-class _SegmentCoeffs:
-    rot_plus: complex
-    rot_minus: complex
-    kick_plus: complex
-    kick_minus: complex
-    p_lin: complex
-    q_lin: complex
-    phase_g2: float
+# A field is a scalar, or an array with one entry per (drive, window) pair or per sample
+_SegmentCoeffs = namedtuple("_SegmentCoeffs", "rot_plus rot_minus kick_plus kick_minus p_lin q_lin phase_g2")
 
 
 # memo of segment coefficients across runs; an entry keeps its drive alive (a Tabulated
 # table by identity).  A walk takes the coefficients of all its windows from one
-# _segment_coeffs call and never reads them back here, so a run may have any number
-# of windows and drives
+# _cached_coeffs call and never reads them back here, so a run may have any number
+# of windows
 _SEGMENT_CACHE: OrderedDict = OrderedDict()
 _SEGMENT_CACHE_MAX = 256
 
@@ -388,101 +381,126 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
     On piece k, J_nu is the sum P_k of the window's earlier ``integrals`` I plus a running part,
     so W_nu = sum_k conj(I_k) P_k + sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu,
     delta_k); T is the triangular integral of ``signals`` (by parts, swap or series at
-    |k delta| = 0.5), called once per pair of term powers for every nu and distinct piece.  The
-    P_k sums run per window of two or more pieces (P_k is zero on one piece); the T terms are
-    gathered back to the pieces and summed per window in one reduction per power pair, so a
+    |k delta| = 0.5), called once for every nu, distinct piece and pair of terms.  The P_k sums
+    run per window of two or more pieces (P_k is zero on one piece); the T terms are gathered
+    back to the pieces and summed per window in one reduction per pair of term powers, so a
     window gets the bits of a pass over it alone.
     """
     w = np.zeros((nu.shape[0], len(bounds) - 1), dtype=complex)
     for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
         own = integrals[:, bounds[i] : bounds[i + 1]]
         w[:, i] = np.sum(own.conj() * (np.cumsum(own, axis=1) - own), axis=1)
+    powers = np.unique(packed.power[packed.valid]).tolist()
+    if not powers:
+        return w
     pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
     pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]
+    outer, inner = packed.power[:, :, None], packed.power[:, None, :]
     shape = nu.shape + pair_valid.shape
     k_outer = np.broadcast_to(nu[:, None, None, None] - packed.mu[:, :, None], shape)
     k_inner = np.broadcast_to(packed.mu[:, None, :] - nu[:, None, None, None], shape)
     width = np.broadcast_to(packed.width[:, None, None], pair_valid.shape)
-    powers = np.unique(packed.power[packed.valid]).tolist()
+    if len(powers) == 1:  # as a Python int, the kernel need not check that the powers are uniform
+        q_pow = p_pow = powers[0]
+    else:
+        q_pow, p_pow = (np.broadcast_to(x, pair_valid.shape)[pair_valid] for x in (outer, inner))
+    t = _triangle_integral(q_pow, k_outer[:, pair_valid], p_pow, k_inner[:, pair_valid], width[pair_valid])
+    slot = (np.cumsum(pair_valid) - 1).reshape(pair_valid.shape)[packed.shape]  # column of t per term pair
     for q in powers:
         for p in powers:
-            sel = pair_valid & (packed.power[:, :, None] == q) & (packed.power[:, None, :] == p)
+            sel = (pair_valid & (outer == q) & (inner == p))[packed.shape]
             if sel.any():
-                t = _triangle_integral(q, k_outer[:, sel], p, k_inner[:, sel], width[sel])
-                slot = (np.cumsum(sel) - 1).reshape(sel.shape)[packed.shape]  # column of t per term
-                sel = sel[packed.shape]
                 ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
                 w += _window_sums(pair_coef[sel] * t[:, slot[sel]], ends)
     return w
 
 
-def _segment_coeffs(config: TrapConfig, pairs, memo: bool = True) -> list[dict[int, _SegmentCoeffs]]:
-    """{sigma: coefficients} for each (drive, t_start, duration) pair, drives in any mix.
+def _cmul(ar, ai, br, bi) -> np.ndarray:
+    """(ar + i ai) (br + i bi) in real arithmetic, as Python's complex type multiplies; br sets the shape."""
+    z = np.empty(br.shape, dtype=complex)
+    z.real, z.imag = ar * br - ai * bi, ar * bi + ai * br
+    return z
 
-    With ``memo`` each pair and spin is looked up in the cache once; without it (the
-    single-use drives of a walk over N > 1 samples) nothing is looked up or memoized.  The
-    misses of all drives go through one kernel pass, each piece offset from its own window's
-    start, with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
+
+def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
+    """{sigma: coefficients} of (drive, t_start, duration) pairs, drives in any mix, in one pass.
+
+    Each field is an array with one entry per pair.  Every piece is offset from its own
+    window's start, with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
     (omega_plus, -omega_minus) for sigma = -1.  The kernels run once per distinct piece
     shape (the bits of its width and term rates, powers and padding) and are gathered back
     to every piece before its own coefficients and offset apply; each window sum is one
-    array reduction over the window's own pieces, so every pair gets the bits of a one-pair
-    call.  Computed pairs are handed back, and with ``memo`` the last
-    ``_SEGMENT_CACHE_MAX // 2`` of them with hashable drives (what the cache can hold) are
-    memoized for later runs; the cache is never read back within a run.  The driven
-    response from rest is zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde),
-    so the g^2 phase (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is
-    (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].
+    array reduction over the window's own pieces, and the fields are formed in real
+    arithmetic as Python's complex type forms them, so every pair gets the bits of a
+    one-pair call.  The driven response from rest is
+    zeta_d = (e^{i nu1 tau} J_nu1 - e^{i nu2 tau} J_nu2) / (2 i omega_tilde), so the g^2 phase
+    (m/hbar) integral Re[conj(gtilde) zeta_d] d tau is
+    (m/hbar) Re[(W_nu1 - W_nu2) / (2 i omega_tilde)].  A drive that overflows a field raises
+    :class:`ParameterError` naming its window.
+    """
+    modes = _modes_cached(config)
+    wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
+    for _, _, duration in pairs:
+        if not math.isfinite(wp * duration):
+            raise ParameterError(f"omega_plus * duration overflows at duration {duration:.3e} s")
+    nu = np.array([wm, -wp, wp, -wm])
+    mh = config.mass / HBAR
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = [drive.pieces(t_start, t_start + duration) for drive, t_start, duration in pairs]
+        packed = _pack_pieces(tables, [t_start for _, t_start, _ in pairs])
+        bounds = np.cumsum([0] + [len(table) for table in tables]).tolist()
+        integrals = _piece_integrals(packed, nu)  # (4, pieces)
+        w = _pair_sums(packed, nu, integrals, bounds)
+        j = _window_sums(integrals, bounds)
+        # rows sigma = +1, -1; columns m_plus and m_minus, the kick integrals of
+        # gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
+        m = j[[1, 0, 2, 3]].reshape(2, 2, -1)
+        m[:, 1] = m[:, 1].conj()
+        scale = np.array([sigma * 1j / (2.0 * wt * l) for sigma in (+1, -1)])[:, None, None]
+        kick = _cmul(scale.real, scale.imag, m.real, m.imag)
+        lin = _cmul(mh * l, 0.0, m.real, m.imag * np.array([-1.0, 1.0])[:, None])  # conj(m_plus), m_minus
+        phase = mh * ((w[0::2] - w[1::2]) / (2j * wt)).real
+        fields = (kick, lin, phase)
+    if not all(np.isfinite(f).all() for f in fields):
+        finite = np.isfinite(np.concatenate([kick, lin, phase[:, None]], axis=1)).all(axis=(0, 1))
+        _, t_start, duration = pairs[int(np.argmin(finite))]
+        raise ParameterError(
+            f"drive overflows the segment coefficients on [{t_start:.6g}, {t_start + duration:.6g}] s"
+        )
+    turns = {d: [[cmath.exp(-1j * s * w * d) for w in (wp, wm)] for s in (+1, -1)] for _, _, d in pairs}
+    rot = np.array([turns[d] for _, _, d in pairs]).transpose(1, 2, 0)
+    return {sigma: _SegmentCoeffs(*rot[k], *kick[k], *lin[k], phase[k]) for k, sigma in enumerate((+1, -1))}
+
+
+def _cached_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]]:
+    """{sigma: coefficients} in Python scalars per (drive, t_start, duration) pair, via the cache.
+
+    Each pair and spin is looked up once.  The misses go through one :func:`_segment_coeffs`
+    pass, and the last ``_SEGMENT_CACHE_MAX // 2`` of them with hashable drives (what the
+    cache can hold) are memoized for later runs; the cache is never read back within a run.
     """
     found, missed = [], []
     for drive, t, d in pairs:
-        coeffs, keep = {+1: None, -1: None}, memo
-        if memo:
-            try:
-                coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
-            except TypeError:  # unhashable custom signal: compute without caching
-                keep = False
+        coeffs, keep = {+1: None, -1: None}, True
+        try:
+            coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
+        except TypeError:  # unhashable custom signal: compute without caching
+            keep = False
         found.append(coeffs)
         if None in coeffs.values():
             missed.append((drive, t, d, coeffs, keep))
     if not missed:
         return found
-    modes = _modes_cached(config)
-    wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    nu = np.array([wm, -wp, wp, -wm])
-    pieces, starts, bounds = [], [], [0]
-    for drive, t_start, duration, _, _ in missed:
-        if not math.isfinite(wp * duration):
-            raise ParameterError(f"omega_plus * duration overflows at duration {duration:.3e} s")
-        own = drive.pieces(t_start, t_start + duration)
-        pieces += own
-        starts += [t_start] * len(own)
-        bounds.append(len(pieces))
-    packed = _pack_pieces(pieces, np.array(starts, dtype=float))
-    integrals = _piece_integrals(packed, nu)  # (4, pieces)
-    w = _pair_sums(packed, nu, integrals, bounds)
-    j = _window_sums(integrals, bounds)
-    mh = config.mass / HBAR
+    fields = _segment_coeffs(config, [m[:3] for m in missed])
+    rows = {s: list(zip(*(f.tolist() for f in fields[s]))) for s in (+1, -1)}
     memo_from = len(missed) - _SEGMENT_CACHE_MAX // 2
-    for i, (drive, t_start, duration, coeffs, keep) in enumerate(missed):
-        for sigma, r in ((+1, 0), (-1, 2)):
-            j1, j2 = complex(j[r, i]), complex(j[r + 1, i])
-            # kicks: integral of gtilde e^{i sigma omega_plus s} and of conj(gtilde) e^{i sigma omega_minus s}
-            m_plus, m_minus = (j2, j1.conjugate()) if sigma == +1 else (j1, j2.conjugate())
-            scale = sigma * 1j / (2.0 * wt * l)
-            coeffs[sigma] = _SegmentCoeffs(
-                rot_plus=cmath.exp(-1j * sigma * wp * duration),
-                rot_minus=cmath.exp(-1j * sigma * wm * duration),
-                kick_plus=scale * m_plus,
-                kick_minus=scale * m_minus,
-                p_lin=mh * l * m_plus.conjugate(),
-                q_lin=mh * l * m_minus,
-                phase_g2=mh * float(((w[r, i] - w[r + 1, i]) / (2j * wt)).real),
-            )
+    for i, (drive, t, d, coeffs, keep) in enumerate(missed):
+        for sigma in (+1, -1):
+            coeffs[sigma] = _SegmentCoeffs._make(rows[sigma][i])
             if keep and i >= memo_from:
                 if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
                     _SEGMENT_CACHE.popitem(last=False)
-                _SEGMENT_CACHE[drive, config, sigma, t_start, duration] = coeffs[sigma]
+                _SEGMENT_CACHE[drive, config, sigma, t, d] = coeffs[sigma]
     return found
 
 
@@ -501,14 +519,7 @@ def apply_evolution(
     part linear in the drive (evaluated along the undriven path).  With no
     drive both reduce to pure mode rotation and zero phase.
     """
-    if not (math.isfinite(duration) and duration >= 0):
-        raise ParameterError(f"duration must be >= 0, got {duration}")
-    if mode not in ("exact", "first_order"):
-        raise ParameterError(f"mode must be 'exact' or 'first_order', got {mode!r}")
-    if duration == 0.0:
-        return state
-    pair = (Zero() if drive is None else drive, state.time, duration)
-    return _evolve(state, _segment_coeffs(state.config, [pair])[0], duration, mode)
+    return _walk(state, (Evolve(duration, drive, mode),), (None,))[0]
 
 
 def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -> SpinorCoherentState:
@@ -605,9 +616,10 @@ def _coherence_record(state: SpinorCoherentState):
 def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple) -> list[dict]:
     """{sigma: coefficients} of each Evolve step of positive duration, in step order, in one call.
 
-    A step without its own drive gets the coefficients of every drive in ``drives``; for
-    N > 1 drives they are stacked into shape-(N,) fields, one entry per sample.  Such a
-    walk's drives are used once (transfer probes), so its windows bypass the cache.
+    A step without its own drive gets the coefficients of every drive in ``drives``.  One
+    drive gives Python scalars through the cache.  N > 1 drives give shape-(N,) field
+    arrays, one entry per sample; such a walk's drives are used once (transfer probes), so
+    its windows bypass the cache.
     """
     pairs, bounds, t = [], [0], state.time
     for step in sequence:
@@ -616,16 +628,13 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
             pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
             bounds.append(len(pairs))
             t += step.duration
-    found = _segment_coeffs(state.config, pairs, memo=len(drives) == 1)
+    if len(drives) == 1:
+        return _cached_coeffs(state.config, pairs)
+    found = _segment_coeffs(state.config, pairs)
     return [
-        found[lo] if hi - lo == 1 else {s: _stacked([c[s] for c in found[lo:hi]]) for s in (+1, -1)}
+        {s: _SegmentCoeffs(*(f[lo].item() if hi - lo == 1 else f[lo:hi] for f in found[s])) for s in (+1, -1)}
         for lo, hi in zip(bounds, bounds[1:])
     ]
-
-
-def _stacked(per_sample: list[_SegmentCoeffs]) -> _SegmentCoeffs:
-    """One coefficient set whose fields are shape-(N,) arrays over N samples."""
-    return _SegmentCoeffs(*map(np.array, zip(*(vars(c).values() for c in per_sample))))
 
 
 def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None):

@@ -6,14 +6,17 @@ pieces: over each piece [a, b],
 
     gtilde(a + tau) = sum_k  c_k * tau**p_k * exp(i mu_k tau),   0 <= tau <= b - a.
 
-Parametric waveforms produce a single piece; tabulated data produces one
-piece per grid interval of its linear interpolant.  :func:`modal_integral`
-and the engine's segment coefficients are closed forms over the pieces, with
-each kernel evaluated once per distinct piece (a uniform grid gives a handful),
-built from two array kernels split at |k delta| = 0.5:
+The expansion is a :class:`PieceTable`, one row per piece.  Parametric
+waveforms produce a single row; tabulated data produces one row per grid
+interval of its linear interpolant.  :func:`modal_integral` and the engine's
+segment coefficients are closed forms over the pieces, with each kernel
+evaluated once per distinct piece (a uniform grid gives a handful) and called
+once per pass with the term powers as integer arrays, built from two array
+kernels split at |k delta| = 0.5:
 
 - E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series
-  where |mu delta| < 0.5, the recursion in p elsewhere;
+  where |mu delta| < 0.5, summed to the first order n at which
+  max |mu delta|^n / n! < 1e-21 over the call, the recursion in p elsewhere;
 - T(q, k1, p, k2, delta) = integral_0^delta u**q e^{i k1 u} E_p(k2, u) du, the
   triangular double integral behind the phase quadratic in the drive: by
   parts where |k2 delta| >= 0.5, by the swap identity
@@ -34,6 +37,7 @@ from .errors import CoverageError, ParameterError
 
 __all__ = [
     "ForceSignal",
+    "PieceTable",
     "Zero",
     "Constant",
     "Sinusoid",
@@ -43,71 +47,126 @@ __all__ = [
     "modal_integral",
 ]
 
-# piece: (t_start, t_end, [(coefficient, mu, power), ...]) with local time tau = t - t_start
-Piece = tuple[float, float, list[tuple[complex, float, int]]]
 
+def _powers(p, shape):
+    """Term powers as a Python int when they are uniform, else an int array of ``shape``.
 
-def _exp_poly_integral(p: int, mu, delta):
-    """E_p(mu, delta), elementwise over broadcast ``mu`` and ``delta``; scalars give a scalar.
-
-    The series delta**(p+1) sum_k (i mu delta)^k / (k! (p+k+1)) stops per element once
-    a term is below 1e-20 of the sum (25 terms at most); it runs in real arithmetic
-    exactly as Python's complex type sums it.
+    numpy raises to a Python int exponent through fast paths (``square`` for 2) that give
+    other last bits than its ``pow`` loop for an array exponent, so a uniform power keeps
+    the arithmetic of a scalar call, and :func:`_pow` raises to each distinct value alone.
     """
-    mu, delta = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(delta, dtype=float))
+    if isinstance(p, int):
+        return p
+    if not p.size:
+        return 0
+    lo, hi = int(p.min()), int(p.max())
+    return lo if lo == hi else np.broadcast_to(p, shape)
+
+
+def _groups(p):
+    """(power, selection) for each distinct value of ``p`` from :func:`_powers`."""
+    return [(p, ...)] if isinstance(p, int) else [(v, p == v) for v in np.unique(p).tolist()]
+
+
+def _pow(x, n):
+    out = np.empty_like(x)
+    for v, sel in _groups(n):
+        out[sel] = x[sel] ** v
+    return out
+
+
+def _part(p, mask):
+    return p if isinstance(p, int) else p[mask]
+
+
+def _top(p) -> int:
+    return p if isinstance(p, int) else int(p.max())
+
+
+def _stack_powers(shape, *powers):
+    """Powers of kernel rows of ``shape`` stacked on a new first axis: an int if all are that int."""
+    if all(isinstance(p, int) and p == powers[0] for p in powers):
+        return powers[0]
+    return np.array([np.broadcast_to(p, shape) for p in powers])
+
+
+def _exp_poly_integral(p, mu, delta):
+    """E_p(mu, delta), elementwise over broadcast ``p``, ``mu`` and ``delta``; scalars give a scalar.
+
+    The series delta**(p+1) sum_k (i mu delta)^k / (k! (p+k+1)) runs to the first order n at
+    which max |mu delta|^n / n! < 1e-21 over the elements on the series branch; later terms
+    are below half an ulp of the sum.  It is summed forward in real arithmetic exactly as
+    Python's complex type sums it.
+    """
+    mu, delta = np.asarray(mu, dtype=float), np.asarray(delta, dtype=float)
     x = mu * delta
+    mu, delta = (v if v.shape == x.shape else np.broadcast_to(v, x.shape) for v in (mu, delta))
+    p = _powers(p, x.shape)
     small = np.abs(x) < 0.5
     out = np.empty(x.shape, dtype=complex)
     if small.any():
-        x_s = x[small]
+        x_s, p_s = x[small], _part(p, small)
+        top, bound, biggest = 0, 1.0, float(np.abs(x_s).max())
+        while bound >= 1e-21:
+            top += 1
+            bound *= biggest / top
         tr, ti = np.ones_like(x_s), np.zeros_like(x_s)  # (i x)^k / k!
-        sr, si, live = tr / (p + 1), ti, np.ones(x_s.shape, dtype=bool)
-        for k in range(1, 26):
+        sr, si = tr / (p_s + 1), ti
+        for k in range(1, top + 1):
             y = x_s / k
             tr, ti = -(ti * y), tr * y
-            sr = np.where(live, sr + tr / (p + k + 1), sr)
-            si = np.where(live, si + ti / (p + k + 1), si)
-            live &= ~(np.hypot(tr, ti) < 1e-20 * np.hypot(sr, si))
-            if not live.any():
-                break
-        scale = delta[small] ** (p + 1)
+            sr = sr + tr / (p_s + k + 1)
+            si = si + ti / (p_s + k + 1)
+        scale = _pow(delta[small], p_s + 1)
         out[small] = scale * sr + 1j * (scale * si)
     if not small.all():
-        imu, d = 1j * mu[~small], delta[~small]
+        imu, d, p_r = 1j * mu[~small], delta[~small], _part(p, ~small)
         e = np.exp(imu * d)
         val = (e - 1.0) / imu
-        for q in range(1, p + 1):
-            val = (d**q * e - q * val) / imu
+        for q in range(1, _top(p_r) + 1):
+            val = np.where(p_r >= q, (d**q * e - q * val) / imu, val)
         out[~small] = val
     return out[()]
 
 
-def _triangle_integral(q: int, k1, p: int, k2, delta):
-    """T(q, k1, p, k2, delta), elementwise over broadcast arrays; scalars give a scalar.
+def _triangle_integral(q, k1, p, k2, delta):
+    """T(q, k1, p, k2, delta), elementwise over broadcast arrays and powers; scalars give a scalar.
 
-    By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1).
-    The series in z = i k delta is delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)),
-    summed to the order N = 19 at which the next term bound (|z1| + |z2|)^(N+1) / (N+1)! is below
-    1e-18 for every element of the branch, so each element's value depends on its inputs alone.
+    By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1);
+    the E values of all its terms come from one call.  The series in z = i k delta is
+    delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)), summed to the order N = 19
+    at which the next term bound (|z1| + |z2|)^(N+1) / (N+1)! is below 1e-18 for every element of
+    the branch, so each element's value depends on its inputs alone.
     """
     k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
+    q, p = _powers(q, delta.shape), _powers(p, delta.shape)
     by_parts = np.abs(k2 * delta) >= 0.5
     swapped = ~by_parts & (np.abs(k1 * delta) >= 0.5)
     series = ~(by_parts | swapped)
     out = np.empty(delta.shape, dtype=complex)
     if by_parts.any():
         a, b, d = k1[by_parts], k2[by_parts], delta[by_parts]
-        coef = [-(math.factorial(p) // math.factorial(m)) * (1j / b) ** (p - m + 1) for m in range(p + 1)]
-        out[by_parts] = sum(c * _exp_poly_integral(q + m, a + b, d) for m, c in enumerate(coef))
-        out[by_parts] -= coef[0] * _exp_poly_integral(q, a, d)
+        q_b, p_b = _part(q, by_parts), _part(p, by_parts)
+        # rows E_{q+m}(k1 + k2) for m = 0..p, then E_q(k1); a_m = 0 for m > p adds zeros to the sum
+        top = _top(p_b)
+        powers = _stack_powers(d.shape, *(q_b + m for m in range(top + 1)), q_b)
+        e = _exp_poly_integral(powers, np.array([a + b] * (top + 1) + [a]), d)
+        coef = np.zeros((top + 1,) + d.shape, dtype=complex)
+        for v, sel in _groups(p_b):
+            for m in range(v + 1):
+                coef[m, sel] = -(math.factorial(v) // math.factorial(m)) * (1j / b[sel]) ** (v - m + 1)
+        out[by_parts] = sum(c * e_m for c, e_m in zip(coef, e)) - coef[0] * e[-1]
     if swapped.any():
         a, b, d = k1[swapped], k2[swapped], delta[swapped]
-        swap = _triangle_integral(p, b, q, a, d)  # takes the by-parts branch
-        out[swapped] = _exp_poly_integral(q, a, d) * _exp_poly_integral(p, b, d) - swap
+        q_s, p_s = _part(q, swapped), _part(p, swapped)
+        swap = _triangle_integral(p_s, b, q_s, a, d)  # takes the by-parts branch
+        e_q, e_p = _exp_poly_integral(_stack_powers(d.shape, q_s, p_s), np.array([a, b]), d)
+        out[swapped] = e_q * e_p - swap
     if series.any():
         # T = delta**(p+q+2) sum_j z2^j / (j! (p+j+1)) F_{p+q+1+j}(z1), F_n(z) = int_0^1 x^n e^{zx} dx:
         # Horner in z2 while F runs down its stable recursion F_n = (e^z - z F_{n+1}) / (n+1)
         z1, z2, d = 1j * (k1 * delta)[series], 1j * (k2 * delta)[series], delta[series]
+        q, p = _part(q, series), _part(p, series)
         order = 19  # |z1| + |z2| < 1 here, so the next term bound is below 1 / 20! < 1e-18
         top = p + q + 1 + order
         term, f = np.ones_like(z1), np.full_like(z1, 1.0 / (top + 1))
@@ -118,47 +177,84 @@ def _triangle_integral(q: int, k1, p: int, k2, delta):
         for j in range(order - 1, -1, -1):
             f = (e1 - z1 * f) / (p + q + j + 2)
             acc = f / (p + j + 1) + acc * (z2 / (j + 1))
-        out[series] = d ** (p + q + 2) * acc
+        out[series] = _pow(d, p + q + 2) * acc
     return out[()]
 
 
-# a piece list as arrays, term lists padded with zero terms to the longest:
-# offset from its window start t0 (one for all pieces or one per piece), (K,),
-# and coef, (K, M).  The kernels see a piece only through the bits of its width
-# and of its mu, power and valid rows, its shape: width (U,) and mu, power,
-# valid (U, M) hold each distinct shape once, and shape (K,) is each piece's row
+class PieceTable:
+    """Exponential-polynomial pieces of gtilde as arrays, one row per piece.
+
+    Row k is the piece [start[k], end[k]]: there gtilde(start[k] + tau) is the sum of
+    coef[k, j] * tau**power[k, j] * exp(i mu[k, j] tau) over the terms j with valid[k, j].
+    ``start`` and ``end`` have shape (K,); ``coef`` (complex), ``mu`` (float), ``power`` (int)
+    and ``valid`` (bool) have shape (K, M), and a row with fewer terms than M pads with
+    invalid ones.  ``len(table)`` is K.
+    """
+
+    __slots__ = ("start", "end", "coef", "mu", "power", "valid")
+
+    def __init__(self, start, end, coef, mu, power, valid):
+        self.start, self.end, self.coef, self.mu, self.power, self.valid = start, end, coef, mu, power, valid
+
+    def __len__(self):
+        return self.start.shape[0]
+
+    def _terms(self):
+        return self.coef, self.mu, self.power, self.valid
+
+    def _rows(self, rows) -> "PieceTable":
+        return PieceTable(self.start[rows], self.end[rows], *(f[rows] for f in self._terms()))
+
+
+def _row(t0, t1, coef, mu) -> PieceTable:
+    """The one piece [t0, t1] whose terms coef[j] exp(i mu[j] tau) all have power 0."""
+    # positional dtypes: numpy parses them faster than keywords, and this runs per window
+    return PieceTable(np.array([t0], float), np.array([t1], float), np.array([coef], complex),
+                      np.array([mu], float), np.zeros((1, len(mu)), int), np.array([[True] * len(mu)], bool))
+
+
+def _concat(tables: list[PieceTable]) -> PieceTable:
+    """The rows of ``tables`` in order, each padded with invalid zero terms to the widest."""
+    m = max(t.coef.shape[1] for t in tables)
+    if any(t.coef.shape[1] < m for t in tables):
+        pad = [[(0, 0), (0, m - t.coef.shape[1])] for t in tables]
+        tables = [PieceTable(t.start, t.end, *(np.pad(f, n) for f in t._terms())) for t, n in zip(tables, pad)]
+    return PieceTable(*(np.concatenate([getattr(t, f) for t in tables]) for f in PieceTable.__slots__))
+
+
+# the pieces of a pass as one table: offset from its own window start, (K,), and coef,
+# (K, M).  The kernels see a piece only through the bits of its width and of its mu, power
+# and valid rows, its shape: width (U,) and mu, power, valid (U, M) hold each distinct
+# shape once, and shape (K,) is each piece's row
 _Packed = namedtuple("_Packed", "offset coef shape width mu power valid")
 
 
-def _pack_pieces(pieces: list[Piece], t0: float) -> _Packed:
-    counts = np.array([len(terms) for _, _, terms in pieces], dtype=int)
-    valid = np.arange(counts.max(initial=0)) < counts[:, None]
-    coef, mu, power = (np.zeros(valid.shape, dtype=kind) for kind in (complex, float, int))
-    flat = [term for _, _, terms in pieces for term in terms]
-    if flat:
-        coef[valid], mu[valid], power[valid] = zip(*flat)
-    start, end = np.array([(a, b) for a, b, _ in pieces], dtype=float).reshape(-1, 2).T
-    width = end - start
-    key = np.column_stack([width.view(np.int64), mu.view(np.int64), power, valid])
+def _pack_pieces(tables: list[PieceTable], t0) -> _Packed:
+    """The rows of ``tables``, those of tables[i] offset from t0[i], keyed by shape."""
+    table = _concat(tables)
+    width = table.end - table.start
+    key = np.column_stack([width.view(np.int64), table.mu.view(np.int64), table.power, table.valid])
     row = np.dtype((np.void, key.itemsize * key.shape[1]))
     _, first, shape = np.unique(key.view(row).ravel(), return_index=True, return_inverse=True)
-    return _Packed(start - t0, coef, shape, width[first], mu[first], power[first], valid[first])
+    offset = table.start - np.repeat(t0, [len(t) for t in tables])
+    return _Packed(offset, table.coef, shape, width[first], *(f[first] for f in table._terms()[1:]))
 
 
 def _piece_integrals(packed: _Packed, nu):
     """I[..., k] = integral over piece k of gtilde(t) e^{-i nu (t - t0)} dt, for nu of any shape.
 
-    E_p runs once per distinct piece and is gathered back to every piece.  Products and
-    sums of terms follow scalar complex arithmetic (numpy's vector multiply may fuse a
-    multiply-add), so one piece gives the scalar loop's bits.
+    E_p runs once per distinct piece, in one call over all terms and powers, and is
+    gathered back to every piece.  Products and sums of terms follow scalar complex
+    arithmetic (numpy's vector multiply may fuse a multiply-add), so one piece gives the
+    scalar loop's bits.
     """
     nu = np.asarray(nu, dtype=float)
     kappa = packed.mu - nu[..., None, None]
     width = np.broadcast_to(packed.width[:, None], packed.mu.shape)
     e = np.zeros(kappa.shape, dtype=complex)
-    for p in np.unique(packed.power[packed.valid]).tolist():
-        sel = packed.valid & (packed.power == p)
-        e[..., sel] = _exp_poly_integral(p, kappa[..., sel], width[sel])
+    sel = packed.valid
+    if sel.any():
+        e[..., sel] = _exp_poly_integral(packed.power[sel], kappa[..., sel], width[sel])
     e, c = e[..., packed.shape, :], packed.coef
     terms = (c.real * e.real - c.imag * e.imag) + 1j * (c.real * e.imag + c.imag * e.real)
     total = np.zeros(terms.shape[:-1], dtype=complex)
@@ -175,8 +271,13 @@ class ForceSignal(ABC):
         """g at time(s) t: shape (2,) for scalar t, (2, n) for array t."""
 
     @abstractmethod
-    def pieces(self, t0: float, t1: float) -> list[Piece]:
-        """Exponential-polynomial expansion of gtilde on [t0, t1]."""
+    def pieces(self, t0: float, t1: float) -> PieceTable:
+        """Exponential-polynomial expansion of gtilde on [t0, t1] as a :class:`PieceTable`.
+
+        The rows are consecutive pieces in time order that cover [t0, t1]: the first starts
+        at t0 and the last ends at t1.  Asked for one of its own rows' intervals, a signal
+        returns that one row; where t1 <= t0 it may return a zero-width row or none.
+        """
 
     def _as_2vec(self, gx, gy, t):
         t = np.asarray(t, dtype=float)
@@ -192,7 +293,7 @@ class Zero(ForceSignal):
         return np.zeros(2) if t.ndim == 0 else np.zeros((2,) + t.shape)
 
     def pieces(self, t0, t1):
-        return [(float(t0), float(t1), [])]
+        return _row(t0, t1, [], [])
 
 
 @dataclass(frozen=True)
@@ -204,7 +305,7 @@ class Constant(ForceSignal):
         return self._as_2vec(self.gx, self.gy, t)
 
     def pieces(self, t0, t1):
-        return [(float(t0), float(t1), [(complex(self.gx, self.gy), 0.0, 0)])]
+        return _row(t0, t1, [complex(self.gx, self.gy)], [0.0])
 
 
 @dataclass(frozen=True)
@@ -235,11 +336,7 @@ class Sinusoid(ForceSignal):
         ax, ay = self.amplitude
         g0 = complex(ax, ay) / 2.0
         th = self.omega * t0 + self.phase
-        terms = [
-            (g0 * np.exp(1j * th), self.omega, 0),
-            (g0 * np.exp(-1j * th), -self.omega, 0),
-        ]
-        return [(float(t0), float(t1), terms)]
+        return _row(t0, t1, [g0 * np.exp(1j * th), g0 * np.exp(-1j * th)], [self.omega, -self.omega])
 
 
 @dataclass(frozen=True)
@@ -257,22 +354,25 @@ class SumSignal(ForceSignal):
         return out
 
     def pieces(self, t0, t1):
-        # split at the union of the parts' internal boundaries, then merge terms; a part's
-        # own piece is reused where it is exactly the sub-interval, and only a part whose
-        # piece spans more is expanded again on the sub-interval
-        own = [{(a, b): terms for a, b, terms in p.pieces(t0, t1)} for p in self.parts]
-        grid = sorted({float(t0), float(t1)}.union(*(span for spans in own for span in spans)))
-        out: list[Piece] = []
-        for a, b in zip(grid[:-1], grid[1:]):
-            if b - a <= 0.0:
-                continue
-            terms: list[tuple[complex, float, int]] = []
-            for p, spans in zip(self.parts, own):
-                sub = [(a, b, spans[a, b])] if (a, b) in spans else p.pieces(a, b)
-                assert len(sub) == 1, "sub-piece not atomic after edge splitting"
-                terms.extend(sub[0][2])
-            out.append((a, b, terms))
-        return out
+        # split at the union of the parts' piece edges, then set the parts' terms side by
+        # side; a part's own row is reused where it is exactly the sub-interval, and only a
+        # part whose piece spans more is expanded again on the sub-interval
+        own = [p.pieces(t0, t1) for p in self.parts]
+        edges = [[float(t0), float(t1)], *(e for table in own for e in (table.start, table.end))]
+        grid = np.unique(np.concatenate(edges))
+        cut = grid[1:] - grid[:-1] > 0.0
+        start, end = grid[:-1][cut], grid[1:][cut]
+        columns = []
+        for p, table in zip(self.parts, own):
+            row = np.searchsorted(table.start, start, side="right") - 1
+            redo = np.flatnonzero((table.start[row] != start) | (table.end[row] != end))
+            fresh = [p.pieces(a, b) for a, b in zip(start[redo].tolist(), end[redo].tolist())]
+            assert all(len(sub) == 1 for sub in fresh), "sub-piece not atomic after edge splitting"
+            order = np.arange(len(start))
+            order[redo] = len(start) + np.arange(len(redo))  # fresh rows after the reused ones
+            columns.append(_concat([table._rows(row), *fresh])._rows(order))
+        terms = zip(*(column._terms() for column in columns))
+        return PieceTable(start, end, *(np.concatenate(f, axis=1) for f in terms))
 
 
 class Tabulated(ForceSignal):
@@ -339,20 +439,20 @@ class Tabulated(ForceSignal):
     def pieces(self, t0, t1):
         t0, t1 = float(t0), float(t1)
         self._check_cover(t0, t1)
-        if not t1 > t0:
-            return []
         # grid nodes strictly inside (t0, t1)
         k_lo = int(math.ceil((t0 - self.t_start) / self.dt - 1e-9))
         k_hi = int(math.floor((t1 - self.t_start) / self.dt + 1e-9))
         grid = self.t_start + np.arange(k_lo, k_hi + 1) * self.dt
         inner = grid[(t0 + 1e-15 < grid) & (grid < t1 - 1e-15)]
-        nodes = np.concatenate(([t0], inner, [t1]))
+        nodes = np.concatenate(([t0], inner, [t1] if t1 > t0 else []))
         gx, gy = self.evaluate(nodes)
         width = np.diff(nodes)
-        start = (gx + 1j * gy)[:-1].tolist()
-        slope = (np.diff(gx) / width + 1j * (np.diff(gy) / width)).tolist()
-        edges = zip(nodes[:-1].tolist(), nodes[1:].tolist(), start, slope)
-        return [(a, b, [(ga, 0.0, 0), (s, 0.0, 1)]) for a, b, ga, s in edges]
+        coef = np.empty((width.shape[0], 2), dtype=complex)
+        coef[:, 0] = (gx + 1j * gy)[:-1]
+        coef[:, 1] = np.diff(gx) / width + 1j * (np.diff(gy) / width)
+        power = np.zeros(coef.shape, dtype=int)
+        power[:, 1] = 1
+        return PieceTable(nodes[:-1], nodes[1:], coef, np.zeros(coef.shape), power, power >= 0)
 
 
 def circular(amplitude: float, omega: float, phase: float = 0.0, sense: int = -1) -> SumSignal:
@@ -379,5 +479,5 @@ def modal_integral(signal: ForceSignal, omega: float, t0: float, t1: float,
     With ``conjugate=True`` the integrand uses conj(gtilde) instead.  This is
     the primitive behind the thermal gamma factors.
     """
-    total = _piece_integrals(_pack_pieces(signal.pieces(t0, t1), t0), omega if conjugate else -omega)
+    total = _piece_integrals(_pack_pieces([signal.pieces(t0, t1)], [t0]), omega if conjugate else -omega)
     return complex(total.sum().conjugate() if conjugate else total.sum())

@@ -604,6 +604,16 @@ class TestSchema:
             f"error: drive.path: cannot read {str(path)!r}: tabulated samples must be finite\n"
         )
 
+    @pytest.mark.parametrize("big", ["1e308", "1e150"])
+    def test_tabulated_sample_that_overflows_exits_2(self, tmp_path, capsys, big):
+        rows = [f"{0.1 * k * math.pi / WT!r},0.1,{big if k == 20 else 0}" for k in range(41)]
+        path = tmp_path / "drive.csv"
+        path.write_text("t,gx,gy\n" + "\n".join(rows) + "\n")
+        cfg = base_config()
+        cfg["drive"] = {"kind": "tabulated", "path": str(path)}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: drive overflows the segment coefficients on [")
+
     @pytest.mark.parametrize("name", [{}, 0, None])
     def test_sequence_name_must_be_a_string(self, tmp_path, capsys, name):
         cfg = copy.deepcopy(CUSTOM_CONFIG)

@@ -1,8 +1,9 @@
 """Pulse primitives, the branch-tracking spinor engine, and preset sequences."""
 import math
+import sys
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass, fields
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -402,13 +403,13 @@ class TestSegmentFill:
         drive = self.drives()[kind]
         windows = evolve_windows(sequence)
         batched = pulses._segment_coeffs(CFG, [(drive, *window) for window in windows])
-        for window, coeffs in zip(windows, batched):
+        for i, window in enumerate(windows):
             pulses._SEGMENT_CACHE.clear()
-            (single,) = pulses._segment_coeffs(CFG, [(drive, *window)])
+            single = pulses._segment_coeffs(CFG, [(drive, *window)])
             for sigma in (+1, -1):
-                for field in fields(pulses._SegmentCoeffs):
-                    got, want = getattr(coeffs[sigma], field.name), getattr(single[sigma], field.name)
-                    assert got == want, (window, sigma, field.name)
+                for name in pulses._SegmentCoeffs._fields:
+                    got, want = getattr(batched[sigma], name)[i], getattr(single[sigma], name)[0]
+                    assert got == want, (window, sigma, name)
 
     def test_kernel_rows_do_not_grow_with_the_table(self, monkeypatch):
         """A uniform table's pieces share a few shapes, so a pass evaluates the kernels on those rows only."""
@@ -435,25 +436,47 @@ class TestSegmentFill:
             assert 0 < counts[2800][name] <= 2 * counts[700][name], counts
         assert counts[700]["T"] < 700, counts  # a per-piece pass makes 16 rows a piece (4 nu x 4 power pairs)
 
+    def test_cold_tabulated_pass_calls_each_kernel_once(self, monkeypatch):
+        """The table's terms have powers 0 and 1; E and T still run once each at the top of the pass."""
+        calls = Counter()
+
+        def count(kernel):
+            def counted(*args):
+                calls[kernel.__name__, sys._getframe(1).f_code.co_name] += 1
+                return kernel(*args)
+
+            return counted
+
+        kernels = [signals._exp_poly_integral, signals._triangle_integral]
+        for module in (signals, pulses):
+            for kernel in kernels:
+                if hasattr(module, kernel.__name__):
+                    monkeypatch.setattr(module, kernel.__name__, count(kernel))
+        run_sequence(CFG, None, preset_cp(R0, self.T), self.drives()["tabulated"])
+        assert calls["_exp_poly_integral", "_piece_integrals"] == 1, calls
+        assert calls["_triangle_integral", "_pair_sums"] == 1, calls
+
     def test_shapes_are_keyed_on_bits(self):
         """Rates +0.0 / -0.0 and widths one ulp apart stay distinct shapes; each pair keeps its bits."""
         still = Sinusoid(amplitude=(1e-3, -2e-3), omega=0.0, phase=0.4)
         twin = SumSignal([Constant(1e-3, 2e-3), Constant(-3e-3, 1e-3)])
-        ((_, _, terms),) = still.pieces(0.0, self.T)
-        assert [math.copysign(1.0, mu) for _, mu, _ in terms] == [1.0, -1.0]
-        packed = signals._pack_pieces(still.pieces(0.0, self.T) + twin.pieces(0.0, self.T), 0.0)
+        (terms,) = still.pieces(0.0, self.T).mu.tolist()
+        assert [math.copysign(1.0, mu) for mu in terms] == [1.0, -1.0]
+        packed = signals._pack_pieces([still.pieces(0.0, self.T), twin.pieces(0.0, self.T)], [0.0, 0.0])
         assert len(packed.width) == 2  # two shapes
         table = Tabulated(0.0, 4 * self.T / 696, 1e-3 * np.random.default_rng(5).normal(size=(697, 2)))
-        windows = [(a, b - a) for a, b, _ in table.pieces(0.0, 4 * self.T)[:40]]  # one piece each
-        widths = np.unique([b - a for t, d in windows for a, b, _ in table.pieces(t, t + d)])
+        whole = table.pieces(0.0, 4 * self.T)
+        windows = [(a, b - a) for a, b in zip(whole.start[:40].tolist(), whole.end.tolist())]  # one piece each
+        subs = [table.pieces(t, t + d) for t, d in windows]
+        widths = np.unique(np.concatenate([sub.end - sub.start for sub in subs]))
         assert np.any(np.diff(widths) == np.spacing(widths[:-1]))  # neighbours one ulp apart
         pairs = [(still, 0.0, self.T), (twin, 0.0, self.T)] + [(table, *window) for window in windows]
         batched = pulses._segment_coeffs(CFG, pairs)
-        for pair, coeffs in zip(pairs, batched):
+        for i, pair in enumerate(pairs):
             pulses._SEGMENT_CACHE.clear()
-            (single,) = pulses._segment_coeffs(CFG, [pair])
+            single = pulses._segment_coeffs(CFG, [pair])
             for sigma in (+1, -1):
-                assert coeffs[sigma] == single[sigma], (pair, sigma)
+                assert [f[i] for f in batched[sigma]] == [f[0] for f in single[sigma]], (pair, sigma)
 
     def test_cold_cp_run_makes_one_kernel_pass(self, monkeypatch):
         calls = []
@@ -471,11 +494,11 @@ class TestSegmentFill:
         windows = evolve_windows(preset_cp(R0, self.T))
         pairs = [(drive, *window) for drive in self.drives().values() for window in windows]
         batched = pulses._segment_coeffs(CFG, pairs)
-        for pair, coeffs in zip(pairs, batched):
+        for i, pair in enumerate(pairs):
             pulses._SEGMENT_CACHE.clear()
-            (single,) = pulses._segment_coeffs(CFG, [pair])
+            single = pulses._segment_coeffs(CFG, [pair])
             for sigma in (+1, -1):
-                assert coeffs[sigma] == single[sigma], (pair, sigma)
+                assert [f[i] for f in batched[sigma]] == [f[0] for f in single[sigma]], (pair, sigma)
 
     def test_long_sequence_equals_stepping_by_hand(self):
         """300 windows of one drive, more than the cache holds, step by step as by hand."""
@@ -554,6 +577,21 @@ class TestSegmentFill:
         assert np.array_equal(got_batch, want_batch)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e308, 1e150, 1e100])
+def test_overflowing_drive_names_its_window(big):
+    """One finite sample whose square or phase overflows is reported with its window, without numpy warnings."""
+    values = np.zeros((41, 2))
+    values[20, 1] = big
+    drive, sequence = Tabulated(0.0, 12.5e-6, values), preset_up(R0, 5e-4)
+    if big < 1e150:
+        assert math.isfinite(run_sequence(CFG, None, sequence, drive).phase)
+    else:
+        message = r"^drive overflows the segment coefficients on \[0, 0\.0005\] s$"
+        with pytest.raises(ParameterError, match=message):
+            run_sequence(CFG, None, sequence, drive)
+
+
 class TestNormConservation:
     def test_norm_after_every_primitive(self):
         t = 1.1 * math.pi / WT  # deliberately off the echo timing
@@ -599,7 +637,7 @@ class TestSignalLaw:
     def oracle_phase(drive, t, n_pts=200001):
         """Independent quadrature of 2 (m/hbar) int (zhat x r0) . g h_perp dt."""
         tt = np.linspace(0.0, t, n_pts)
-        g = np.array([drive.evaluate(float(x)) for x in tt])
+        g = drive.evaluate(tt).T
         perp = np.array([-R0[1], R0[0]])
         m_over_h = 1.0 / (WT * L**2)
         return 2.0 * m_over_h * np.trapezoid((g @ perp) * h_perp(MODES, tt), tt)

@@ -340,3 +340,23 @@ class TestOptimizeTrap:
         hot = dataclasses.replace(AP, temperature=1e-3)
         with pytest.raises(InfeasibleGeometryError):
             optimize_trap(RB87, hot, (1.0, 10.0))
+
+
+def test_cp_fwhm_grid_brackets_the_main_lobe(monkeypatch):
+    """The fixed 1,024-point grid of _cp_fwhm holds the main lobe over omega_tilde 1e2-1e5, epsilon 1-1e3."""
+    curves = []
+    fwhm = sensitivity_module.main_lobe_fwhm
+    monkeypatch.setattr(sensitivity_module, "main_lobe_fwhm", lambda curve: curves.append(curve) or fwhm(curve))
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        wt, eps = 10.0 ** rng.uniform(2.0, 5.0), 10.0 ** rng.uniform(0.0, 3.0)
+        modes = derive_modes(TrapConfig.from_modes(RB87.mass, wt, eps))
+        t = 10.0 ** rng.uniform(-2.0, 0.0) * math.pi / wt
+        sensitivity_module._cp_fwhm(modes, modes.l_osc, t)
+        m2 = np.abs(curves[-1].values) ** 2
+        peak = int(np.argmax(m2))
+        below = np.flatnonzero(m2 <= m2[peak] / 2.0)
+        assert 0 < peak < m2.size - 1, (wt, eps, t)
+        assert below.min() < peak < below.max(), (wt, eps, t)  # both crossings inside the grid
+        lobe = below[below > peak].min() - below[below < peak].max() - 1
+        assert lobe >= 30, (wt, eps, t, lobe)

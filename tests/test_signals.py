@@ -13,6 +13,7 @@ from socaccel import (
     CoverageError,
     ForceSignal,
     ParameterError,
+    PieceTable,
     Sinusoid,
     SumSignal,
     Tabulated,
@@ -291,6 +292,36 @@ def triangle_oracle(q: int, k1: float, p: int, k2: float, delta: float) -> compl
     return quad_complex(lambda u: u**q * np.exp(1j * k1 * u) * exp_poly_oracle(p, k2, u), 0.0, delta)
 
 
+def exp_poly_reference(p: int, mu, delta):
+    """E_p as it was: the series stops per element once a term is below 1e-20 of the sum."""
+    mu, delta = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(delta, dtype=float))
+    x = mu * delta
+    small = np.abs(x) < 0.5
+    out = np.empty(x.shape, dtype=complex)
+    if small.any():
+        x_s = x[small]
+        tr, ti = np.ones_like(x_s), np.zeros_like(x_s)
+        sr, si, live = tr / (p + 1), ti, np.ones(x_s.shape, dtype=bool)
+        for k in range(1, 26):
+            y = x_s / k
+            tr, ti = -(ti * y), tr * y
+            sr = np.where(live, sr + tr / (p + k + 1), sr)
+            si = np.where(live, si + ti / (p + k + 1), si)
+            live &= ~(np.hypot(tr, ti) < 1e-20 * np.hypot(sr, si))
+            if not live.any():
+                break
+        scale = delta[small] ** (p + 1)
+        out[small] = scale * sr + 1j * (scale * si)
+    if not small.all():
+        imu, d = 1j * mu[~small], delta[~small]
+        e = np.exp(imu * d)
+        val = (e - 1.0) / imu
+        for q in range(1, p + 1):
+            val = (d**q * e - q * val) / imu
+        out[~small] = val
+    return out
+
+
 # kappa * delta on both sides of the 0.5 branch threshold, and k1 + k2 ~ 0
 DELTA = 2e-3
 PHASES = [0.0, 0.2, -0.49, 0.51, -3.0, 40.0]
@@ -325,7 +356,32 @@ class TestKernels:
             for q in (0, 2):
                 t = _triangle_integral(q, k1, p, k2, delta)
                 assert t.tolist() == [_triangle_integral(q, a, p, b, d) for a, b, d in zip(k1, k2, delta)]
+        # powers 0..3 mixed within one call
+        p, q = rng.integers(0, 4, 40), rng.integers(0, 4, 40)
+        e = _exp_poly_integral(p, k1, delta)
+        assert e.tolist() == [_exp_poly_integral(n, a, d) for n, a, d in zip(p.tolist(), k1, delta)]
+        t = _triangle_integral(q, k1, p, k2, delta)
+        args = zip(q.tolist(), k1, p.tolist(), k2, delta)
+        expect = [_triangle_integral(m, a, n, b, d) for m, a, n, b, d in args]
+        assert t.tolist() == expect
         assert isinstance(_exp_poly_integral(1, 3.0, 0.1), complex)
+
+    def test_series_term_count_keeps_the_per_element_stop_bits(self):
+        """One term count per call gives the bits of the series stopped per element."""
+        mags = np.concatenate([np.geomspace(5e-324, 0.4999, 600), [np.nextafter(0.5, 0.0)]])
+        x = np.concatenate([mags, -mags, [0.0, -0.0]])
+        spread = np.random.default_rng(12).permutation(np.geomspace(1e-5, 3.0, x.size))
+        for delta in (1.0, DELTA, spread):
+            mu = x / delta
+            for p in (0, 1, 2, 3):
+                got = _exp_poly_integral(p, mu, delta)
+                assert np.array_equal(got.view(np.int64), exp_poly_reference(p, mu, delta).view(np.int64)), p
+            powers = np.arange(x.size) % 4
+            mixed = _exp_poly_integral(powers, mu, delta)
+            for p in range(4):
+                sel = powers == p
+                want = exp_poly_reference(p, mu[sel], np.broadcast_to(delta, x.shape)[sel])
+                assert np.array_equal(mixed[sel].view(np.int64), want.view(np.int64)), p
 
     def test_tabulated_pieces_match_the_scalar_loop(self):
         rng = np.random.default_rng(9)
@@ -340,28 +396,33 @@ class TestKernels:
                 if b - a > 0.0:
                     ga, gb = (complex(*tab.evaluate(v)) for v in (a, b))
                     expect.append((a, b, [(ga, 0.0, 0), ((gb - ga) / (b - a), 0.0, 1)]))
-            assert tab.pieces(t0, t1) == expect
+            table = tab.pieces(t0, t1)
+            got = [
+                (a, b, [(c, mu, p) for c, mu, p, ok in zip(*terms) if ok])
+                for a, b, *terms in zip(*(getattr(table, f).tolist() for f in PieceTable.__slots__))
+            ]
+            assert got == expect
 
 
-def sum_pieces_reference(signal: SumSignal, t0: float, t1: float):
+def sum_pieces_reference(signal: SumSignal, t0: float, t1: float) -> PieceTable:
     """SumSignal.pieces as it was: every part is expanded again on every sub-interval."""
     edges = {float(t0), float(t1)}
     for p in signal.parts:
-        for a, b, _ in p.pieces(t0, t1):
-            edges.add(a)
-            edges.add(b)
+        table = p.pieces(t0, t1)
+        edges.update(table.start.tolist())
+        edges.update(table.end.tolist())
     grid = sorted(edges)
-    out = []
+    spans, rows = [], []
     for a, b in zip(grid[:-1], grid[1:]):
         if b - a <= 0.0:
             continue
-        terms = []
-        for p in signal.parts:
-            sub = p.pieces(a, b)
-            assert len(sub) == 1
-            terms.extend(sub[0][2])
-        out.append((a, b, terms))
-    return out
+        subs = [p.pieces(a, b) for p in signal.parts]
+        assert all(len(sub) == 1 for sub in subs)
+        spans.append((a, b))
+        rows.append([np.concatenate([getattr(sub, f) for sub in subs], axis=1) for f in PieceTable.__slots__[2:]])
+    start, end = np.array(spans, dtype=float).reshape(-1, 2).T
+    terms = [np.concatenate(f) for f in zip(*rows)] if rows else [None] * 4
+    return PieceTable(start, end, *terms)
 
 
 @pytest.mark.parametrize("t0, t1", [(0.0, 3.0e-3), (1.234e-4, 2.71e-3), (5e-4, 5e-4 + 1e-9), (1e-3, 1e-3)])
@@ -376,7 +437,11 @@ def test_sum_pieces_equal_the_per_sub_interval_expansion(t0, t1):
         SumSignal([circular(0.2, 900.0), Constant(0.1, 0.05), Zero()]),
         SumSignal([coarse, SumSignal([table, tone])]),
     ):
-        assert signal.pieces(t0, t1) == sum_pieces_reference(signal, t0, t1)
+        got, want = signal.pieces(t0, t1), sum_pieces_reference(signal, t0, t1)
+        assert len(got) == len(want)
+        for f in PieceTable.__slots__:
+            if len(want) or f in ("start", "end"):
+                assert np.array_equal(getattr(got, f), getattr(want, f)), f
 
 
 @dataclass(frozen=True)
@@ -384,20 +449,22 @@ class Ragged(ForceSignal):
     """Pieces with 1, 3 and 0 terms and powers up to 2; windows start and end on an edge."""
 
     edges = (0.0, 1.1e-3, 2.9e-3, 4.0e-3)
-    terms = (
-        ((0.4 - 0.1j, 2100.0, 0),),
-        ((0.2 + 0.3j, -6300.0, 0), (150.0 - 80.0j, 0.0, 1), (4e4 + 1e4j, 9000.0, 2)),
-        (),
-    )
+    coef = np.array([[0.4 - 0.1j, 0, 0], [0.2 + 0.3j, 150.0 - 80.0j, 4e4 + 1e4j], [0, 0, 0]])
+    mu = np.array([[2100.0, 0.0, 0.0], [-6300.0, 0.0, 9000.0], [0.0, 0.0, 0.0]])
+    power = np.array([[0, 0, 0], [0, 1, 2], [0, 0, 0]])
+    valid = np.array([[True, False, False], [True, True, True], [False, False, False]])
 
     def pieces(self, t0, t1):
-        spans = zip(self.edges, self.edges[1:], self.terms)
-        return [(a, b, list(terms)) for a, b, terms in spans if t0 - 1e-12 <= a and b <= t1 + 1e-12]
+        a, b = np.array(self.edges[:-1]), np.array(self.edges[1:])
+        rows = (t0 - 1e-12 <= a) & (b <= t1 + 1e-12)
+        return PieceTable(a[rows], b[rows], self.coef[rows], self.mu[rows], self.power[rows], self.valid[rows])
 
     def evaluate(self, t):
-        for a, b, terms in self.pieces(self.edges[0], self.edges[-1]):
+        table = self.pieces(self.edges[0], self.edges[-1])
+        for a, b, coef, mu, power, valid in zip(*(getattr(table, f) for f in PieceTable.__slots__)):
             if a <= t <= b:
-                g = complex(sum(c * (t - a) ** p * np.exp(1j * mu * (t - a)) for c, mu, p in terms))
+                terms = zip(coef[valid], mu[valid], power[valid])
+                g = complex(sum(c * (t - a) ** p * np.exp(1j * m * (t - a)) for c, m, p in terms))
                 return np.array([g.real, g.imag])
         raise CoverageError(f"t = {t} outside the pieces")
 
@@ -416,4 +483,4 @@ def test_ragged_pieces_compose_over_single_piece_segments():
         for name in ("alpha_plus", "alpha_minus", "phase"):
             got, expect = getattr(w, name), getattr(s, name)
             assert abs(got - expect) <= 1e-12 * abs(expect), name
-        assert w.phase != 0.0 and _segment_coeffs(cfg, [(Ragged(), 0.0, edges[-1])])[0][w.spin].phase_g2 != 0.0
+        assert w.phase != 0.0 and _segment_coeffs(cfg, [(Ragged(), 0.0, edges[-1])])[w.spin].phase_g2[0] != 0.0
