@@ -30,7 +30,7 @@ class CoverageError(SocAccelError):
 
 
 class DivergenceError(SocAccelError):
-    """A numerical integration produced a non-finite state."""
+    """A non-finite integration state; only the RK4 oracles of tests/oracles.py raise it (cli exit 4)."""
 
 
 class ResolutionError(SocAccelError):

@@ -47,7 +47,7 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import ParameterError
-from .signals import ForceSignal, Zero, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
+from .signals import ForceSignal, Zero, _cmul, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
 from .trap import (
     NormalModes, PhaseSpacePoint, TrapConfig, _amplitudes_from_center, _center_from_amplitudes,
     _check_sigma, derive_modes,
@@ -382,44 +382,32 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
     so W_nu = sum_k conj(I_k) P_k + sum_k sum_ij conj(c_ki) c_kj T(p_i, nu - mu_i, p_j, mu_j - nu,
     delta_k); T is the triangular integral of ``signals`` (by parts, swap or series at
     |k delta| = 0.5), called once for every nu, distinct piece and pair of terms.  The P_k sums
-    run per window of two or more pieces (P_k is zero on one piece); the T terms are gathered
-    back to the pieces and summed per window in one reduction per pair of term powers, so a
-    window gets the bits of a pass over it alone.
+    run per window of two or more pieces (P_k is zero on one piece).  The T terms are gathered
+    back to the pieces and summed per window by one reduction over them in piece order, each
+    piece's term pairs in turn, so a window gets the bits of a pass over it alone; numpy groups
+    the sum by the memory layout, here (term pair, nu) rows.
     """
     w = np.zeros((nu.shape[0], len(bounds) - 1), dtype=complex)
     for i in np.flatnonzero(np.diff(bounds) > 1).tolist():
         own = integrals[:, bounds[i] : bounds[i + 1]]
-        w[:, i] = np.sum(own.conj() * (np.cumsum(own, axis=1) - own), axis=1)
-    powers = np.unique(packed.power[packed.valid]).tolist()
-    if not powers:
+        w[:, i] = (own.conj() * (own.cumsum(axis=1) - own)).sum(axis=1)
+    pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]  # per shape
+    if not pair_valid.any():
         return w
+    nu_ = nu[:, None, None, None]
+    args = (packed.power[:, :, None], nu_ - packed.mu[:, :, None], packed.power[:, None, :],
+            packed.mu[:, None, :] - nu_, packed.width[:, None, None])
     pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
-    pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]
-    outer, inner = packed.power[:, :, None], packed.power[:, None, :]
-    shape = nu.shape + pair_valid.shape
-    k_outer = np.broadcast_to(nu[:, None, None, None] - packed.mu[:, :, None], shape)
-    k_inner = np.broadcast_to(packed.mu[:, None, :] - nu[:, None, None, None], shape)
-    width = np.broadcast_to(packed.width[:, None, None], pair_valid.shape)
-    if len(powers) == 1:  # as a Python int, the kernel need not check that the powers are uniform
-        q_pow = p_pow = powers[0]
+    if pair_valid.all():  # every pair of every shape: piece k takes the row of its shape
+        t, pairs, sel = _triangle_integral(*args).reshape(nu.shape + (-1,)), pair_valid[0].size, ...
+        slot, ends = (packed.shape[:, None] * pairs + np.arange(pairs)).ravel(), np.asarray(bounds) * pairs
     else:
-        q_pow, p_pow = (np.broadcast_to(x, pair_valid.shape)[pair_valid] for x in (outer, inner))
-    t = _triangle_integral(q_pow, k_outer[:, pair_valid], p_pow, k_inner[:, pair_valid], width[pair_valid])
-    slot = (np.cumsum(pair_valid) - 1).reshape(pair_valid.shape)[packed.shape]  # column of t per term pair
-    for q in powers:
-        for p in powers:
-            sel = (pair_valid & (outer == q) & (inner == p))[packed.shape]
-            if sel.any():
-                ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
-                w += _window_sums(pair_coef[sel] * t[:, slot[sel]], ends)
+        t = _triangle_integral(*(a[:, pair_valid] for a in np.broadcast_arrays(*args)))
+        sel = pair_valid[packed.shape]
+        slot = (np.cumsum(pair_valid) - 1).reshape(pair_valid.shape)[packed.shape][sel]  # t's column per pair
+        ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
+    w += _window_sums((pair_coef[sel].reshape(-1, 1) * t.T.take(slot, axis=0)).T, ends)
     return w
-
-
-def _cmul(ar, ai, br, bi) -> np.ndarray:
-    """(ar + i ai) (br + i bi) in real arithmetic, as Python's complex type multiplies; br sets the shape."""
-    z = np.empty(br.shape, dtype=complex)
-    z.real, z.imag = ar * br - ai * bi, ar * bi + ai * br
-    return z
 
 
 def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
@@ -460,15 +448,15 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
         kick = _cmul(scale.real, scale.imag, m.real, m.imag)
         lin = _cmul(mh * l, 0.0, m.real, m.imag * np.array([-1.0, 1.0])[:, None])  # conj(m_plus), m_minus
         phase = mh * ((w[0::2] - w[1::2]) / (2j * wt)).real
-        fields = (kick, lin, phase)
-    if not all(np.isfinite(f).all() for f in fields):
-        finite = np.isfinite(np.concatenate([kick, lin, phase[:, None]], axis=1)).all(axis=(0, 1))
+    finite = np.isfinite(np.concatenate([kick, lin, phase[:, None]], axis=1)).all(axis=(0, 1))
+    if not finite.all():
         _, t_start, duration = pairs[int(np.argmin(finite))]
         raise ParameterError(
             f"drive overflows the segment coefficients on [{t_start:.6g}, {t_start + duration:.6g}] s"
         )
-    turns = {d: [[cmath.exp(-1j * s * w * d) for w in (wp, wm)] for s in (+1, -1)] for _, _, d in pairs}
-    rot = np.array([turns[d] for _, _, d in pairs]).transpose(1, 2, 0)
+    durations = [d for _, _, d in pairs]
+    turns = {d: [[cmath.exp(-1j * s * w * d) for w in (wp, wm)] for s in (+1, -1)] for d in set(durations)}
+    rot = np.array([turns[d] for d in durations]).transpose(1, 2, 0)
     return {sigma: _SegmentCoeffs(*rot[k], *kick[k], *lin[k], phase[k]) for k, sigma in enumerate((+1, -1))}
 
 

@@ -103,7 +103,8 @@ def _csv_text(header: str, columns) -> str:
 
 
 def _r0_magnitude(r0) -> float:
-    mag = float(np.linalg.norm(np.atleast_1d(np.asarray(r0, dtype=float))))
+    with np.errstate(over="ignore"):  # an overflowing |r0| is inf, which the curve's finiteness check names
+        mag = float(np.linalg.norm(np.atleast_1d(np.asarray(r0, dtype=float))))
     if not mag > 0:
         raise ParameterError(f"r0 magnitude must be > 0, got {r0!r}")
     return mag

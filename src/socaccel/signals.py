@@ -17,11 +17,11 @@ kernels split at |k delta| = 0.5:
 - E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series
   where |mu delta| < 0.5, summed to the first order n at which
   max |mu delta|^n / n! < 1e-21 over the call, the recursion in p elsewhere;
-- T(q, k1, p, k2, delta) = integral_0^delta u**q e^{i k1 u} E_p(k2, u) du, the
-  triangular double integral behind the phase quadratic in the drive: by
-  parts where |k2 delta| >= 0.5, by the swap identity
-  T(q, k1, p, k2) = E_q(k1) E_p(k2) - T(p, k2, q, k1) where only
-  |k1 delta| >= 0.5, and a double power series where both are below 0.5.
+- T(q, k1, p, k2, delta) = integral_0^delta u**q e^{i k1 u} E_p(k2, u) du, the triangular
+  double integral behind the phase quadratic in the drive: by parts where |k2 delta| >= 0.5,
+  by the swap identity T(q, k1, p, k2) = E_q(k1) E_p(k2) - T(p, k2, q, k1) where only
+  |k1 delta| >= 0.5, and where both are below 0.5 a double power series to the order n
+  that the call's largest r = |k1 delta| + |k2 delta| needs for r^(n+1)/(n+1)! < 1e-19 r.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-def _powers(p, shape):
-    """Term powers as a Python int when they are uniform, else an int array of ``shape``.
+def _powers(p):
+    """Term powers as a Python int when they are uniform, else their int array.
 
     numpy raises to a Python int exponent through fast paths (``square`` for 2) that give
     other last bits than its ``pow`` loop for an array exponent, so a uniform power keeps
@@ -60,67 +60,68 @@ def _powers(p, shape):
     if not p.size:
         return 0
     lo, hi = int(p.min()), int(p.max())
-    return lo if lo == hi else np.broadcast_to(p, shape)
+    return lo if lo == hi else p
 
 
 def _groups(p):
     """(power, selection) for each distinct value of ``p`` from :func:`_powers`."""
-    return [(p, ...)] if isinstance(p, int) else [(v, p == v) for v in np.unique(p).tolist()]
+    if isinstance(p, int):
+        return [(p, ...)]
+    return [(v, p == v) for v in np.flatnonzero(np.bincount(p.ravel())).tolist()]
+
+
+def _cmul(ar, ai, br, bi) -> np.ndarray:
+    """(ar + i ai) (br + i bi) in real arithmetic, as Python's complex type multiplies; br sets the shape."""
+    z = np.empty(br.shape, dtype=complex)
+    z.real, z.imag = ar * br - ai * bi, ar * bi + ai * br
+    return z
 
 
 def _pow(x, n):
-    out = np.empty_like(x)
+    if not isinstance(n, int):
+        x, n = np.broadcast_arrays(x, n)
+    out = np.empty(x.shape)
     for v, sel in _groups(n):
         out[sel] = x[sel] ** v
     return out
 
 
-def _part(p, mask):
-    return p if isinstance(p, int) else p[mask]
+def _part(v, mask):  # ``...`` selects every element, at v's own shape
+    return v if isinstance(v, int) or mask is ... else np.broadcast_to(v, mask.shape)[mask]
 
 
 def _top(p) -> int:
     return p if isinstance(p, int) else int(p.max())
 
 
-def _stack_powers(shape, *powers):
-    """Powers of kernel rows of ``shape`` stacked on a new first axis: an int if all are that int."""
-    if all(isinstance(p, int) and p == powers[0] for p in powers):
-        return powers[0]
-    return np.array([np.broadcast_to(p, shape) for p in powers])
-
-
 def _exp_poly_integral(p, mu, delta):
     """E_p(mu, delta), elementwise over broadcast ``p``, ``mu`` and ``delta``; scalars give a scalar.
 
     The series delta**(p+1) sum_k (i mu delta)^k / (k! (p+k+1)) runs to the first order n at
-    which max |mu delta|^n / n! < 1e-21 over the elements on the series branch; later terms
-    are below half an ulp of the sum.  It is summed forward in real arithmetic exactly as
-    Python's complex type sums it.
+    which max |mu delta|^n / n! < 1e-21 over the elements on the series branch (later terms are
+    below half an ulp of the sum), as rows k = 0..n from one running product and one running
+    sum, in real arithmetic as Python's complex type sums them.
     """
     mu, delta = np.asarray(mu, dtype=float), np.asarray(delta, dtype=float)
     x = mu * delta
-    mu, delta = (v if v.shape == x.shape else np.broadcast_to(v, x.shape) for v in (mu, delta))
-    p = _powers(p, x.shape)
+    p = _powers(p)
     small = np.abs(x) < 0.5
     out = np.empty(x.shape, dtype=complex)
     if small.any():
-        x_s, p_s = x[small], _part(p, small)
+        sel = ... if small.all() else small
+        x_s, p_s = x[sel], _part(p, sel)
         top, bound, biggest = 0, 1.0, float(np.abs(x_s).max())
         while bound >= 1e-21:
             top += 1
             bound *= biggest / top
-        tr, ti = np.ones_like(x_s), np.zeros_like(x_s)  # (i x)^k / k!
-        sr, si = tr / (p_s + 1), ti
-        for k in range(1, top + 1):
-            y = x_s / k
-            tr, ti = -(ti * y), tr * y
-            sr = sr + tr / (p_s + k + 1)
-            si = si + ti / (p_s + k + 1)
-        scale = _pow(delta[small], p_s + 1)
-        out[small] = scale * sr + 1j * (scale * si)
+        k = np.arange(top + 1).reshape((-1,) + (1,) * x_s.ndim)
+        steps = np.concatenate([np.ones((1,) + x_s.shape), x_s / k[1:]])
+        terms = np.multiply.accumulate(steps) / (k + (p_s + 1))
+        sums = np.add.accumulate(terms * np.array([1, 1j, -1, -1j])[k % 4])[-1]
+        scale = _pow(_part(delta, sel), p_s + 1)
+        out[sel] = scale * sums.real + 1j * (scale * sums.imag)
     if not small.all():
-        imu, d, p_r = 1j * mu[~small], delta[~small], _part(p, ~small)
+        imu, d, p_r = 1j * _part(mu, ~small), _part(delta, ~small), _part(p, ~small)
         e = np.exp(imu * d)
         val = (e - 1.0) / imu
         for q in range(1, _top(p_r) + 1):
@@ -134,14 +135,15 @@ def _triangle_integral(q, k1, p, k2, delta):
 
     By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1);
     the E values of all its terms come from one call.  The series in z = i k delta is
-    delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)), summed to the order N = 19
-    at which the next term bound (|z1| + |z2|)^(N+1) / (N+1)! is below 1e-18 for every element of
-    the branch, so each element's value depends on its inputs alone.
+    delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)), summed to one order N per
+    call, the largest any element needs for r^(N+1) / (N+1)! < 1e-19 r with r = |z1| + |z2| < 1;
+    terms past an element's own order are below half an ulp, so its value does not depend on the call.
     """
     k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
-    q, p = _powers(q, delta.shape), _powers(p, delta.shape)
-    by_parts = np.abs(k2 * delta) >= 0.5
-    swapped = ~by_parts & (np.abs(k1 * delta) >= 0.5)
+    q, p = _powers(q), _powers(p)
+    x1, x2 = k1 * delta, k2 * delta
+    by_parts = np.abs(x2) >= 0.5
+    swapped = ~by_parts & (np.abs(x1) >= 0.5)
     series = ~(by_parts | swapped)
     out = np.empty(delta.shape, dtype=complex)
     if by_parts.any():
@@ -149,7 +151,7 @@ def _triangle_integral(q, k1, p, k2, delta):
         q_b, p_b = _part(q, by_parts), _part(p, by_parts)
         # rows E_{q+m}(k1 + k2) for m = 0..p, then E_q(k1); a_m = 0 for m > p adds zeros to the sum
         top = _top(p_b)
-        powers = _stack_powers(d.shape, *(q_b + m for m in range(top + 1)), q_b)
+        powers = np.array([np.broadcast_to(v, d.shape) for v in (*(q_b + m for m in range(top + 1)), q_b)])
         e = _exp_poly_integral(powers, np.array([a + b] * (top + 1) + [a]), d)
         coef = np.zeros((top + 1,) + d.shape, dtype=complex)
         for v, sel in _groups(p_b):
@@ -160,24 +162,33 @@ def _triangle_integral(q, k1, p, k2, delta):
         a, b, d = k1[swapped], k2[swapped], delta[swapped]
         q_s, p_s = _part(q, swapped), _part(p, swapped)
         swap = _triangle_integral(p_s, b, q_s, a, d)  # takes the by-parts branch
-        e_q, e_p = _exp_poly_integral(_stack_powers(d.shape, q_s, p_s), np.array([a, b]), d)
+        powers = np.array([np.broadcast_to(v, d.shape) for v in (q_s, p_s)])
+        e_q, e_p = _exp_poly_integral(powers, np.array([a, b]), d)
         out[swapped] = e_q * e_p - swap
     if series.any():
         # T = delta**(p+q+2) sum_j z2^j / (j! (p+j+1)) F_{p+q+1+j}(z1), F_n(z) = int_0^1 x^n e^{zx} dx:
         # Horner in z2 while F runs down its stable recursion F_n = (e^z - z F_{n+1}) / (n+1)
-        z1, z2, d = 1j * (k1 * delta)[series], 1j * (k2 * delta)[series], delta[series]
-        q, p = _part(q, series), _part(p, series)
-        order = 19  # |z1| + |z2| < 1 here, so the next term bound is below 1 / 20! < 1e-18
-        top = p + q + 1 + order
-        term, f = np.ones_like(z1), np.full_like(z1, 1.0 / (top + 1))
-        for k in range(1, order + 1):
-            term = term * (z1 / k)
-            f = f + term / (top + k + 1)
-        e1, acc = np.exp(z1), f / (p + order + 1)
+        sel = ... if series.all() else series
+        x1, x2, d, q, p = x1[sel], x2[sel], delta[sel], _part(q, sel), _part(p, sel)
+        z1, z2 = 1j * x1, 1j * x2
+        order, bound, r = 0, 1.0, float((np.abs(x1) + np.abs(x2)).max())
+        while bound >= 1e-19:  # bound = r^order / (order + 1)!, r < 1 here
+            order += 1
+            bound *= r / (order + 1)
+        # rows k = 0..order hold F_{p+q+1+k}(z1): row -1 from the forward series, the rest by recursion.
+        # numpy's complex division by a real n multiplies by 1.0 / n, so divisions are such products here
+        k = np.arange(order + 1).reshape((-1,) + (1,) * z1.ndim)
+        steps, inv_k = np.ones(k.shape[:1] + z1.shape, dtype=complex), 1.0 / np.maximum(k, 1)
+        steps[1:] = z1 * inv_k[1:]
+        f = np.add.accumulate(np.multiply.accumulate(steps) * (1.0 / (p + q + order + 2 + k)))
+        e1, inv = np.exp(z1), (1.0 / (p + q + 2 + k)).astype(complex)
         for j in range(order - 1, -1, -1):
-            f = (e1 - z1 * f) / (p + q + j + 2)
-            acc = f / (p + j + 1) + acc * (z2 / (j + 1))
-        out[series] = _pow(d, p + q + 2) * acc
+            np.multiply(e1 - z1 * f[j + 1], inv[j], out=f[j, ...])
+        f *= 1.0 / (p + 1 + k)
+        acc, z2_steps = f[-1], z2 * inv_k[1:]
+        for j in range(order - 1, -1, -1):
+            acc = f[j] + acc * z2_steps[j]
+        out[sel] = _pow(d, p + q + 2) * acc
     return out[()]
 
 
@@ -233,11 +244,14 @@ def _pack_pieces(tables: list[PieceTable], t0) -> _Packed:
     """The rows of ``tables``, those of tables[i] offset from t0[i], keyed by shape."""
     table = _concat(tables)
     width = table.end - table.start
-    key = np.column_stack([width.view(np.int64), table.mu.view(np.int64), table.power, table.valid])
-    row = np.dtype((np.void, key.itemsize * key.shape[1]))
-    _, first, shape = np.unique(key.view(row).ravel(), return_index=True, return_inverse=True)
+    key = np.hstack([width.view(np.int64)[:, None], table.mu.view(np.int64), table.power, table.valid])
+    order = np.lexsort(key.T)  # stable, so each shape's first sorted row is its first piece
+    key = key.take(order, axis=0)
+    new = np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))[: len(order)]  # starts a shape
+    shape = np.empty_like(order)
+    shape[order] = np.cumsum(new) - 1
     offset = table.start - np.repeat(t0, [len(t) for t in tables])
-    return _Packed(offset, table.coef, shape, width[first], *(f[first] for f in table._terms()[1:]))
+    return _Packed(offset, table.coef, shape, *(f[order[new]] for f in (width, *table._terms()[1:])))
 
 
 def _piece_integrals(packed: _Packed, nu):
@@ -250,16 +264,14 @@ def _piece_integrals(packed: _Packed, nu):
     """
     nu = np.asarray(nu, dtype=float)
     kappa = packed.mu - nu[..., None, None]
-    width = np.broadcast_to(packed.width[:, None], packed.mu.shape)
-    e = np.zeros(kappa.shape, dtype=complex)
-    sel = packed.valid
-    if sel.any():
-        e[..., sel] = _exp_poly_integral(packed.power[sel], kappa[..., sel], width[sel])
-    e, c = e[..., packed.shape, :], packed.coef
-    terms = (c.real * e.real - c.imag * e.imag) + 1j * (c.real * e.imag + c.imag * e.real)
-    total = np.zeros(terms.shape[:-1], dtype=complex)
-    for m in range(terms.shape[-1]):
-        total = total + terms[..., m]
+    e, sel = np.zeros(kappa.shape, dtype=complex), packed.valid
+    e[..., sel] = _exp_poly_integral(packed.power[sel], kappa[..., sel], packed.width[sel.nonzero()[0]])
+    # term m of every piece as rows (..., m, piece), summed from +0 over m as complex numbers sum
+    er, ei = (part.swapaxes(-1, -2).take(packed.shape, axis=-1) for part in (e.real, e.imag))
+    terms = _cmul(packed.coef.real.T, packed.coef.imag.T, er, ei)
+    total = np.zeros(nu.shape + packed.shape.shape, dtype=complex)
+    for m in range(terms.shape[-2]):
+        total = total + terms[..., m, :]
     return np.exp(-1j * nu[..., None] * packed.offset) * total
 
 
@@ -424,17 +436,17 @@ class Tabulated(ForceSignal):
                 f"requested [{lo:.6g}, {hi:.6g}] s"
             )
 
+    def _interp(self, t):
+        """g at times t inside the grid, shape t.shape + (2,)."""
+        s = np.minimum(np.maximum((t - self.t_start) / self.dt, 0.0), self.values.shape[0] - 1.0)
+        i = np.minimum(s.astype(int), self.values.shape[0] - 2)
+        w = (s - i)[..., None]
+        return (1.0 - w) * self.values.take(i, axis=0) + w * self.values.take(i + 1, axis=0)
+
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
         self._check_cover(float(np.min(t)), float(np.max(t)))
-        s = np.clip((t - self.t_start) / self.dt, 0.0, self.values.shape[0] - 1.0)
-        i = np.minimum(s.astype(int), self.values.shape[0] - 2)
-        w = s - i
-        gx = (1.0 - w) * self.values[i, 0] + w * self.values[i + 1, 0]
-        gy = (1.0 - w) * self.values[i, 1] + w * self.values[i + 1, 1]
-        if t.ndim == 0:
-            return np.array([float(gx), float(gy)])
-        return np.stack([gx, gy])
+        return np.moveaxis(self._interp(t), -1, 0)
 
     def pieces(self, t0, t1):
         t0, t1 = float(t0), float(t1)
@@ -445,13 +457,10 @@ class Tabulated(ForceSignal):
         grid = self.t_start + np.arange(k_lo, k_hi + 1) * self.dt
         inner = grid[(t0 + 1e-15 < grid) & (grid < t1 - 1e-15)]
         nodes = np.concatenate(([t0], inner, [t1] if t1 > t0 else []))
-        gx, gy = self.evaluate(nodes)
-        width = np.diff(nodes)
-        coef = np.empty((width.shape[0], 2), dtype=complex)
-        coef[:, 0] = (gx + 1j * gy)[:-1]
-        coef[:, 1] = np.diff(gx) / width + 1j * (np.diff(gy) / width)
-        power = np.zeros(coef.shape, dtype=int)
-        power[:, 1] = 1
+        g, width = self._interp(nodes), nodes[1:] - nodes[:-1]
+        terms = np.concatenate([g[:-1], (g[1:] - g[:-1]) / width[:, None]], axis=1).reshape(-1, 2, 2)
+        coef = terms[..., 0] + 1j * terms[..., 1]  # value and slope, each g_x + i g_y
+        power = np.arange(2) + np.zeros(coef.shape, dtype=int)
         return PieceTable(nodes[:-1], nodes[1:], coef, np.zeros(coef.shape), power, power >= 0)
 
 

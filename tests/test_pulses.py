@@ -577,6 +577,59 @@ class TestSegmentFill:
         assert np.array_equal(got_batch, want_batch)
 
 
+def pair_sums_reference(packed, nu, integrals, bounds):
+    """W per window from a plain loop over nu, windows, pieces and each piece's valid term pairs.
+
+    The P part is a running Python sum; a window's T terms, taken piece by piece and pair by
+    pair, are summed by one ``np.add.reduceat``, the reduction behind the engine's window sums.
+    """
+    w = np.zeros((len(nu), len(bounds) - 1), dtype=complex)
+    terms = range(packed.coef.shape[1])
+    for n, v in enumerate(nu.tolist()):
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            running, p_part, conj_c, c, t = 0j, 0j, [], [], []
+            for k in range(lo, hi):
+                p_part += integrals[n, k].conjugate() * running
+                running += integrals[n, k]
+                s = packed.shape[k]
+                for a, b in ((a, b) for a in terms for b in terms if packed.valid[s, a] and packed.valid[s, b]):
+                    conj_c.append(packed.coef[k, a].conjugate())
+                    c.append(packed.coef[k, b])
+                    power, mu = packed.power[s].tolist(), packed.mu[s]
+                    t.append(signals._triangle_integral(power[a], v - mu[a], power[b], mu[b] - v, packed.width[s]))
+            products = np.array(conj_c, dtype=complex) * np.array(c, dtype=complex) * np.array(t, dtype=complex)
+            w[n, i] = p_part + (np.add.reduceat(products, [0])[0] if t else 0j)
+    return w
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "sinusoid", "circular", "mixed", "tabulated", "sum"])
+def test_pair_sums_equal_a_per_piece_loop(kind):
+    """Bit for bit where every term has power 0; within 1e-13 where a table mixes powers 0 and 1."""
+    t = math.pi / WT
+    table = Tabulated(0.0, 4 * t / 60, 1e-3 * np.random.default_rng(4).normal(size=(61, 2)))
+    tone = Sinusoid(amplitude=(0.0, 2e-3), omega=1.2 * WT, phase=0.3)
+    drives = {
+        "zero": [Zero()],
+        "constant": [Constant(1e-3, -2e-3)],
+        "sinusoid": [tone],
+        "circular": [circular(2e-3, 1.37 * WT, 0.4)],
+        "mixed": [Zero(), tone, Constant(1e-3, -2e-3), circular(2e-3, 1.37 * WT, 0.4)],  # padded terms
+        "tabulated": [table],
+        "sum": [SumSignal([table, Sinusoid((1e-3, 0.0), 0.8 * WT)])],
+    }[kind]
+    pairs = [(drive, *window) for drive in drives for window in evolve_windows(preset_cp(R0, t))]
+    tables = [drive.pieces(t0, t0 + d) for drive, t0, d in pairs]
+    packed = signals._pack_pieces(tables, [t0 for _, t0, _ in pairs])
+    bounds = np.cumsum([0] + [len(table) for table in tables]).tolist()
+    nu = np.array([MODES.omega_minus, -MODES.omega_plus, MODES.omega_plus, -MODES.omega_minus])
+    integrals = signals._piece_integrals(packed, nu)
+    got, want = pulses._pair_sums(packed, nu, integrals, bounds), pair_sums_reference(packed, nu, integrals, bounds)
+    if kind in ("tabulated", "sum"):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    else:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("big", [1e308, 1e150, 1e100])
 def test_overflowing_drive_names_its_window(big):

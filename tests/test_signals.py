@@ -23,7 +23,7 @@ from socaccel import (
     modal_integral,
 )
 from socaccel.pulses import Branch, SpinorCoherentState, _segment_coeffs, apply_evolution
-from socaccel.signals import _exp_poly_integral, _triangle_integral
+from socaccel.signals import _concat, _exp_poly_integral, _pack_pieces, _triangle_integral
 
 
 def line_integral(mu: float, delta: float) -> complex:
@@ -404,6 +404,51 @@ class TestKernels:
             assert got == expect
 
 
+def triangle_series_reference(q: int, k1, p: int, k2, delta):
+    """T on its series branch as it was: every element summed to the fixed order 19."""
+    k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
+    z1, z2 = 1j * (k1 * delta), 1j * (k2 * delta)
+    order = 19
+    top = p + q + 1 + order
+    term, f = np.ones_like(z1), np.full_like(z1, 1.0 / (top + 1))
+    for k in range(1, order + 1):
+        term = term * (z1 / k)
+        f = f + term / (top + k + 1)
+    e1, acc = np.exp(z1), f / (p + order + 1)
+    for j in range(order - 1, -1, -1):
+        f = (e1 - z1 * f) / (p + q + j + 2)
+        acc = f / (p + j + 1) + acc * (z2 / (j + 1))
+    return delta ** (p + q + 2) * acc
+
+
+def test_series_order_per_call_keeps_the_fixed_order_bits():
+    """T's series, run to one order per call, gives the bits of every element run to order 19."""
+    rng = np.random.default_rng(21)
+    r = np.geomspace(1e-14, 0.999, 3000)  # r = |k1 delta| + |k2 delta|; near 1 a call needs order 20
+    share, signs = rng.uniform(size=r.size), rng.choice([-1.0, 1.0], size=(2, r.size))
+    x1, x2 = signs[0] * r * share, signs[1] * r * (1.0 - share)
+    keep = (np.abs(x1) < 0.5) & (np.abs(x2) < 0.5)  # the series branch
+    zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0, 1e-3, -0.3)]
+    x1 = np.concatenate([x1[keep], [a for a, _ in zeros], [b for _, b in zeros]])
+    x2 = np.concatenate([x2[keep], [b for _, b in zeros], [a for a, _ in zeros]])
+    spread = rng.permutation(np.geomspace(1e-5, 3.0, x1.size))
+    for delta in (1.0, DELTA, spread):
+        k1, k2 = x1 / delta, x2 / delta
+        for q in range(4):
+            for p in range(4):
+                want = triangle_series_reference(q, k1, p, k2, delta)
+                got = _triangle_integral(q, k1, p, k2, delta)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (q, p)
+        q, p = rng.integers(0, 4, x1.size), rng.integers(0, 4, x1.size)  # powers mixed within one call
+        got, d = _triangle_integral(q, k1, p, k2, delta), np.broadcast_to(delta, x1.shape)
+        for m, n in {(m, n) for m, n in zip(q.tolist(), p.tolist())}:
+            sel = (q == m) & (p == n)
+            want = triangle_series_reference(m, k1[sel], n, k2[sel], d[sel])
+            assert np.array_equal(got[sel].view(np.int64), want.view(np.int64)), (m, n)
+        one = [_triangle_integral(m, a, n, b, e) for m, a, n, b, e in zip(q[::97], k1[::97], p[::97], k2[::97], d[::97])]
+        assert got[::97].tolist() == one
+
+
 def sum_pieces_reference(signal: SumSignal, t0: float, t1: float) -> PieceTable:
     """SumSignal.pieces as it was: every part is expanded again on every sub-interval."""
     edges = {float(t0), float(t1)}
@@ -484,3 +529,26 @@ def test_ragged_pieces_compose_over_single_piece_segments():
             got, expect = getattr(w, name), getattr(s, name)
             assert abs(got - expect) <= 1e-12 * abs(expect), name
         assert w.phase != 0.0 and _segment_coeffs(cfg, [(Ragged(), 0.0, edges[-1])])[w.spin].phase_g2[0] != 0.0
+
+
+def shape_keys(width, table) -> set:
+    """The distinct (width, mu, power, valid) rows, each as its bits."""
+    rows = zip(width.view(np.int64).tolist(), table.mu, table.power, table.valid)
+    return {(w, mu.tobytes(), power.tobytes(), valid.tobytes()) for w, mu, power, valid in rows}
+
+
+def test_shape_keys_group_rows_by_bits():
+    """Each distinct (width, mu, power, valid) row is one shape, also across zero- and one-row tables."""
+    rng = np.random.default_rng(17)
+    table = Tabulated(0.0, 1e-5, rng.normal(size=(60, 2)))
+    empty, one = table.pieces(2e-4, 2e-4), Constant(1e-3, 2e-3).pieces(0.0, 1e-5)
+    assert (len(empty), len(one)) == (0, 1)
+    for tables in ([empty], [one], [empty, empty], [one, empty, one], [table.pieces(0.0, 5.9e-4), empty, one]):
+        packed = _pack_pieces(tables, [0.0] * len(tables))
+        rows = _concat(tables)
+        assert packed.shape.shape == packed.offset.shape == (len(rows),)
+        assert shape_keys(packed.width, packed) == shape_keys(rows.end - rows.start, rows)
+        assert len(packed.width) == len(shape_keys(packed.width, packed))
+        for name in ("width", "mu", "power", "valid"):  # every row keeps the bits of its own shape
+            want = rows.end - rows.start if name == "width" else getattr(rows, name)
+            assert getattr(packed, name)[packed.shape].tobytes() == want.tobytes(), name
