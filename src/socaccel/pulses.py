@@ -394,18 +394,13 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
     pair_valid = packed.valid[:, :, None] & packed.valid[:, None, :]  # per shape
     if not pair_valid.any():
         return w
-    nu_ = nu[:, None, None, None]
-    args = (packed.power[:, :, None], nu_ - packed.mu[:, :, None], packed.power[:, None, :],
-            packed.mu[:, None, :] - nu_, packed.width[:, None, None])
+    s, i, j = np.nonzero(pair_valid)  # every valid term pair of every shape, t's columns
+    t = _triangle_integral(packed.power[s, i], nu[:, None] - packed.mu[s, i], packed.power[s, j],
+                           packed.mu[s, j] - nu[:, None], packed.width[s])
     pair_coef = packed.coef.conj()[:, :, None] * packed.coef[:, None, :]
-    if pair_valid.all():  # every pair of every shape: piece k takes the row of its shape
-        t, pairs, sel = _triangle_integral(*args).reshape(nu.shape + (-1,)), pair_valid[0].size, ...
-        slot, ends = (packed.shape[:, None] * pairs + np.arange(pairs)).ravel(), np.asarray(bounds) * pairs
-    else:
-        t = _triangle_integral(*(a[:, pair_valid] for a in np.broadcast_arrays(*args)))
-        sel = pair_valid[packed.shape]
-        slot = (np.cumsum(pair_valid) - 1).reshape(pair_valid.shape)[packed.shape][sel]  # t's column per pair
-        ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
+    sel = pair_valid[packed.shape]
+    slot = (np.cumsum(pair_valid) - 1).reshape(pair_valid.shape)[packed.shape][sel]  # t's column per pair
+    ends = np.concatenate(([0], np.cumsum(sel.sum(axis=(1, 2)))))[bounds]
     w += _window_sums((pair_coef[sel].reshape(-1, 1) * t.T.take(slot, axis=0)).T, ends)
     return w
 

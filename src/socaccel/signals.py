@@ -14,14 +14,14 @@ evaluated once per distinct piece (a uniform grid gives a handful) and called
 once per pass with the term powers as integer arrays, built from two array
 kernels split at |k delta| = 0.5:
 
-- E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series
-  where |mu delta| < 0.5, summed to the first order n at which
-  max |mu delta|^n / n! < 1e-21 over the call, the recursion in p elsewhere;
+- E_p(mu, delta) = integral_0^delta tau**p e^{i mu tau} d tau: a power series where
+  |mu delta| < 0.5, summed to the first order n at which max |mu delta|^n / n! < 1e-21 over
+  a block of up to 1,024 elements, the recursion in p elsewhere;
 - T(q, k1, p, k2, delta) = integral_0^delta u**q e^{i k1 u} E_p(k2, u) du, the triangular
   double integral behind the phase quadratic in the drive: by parts where |k2 delta| >= 0.5,
   by the swap identity T(q, k1, p, k2) = E_q(k1) E_p(k2) - T(p, k2, q, k1) where only
   |k1 delta| >= 0.5, and where both are below 0.5 a double power series to the order n
-  that the call's largest r = |k1 delta| + |k2 delta| needs for r^(n+1)/(n+1)! < 1e-19 r.
+  that the block's largest r = |k1 delta| + |k2 delta| needs for r^(n+1)/(n+1)! < 1e-19 r.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 
+_SERIES_BLOCK = 1024  # elements per series call, as a series holds (order, elements) rows
+
+
 def _powers(p):
     """Term powers as a Python int when they are uniform, else their int array.
 
@@ -65,9 +68,7 @@ def _powers(p):
 
 def _groups(p):
     """(power, selection) for each distinct value of ``p`` from :func:`_powers`."""
-    if isinstance(p, int):
-        return [(p, ...)]
-    return [(v, p == v) for v in np.flatnonzero(np.bincount(p.ravel())).tolist()]
+    return [(p, ...)] if isinstance(p, int) else [(v, p == v) for v in np.flatnonzero(np.bincount(p)).tolist()]
 
 
 def _cmul(ar, ai, br, bi) -> np.ndarray:
@@ -78,16 +79,22 @@ def _cmul(ar, ai, br, bi) -> np.ndarray:
 
 
 def _pow(x, n):
-    if not isinstance(n, int):
-        x, n = np.broadcast_arrays(x, n)
-    out = np.empty(x.shape)
+    out = np.empty_like(x)
     for v, sel in _groups(n):
         out[sel] = x[sel] ** v
     return out
 
 
-def _part(v, mask):  # ``...`` selects every element, at v's own shape
-    return v if isinstance(v, int) or mask is ... else np.broadcast_to(v, mask.shape)[mask]
+def _part(v, mask):
+    return v if isinstance(v, int) else np.broadcast_to(v, mask.shape)[mask]
+
+
+def _series_blocks(series, *args):
+    """series(*args) over 1-D arrays (int powers pass whole), _SERIES_BLOCK elements per call."""
+    return np.concatenate([
+        series(*(v if isinstance(v, int) else v[lo : lo + _SERIES_BLOCK] for v in args))
+        for lo in range(0, args[0].shape[0], _SERIES_BLOCK)
+    ])
 
 
 def _top(p) -> int:
@@ -98,9 +105,9 @@ def _exp_poly_integral(p, mu, delta):
     """E_p(mu, delta), elementwise over broadcast ``p``, ``mu`` and ``delta``; scalars give a scalar.
 
     The series delta**(p+1) sum_k (i mu delta)^k / (k! (p+k+1)) runs to the first order n at
-    which max |mu delta|^n / n! < 1e-21 over the elements on the series branch (later terms are
-    below half an ulp of the sum), as rows k = 0..n from one running product and one running
-    sum, in real arithmetic as Python's complex type sums them.
+    which max |mu delta|^n / n! < 1e-21 over a block of the elements on the series branch (later
+    terms are below half an ulp of the sum), as rows k = 0..n from one running product and one
+    running sum, in real arithmetic as Python's complex type sums them.
     """
     mu, delta = np.asarray(mu, dtype=float), np.asarray(delta, dtype=float)
     x = mu * delta
@@ -108,18 +115,7 @@ def _exp_poly_integral(p, mu, delta):
     small = np.abs(x) < 0.5
     out = np.empty(x.shape, dtype=complex)
     if small.any():
-        sel = ... if small.all() else small
-        x_s, p_s = x[sel], _part(p, sel)
-        top, bound, biggest = 0, 1.0, float(np.abs(x_s).max())
-        while bound >= 1e-21:
-            top += 1
-            bound *= biggest / top
-        k = np.arange(top + 1).reshape((-1,) + (1,) * x_s.ndim)
-        steps = np.concatenate([np.ones((1,) + x_s.shape), x_s / k[1:]])
-        terms = np.multiply.accumulate(steps) / (k + (p_s + 1))
-        sums = np.add.accumulate(terms * np.array([1, 1j, -1, -1j])[k % 4])[-1]
-        scale = _pow(_part(delta, sel), p_s + 1)
-        out[sel] = scale * sums.real + 1j * (scale * sums.imag)
+        out[small] = _series_blocks(_exp_series, x[small], _part(delta, small), _part(p, small))
     if not small.all():
         imu, d, p_r = 1j * _part(mu, ~small), _part(delta, ~small), _part(p, ~small)
         e = np.exp(imu * d)
@@ -130,13 +126,27 @@ def _exp_poly_integral(p, mu, delta):
     return out[()]
 
 
+def _exp_series(x, delta, p):
+    """E_p on its series branch, over 1-D x = mu delta and delta."""
+    top, bound, biggest = 0, 1.0, float(np.abs(x).max())
+    while bound >= 1e-21:
+        top += 1
+        bound *= biggest / top
+    k = np.arange(top + 1)[:, None]
+    steps = np.concatenate([np.ones((1,) + x.shape), x / k[1:]])
+    terms = np.multiply.accumulate(steps) / (k + (p + 1))
+    sums = np.add.accumulate(terms * np.array([1, 1j, -1, -1j])[k % 4])[-1]
+    scale = _pow(delta, p + 1)
+    return scale * sums.real + 1j * (scale * sums.imag)
+
+
 def _triangle_integral(q, k1, p, k2, delta):
     """T(q, k1, p, k2, delta), elementwise over broadcast arrays and powers; scalars give a scalar.
 
     By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1);
     the E values of all its terms come from one call.  The series in z = i k delta is
     delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)), summed to one order N per
-    call, the largest any element needs for r^(N+1) / (N+1)! < 1e-19 r with r = |z1| + |z2| < 1;
+    block, the largest any element needs for r^(N+1) / (N+1)! < 1e-19 r with r = |z1| + |z2| < 1;
     terms past an element's own order are below half an ulp, so its value does not depend on the call.
     """
     k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
@@ -166,30 +176,34 @@ def _triangle_integral(q, k1, p, k2, delta):
         e_q, e_p = _exp_poly_integral(powers, np.array([a, b]), d)
         out[swapped] = e_q * e_p - swap
     if series.any():
-        # T = delta**(p+q+2) sum_j z2^j / (j! (p+j+1)) F_{p+q+1+j}(z1), F_n(z) = int_0^1 x^n e^{zx} dx:
-        # Horner in z2 while F runs down its stable recursion F_n = (e^z - z F_{n+1}) / (n+1)
-        sel = ... if series.all() else series
-        x1, x2, d, q, p = x1[sel], x2[sel], delta[sel], _part(q, sel), _part(p, sel)
-        z1, z2 = 1j * x1, 1j * x2
-        order, bound, r = 0, 1.0, float((np.abs(x1) + np.abs(x2)).max())
-        while bound >= 1e-19:  # bound = r^order / (order + 1)!, r < 1 here
-            order += 1
-            bound *= r / (order + 1)
-        # rows k = 0..order hold F_{p+q+1+k}(z1): row -1 from the forward series, the rest by recursion.
-        # numpy's complex division by a real n multiplies by 1.0 / n, so divisions are such products here
-        k = np.arange(order + 1).reshape((-1,) + (1,) * z1.ndim)
-        steps, inv_k = np.ones(k.shape[:1] + z1.shape, dtype=complex), 1.0 / np.maximum(k, 1)
-        steps[1:] = z1 * inv_k[1:]
-        f = np.add.accumulate(np.multiply.accumulate(steps) * (1.0 / (p + q + order + 2 + k)))
-        e1, inv = np.exp(z1), (1.0 / (p + q + 2 + k)).astype(complex)
-        for j in range(order - 1, -1, -1):
-            np.multiply(e1 - z1 * f[j + 1], inv[j], out=f[j, ...])
-        f *= 1.0 / (p + 1 + k)
-        acc, z2_steps = f[-1], z2 * inv_k[1:]
-        for j in range(order - 1, -1, -1):
-            acc = f[j] + acc * z2_steps[j]
-        out[sel] = _pow(d, p + q + 2) * acc
+        parts = (x1[series], x2[series], delta[series], _part(q, series), _part(p, series))
+        out[series] = _series_blocks(_triangle_series, *parts)
     return out[()]
+
+
+def _triangle_series(x1, x2, d, q, p):
+    """T on its series branch, over 1-D x1 = k1 delta, x2 = k2 delta and d = delta."""
+    # T = delta**(p+q+2) sum_j z2^j / (j! (p+j+1)) F_{p+q+1+j}(z1), F_n(z) = int_0^1 x^n e^{zx} dx:
+    # Horner in z2 while F runs down its stable recursion F_n = (e^z - z F_{n+1}) / (n+1)
+    z1, z2 = 1j * x1, 1j * x2
+    order, bound, r = 0, 1.0, float((np.abs(x1) + np.abs(x2)).max())
+    while bound >= 1e-19:  # bound = r^order / (order + 1)!, r < 1 here
+        order += 1
+        bound *= r / (order + 1)
+    # rows k = 0..order hold F_{p+q+1+k}(z1): row -1 from the forward series, the rest by recursion.
+    # numpy's complex division by a real n multiplies by 1.0 / n, so divisions are such products here
+    k = np.arange(order + 1)[:, None]
+    steps, inv_k = np.ones((order + 1,) + z1.shape, dtype=complex), 1.0 / np.maximum(k, 1)
+    steps[1:] = z1 * inv_k[1:]
+    f = np.add.accumulate(np.multiply.accumulate(steps) * (1.0 / (p + q + order + 2 + k)))
+    e1, inv = np.exp(z1), (1.0 / (p + q + 2 + k)).astype(complex)
+    for j in range(order - 1, -1, -1):
+        np.multiply(e1 - z1 * f[j + 1], inv[j], out=f[j])
+    f *= 1.0 / (p + 1 + k)
+    acc, z2_steps = f[-1], z2 * inv_k[1:]
+    for j in range(order - 1, -1, -1):
+        acc = f[j] + acc * z2_steps[j]
+    return _pow(d, p + q + 2) * acc
 
 
 class PieceTable:

@@ -21,6 +21,7 @@ from socaccel import (
     Zero,
     circular,
     modal_integral,
+    signals,
 )
 from socaccel.pulses import Branch, SpinorCoherentState, _segment_coeffs, apply_evolution
 from socaccel.signals import _concat, _exp_poly_integral, _pack_pieces, _triangle_integral
@@ -447,6 +448,30 @@ def test_series_order_per_call_keeps_the_fixed_order_bits():
             assert np.array_equal(got[sel].view(np.int64), want.view(np.int64)), (m, n)
         one = [_triangle_integral(m, a, n, b, e) for m, a, n, b, e in zip(q[::97], k1[::97], p[::97], k2[::97], d[::97])]
         assert got[::97].tolist() == one
+
+
+def test_series_branches_run_in_bounded_blocks(monkeypatch):
+    """A series holds (order, elements) rows, so E and T sum it _SERIES_BLOCK elements at a time.
+
+    Blocks keep every element's bits: those of an unblocked call and of a one-element call.
+    """
+    sizes = {"_exp_series": [], "_triangle_series": []}
+    for name, seen in sizes.items():
+        series = getattr(signals, name)
+        monkeypatch.setattr(signals, name, lambda *a, series=series, seen=seen: seen.append(a[0].size) or series(*a))
+    block, rng = signals._SERIES_BLOCK, np.random.default_rng(8)
+    n = 2 * block + 37
+    x1, x2 = rng.uniform(-0.49, 0.49, size=(2, n))  # every element on the series branches
+    delta = rng.permutation(np.geomspace(1e-5, 3.0, n))
+    k1, k2, q, p = x1 / delta, x2 / delta, rng.integers(0, 4, n), rng.integers(0, 4, n)
+    e, t = _exp_poly_integral(p, k1, delta), _triangle_integral(q, k1, p, k2, delta)
+    assert sizes == {"_exp_series": [block, block, 37], "_triangle_series": [block, block, 37]}
+    monkeypatch.setattr(signals, "_SERIES_BLOCK", 10 * n)
+    assert np.array_equal(_exp_poly_integral(p, k1, delta).view(np.int64), e.view(np.int64))
+    assert np.array_equal(_triangle_integral(q, k1, p, k2, delta).view(np.int64), t.view(np.int64))
+    picks = rng.choice(n, 200, replace=False)
+    assert e[picks].tolist() == [_exp_poly_integral(int(p[i]), k1[i], delta[i]) for i in picks]
+    assert t[picks].tolist() == [_triangle_integral(int(q[i]), k1[i], int(p[i]), k2[i], delta[i]) for i in picks]
 
 
 def sum_pieces_reference(signal: SumSignal, t0: float, t1: float) -> PieceTable:
