@@ -48,7 +48,7 @@ from .pulses import (
     preset_up,
     run_sequence,
 )
-from .response import _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_cp, response_up
+from .response import _cp_values, _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_up
 from .sensitivity import RB87, ApparatusParams, SpeciesParams, _sensitivity_reports
 from .signals import Constant, Sinusoid, SumSignal, Tabulated, Zero, circular
 from .thermal import ThermalParams, thermal_signal
@@ -472,7 +472,7 @@ def cmd_response(args) -> int:
         raise ConfigError(f"response.points must be >= 16, got {points}")
     grid = np.linspace(0.0, omega_max, points)
     up = response_up(modes, r0, t, grid=grid)
-    cp = response_cp(modes, r0, t, grid=grid)
+    cp = dataclasses.replace(up, values=_cp_values(up.omega, t, up.values), kind="cp")  # response_cp from up
     # plotting normalization only: x4 amplitude = x16 in |F|^2
     cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4") if rescale else cp
     for name, curve in (("up", up), ("cp", cp_out)):

@@ -1,8 +1,9 @@
 """Transfer functions from drive spectral weight to interferometer phase.
 
-Analytic curves for the "up" (Ramsey-type) and "cp" (spin-echo) sequences,
-plus a numeric extraction that probes the full pulse engine with weak
-sinusoids and fits the linear response.  Conventions:
+Analytic curves for the "up" (Ramsey-type) and "cp" (spin-echo) sequences, in
+closed forms of one complex exponential per window term of "up" and two more
+for the echo, plus a numeric extraction that probes the full pulse engine with
+weak sinusoids and fits the linear response.  Conventions:
 
 - curves map the scalar drive component along zhat x rhat0 to phase: a probe
   g_perp(t) = A cos(omega t + phi) produces the differential phase
@@ -58,7 +59,9 @@ class ResponseCurve:
         d = np.diff(omega)
         if not np.all(d > 0):
             raise ParameterError("omega grid must be strictly increasing")
-        if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
+        d0 = float(d[0])
+        tol = 1e-12 * d0 + 1e-9 * d0 if d0 < math.inf else -1.0  # an infinite d0 is close to inf only
+        if not np.all((np.abs(d - d0) <= tol) | (d == d0)):  # np.allclose(d, d0, rtol=1e-9, atol=1e-12 * d0)
             raise ParameterError("omega grid must be uniform")
         if not np.all(np.isfinite(values.view(float))):
             raise ParameterError("curve values must be finite")
@@ -117,9 +120,11 @@ def _grid_or_default(modes: NormalModes, grid) -> np.ndarray:
 
 
 def _f_window(omega, t: float):
-    """f(omega) = sinc(omega t / 2) exp(-i omega t / 2), f(0) = 1 exactly."""
+    """f(omega) = sinc(x) e^{-ix}, x = omega t / 2, from one complex exponential e = e^{-ix}:
+    sinc(x) = -Im(e) / x, which is sin(x) / x bit for bit, and f(0) = 1 exactly."""
     x = np.asarray(omega, dtype=float) * t / 2.0
-    return np.sinc(x / np.pi) * np.exp(-1j * x)
+    e = np.exp(-1j * x)
+    return np.divide(-e.imag, x, out=np.ones_like(x), where=x != 0.0) * e
 
 
 def response_up(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
@@ -155,20 +160,19 @@ def _up_values(modes: NormalModes, r0, t: float, grid):
 def response_cp(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
     """Response of the echo sequence with pi flips at t and 3t (total 4t).
 
-    F(omega) = 2i sin(omega t) [F0(omega) e^{i omega t} + F0*(omega) e^{-i omega t}]
-               * exp(-2i omega t),
-    equivalently (1 - e^{-2i omega t})(F0 + e^{-2i omega t} F0*).  Vanishes at
+    F(omega) = 2i sin(omega t) [F0 e^{i omega t} + F0* e^{-i omega t}] exp(-2i omega t),
+    equivalently (1 - e^{-2i omega t})(F0 + e^{-2i omega t} F0*).  The bracket is
+    2 Re[F0 e^{i omega t}], so F takes two complex exponentials beyond F0.  Vanishes at
     omega = 0 and, when omega_pm t is a multiple of pi, exactly at omega_pm.
     """
     r0_mag, w, f0 = _up_values(modes, r0, t, grid)
-    wt_arg = w * t
-    vals = (
-        2j
-        * np.sin(wt_arg)
-        * (f0 * np.exp(1j * wt_arg) + np.conj(f0) * np.exp(-1j * wt_arg))
-        * np.exp(-2j * wt_arg)
-    )
-    return ResponseCurve(omega=w, values=vals, kind="cp", r0=r0_mag, t=t, modes=modes)
+    return ResponseCurve(omega=w, values=_cp_values(w, t, f0), kind="cp", r0=r0_mag, t=t, modes=modes)
+
+
+def _cp_values(w, t: float, f0):
+    """Echo values of :func:`response_cp` on grid ``w`` from the up values ``f0`` there."""
+    wt = w * t
+    return 2j * np.sin(wt) * (2.0 * (f0 * np.exp(1j * wt)).real) * np.exp(-2j * wt)
 
 
 def _probe_direction(sequence: PulseSequence) -> np.ndarray:

@@ -20,7 +20,7 @@ from socaccel import (
 from socaccel.cli import main
 from socaccel.pulses import Evolve, RotateY, _center_from_amplitudes
 from socaccel.sensitivity import _sensitivity_reports
-from test_cli_fuzz import CUSTOM_CONFIG
+from test_cli_fuzz import CUSTOM_CONFIG, readme_config
 
 WT = 2 * math.pi * 1000.0
 
@@ -217,6 +217,32 @@ class TestResponse:
             np.loadtxt(plain / "response_up.csv", delimiter=",", skiprows=1),
             np.loadtxt(scaled / "response_up.csv", delimiter=",", skiprows=1),
         )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "name, flag",
+        [("readme", []), ("readme", ["--rescale-cp"]), ("custom", [])],  # the custom config sets rescale_cp
+        ids=["readme", "readme-x4", "custom-x4"],
+    )
+    def test_curve_files_are_the_public_curves(self, tmp_path, name, flag, fmt):
+        """The curve files are to_csv/to_json of response_up and response_cp (x4 when rescaled), byte
+        for byte, though the subcommand composes its echo curve from the up values it holds."""
+        cfg = readme_config() if name == "readme" else copy.deepcopy(CUSTOM_CONFIG)
+        assert run("response", write_config(tmp_path, cfg), tmp_path / "out", "--format", fmt, *flag) == 0
+        trap, f = cfg["trap"], cfg["response"]
+        if "epsilon" in trap:
+            modes = derive_modes(TrapConfig.from_modes(trap["mass"], trap["omega_tilde"], trap["epsilon"]))
+        else:
+            modes = derive_modes(TrapConfig(trap["mass"], trap["omega0"], trap["omega_c"]))
+        t, r0 = f.get("t", 5.0 * math.pi / modes.omega_tilde), f.get("r0", modes.l_osc)
+        grid = np.linspace(0.0, f.get("omega_max", 3.0 * modes.omega_plus), f["points"])
+        cp = response_cp(modes, r0, t, grid=grid)
+        if flag or f.get("rescale_cp"):
+            cp = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4")
+        for key, curve in (("up", response_up(modes, r0, t, grid=grid)), ("cp", cp)):
+            expected = tmp_path / f"expected_{key}.{fmt}"
+            (curve.to_csv if fmt == "csv" else curve.to_json)(expected)
+            assert (tmp_path / "out" / f"response_{key}.{fmt}").read_bytes() == expected.read_bytes(), key
 
     def test_unresolved_grid_is_numerical_failure(self, tmp_path):
         cfg = base_config()

@@ -1,6 +1,7 @@
 """Analytic response curves, numeric transfer extraction, and curve tools."""
 import json
 import math
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -165,6 +166,77 @@ class TestResponseCp:
             assert abs(nearest - target) < 0.5 * (2 * math.pi / T5), f"lobe far from {target:.1f}"
         fwhm = main_lobe_fwhm(cp)
         assert 0.5 < fwhm / lobe_band < 2.0, f"lobe width {fwhm} vs band {lobe_band}"
+
+
+def closed_forms_longdouble(modes, r0, t, grid):
+    """(re, im) of F0 and of F_cp in long double, the formulas of response_up and response_cp
+    evaluated on the same float64 inputs."""
+    ld = np.longdouble
+    w, t, r0 = np.asarray(grid, dtype=ld), ld(t), ld(r0)
+    wp, wm, wt, l_osc = (ld(v) for v in (modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc))
+
+    def window(omega):  # sinc(x) e^{-ix}, x = omega t / 2
+        x = omega * t / 2
+        sinc = np.where(x == 0, ld(1), np.sin(x) / np.where(x == 0, ld(1), x))
+        return sinc * np.cos(x), -sinc * np.sin(x)
+
+    terms = [(wm, window(w + wp)), (-wm, window(w - wp)), (-wp, window(w + wm)), (wp, window(w - wm))]
+    bracket_re = sum(c * re for c, (re, _) in terms)
+    bracket_im = sum(c * im for c, (_, im) in terms)
+    a = r0 * t / (wt * wt * l_osc * l_osc)  # the prefactor is i a
+    up_re, up_im = -a * bracket_im, a * bracket_re
+    wt_arg = w * t
+    # 2i sin(w t) 2 Re[F0 e^{i w t}] e^{-2i w t} = i m e^{-2i w t}
+    m = 4 * np.sin(wt_arg) * (up_re * np.cos(wt_arg) - up_im * np.sin(wt_arg))
+    return (up_re, up_im), (m * np.sin(2 * wt_arg), m * np.cos(2 * wt_arg))
+
+
+def error_in_peak_ulps(curve, reference) -> float:
+    re, im = reference
+    err = np.hypot((curve.values.real - re).astype(float), (curve.values.imag - im).astype(float))
+    return float(err.max() / np.spacing(np.hypot(re.astype(float), im.astype(float)).max()))
+
+
+def drawn_traps(count=20, seed=22):
+    """(modes, r0, t, grid) as the response_probe benchmark draws them: t of 5-7 half periods."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        wt, eps = 2.0 * math.pi * rng.uniform(500.0, 2000.0), rng.uniform(1.5, 5.0)
+        modes = derive_modes(TrapConfig.from_modes(MASS, wt, eps))
+        t = math.pi * int(rng.integers(5, 8)) / wt
+        yield modes, 2.0 * modes.l_osc, t, np.linspace(0.0, 3.0 * modes.omega_plus, 4096)
+
+
+README_MODES = derive_modes(TrapConfig.from_modes(MASS, 6283.185307179586, 3.0))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here")
+class TestClosedFormAccuracy:
+    """Max error of the closed forms against themselves in long double, in ulp of the curve peak.
+
+    The bounds are the errors of the evaluator these closed forms replaced (np.sinc windows, an
+    echo composition of three complex exponentials), rounded up in the third digit.
+    """
+
+    @pytest.mark.parametrize(
+        "cases, up_bound, cp_bound",
+        [
+            pytest.param(
+                [(README_MODES, README_MODES.l_osc, 5.0 * math.pi / README_MODES.omega_tilde,
+                  np.linspace(0.0, 3.0 * README_MODES.omega_plus, 4096))],
+                3.36, 13.35, id="readme",
+            ),
+            pytest.param([(MODES, R0, T5, np.linspace(0.0, 2.0 * WP, 200))], 3.50, 7.63, id="criterion_05"),
+            pytest.param(list(drawn_traps()), 5.09, 17.44, id="drawn-traps"),
+        ],
+    )
+    def test_error_stays_within_the_replaced_evaluator(self, cases, up_bound, cp_bound):
+        up_err = cp_err = 0.0
+        for modes, r0, t, grid in cases:
+            up_ref, cp_ref = closed_forms_longdouble(modes, r0, t, grid)
+            up_err = max(up_err, error_in_peak_ulps(response_up(modes, r0, t, grid=grid), up_ref))
+            cp_err = max(cp_err, error_in_peak_ulps(response_cp(modes, r0, t, grid=grid), cp_ref))
+        assert up_err <= up_bound and cp_err <= cp_bound, (up_err, cp_err)
 
 
 class TestNumericResponse:
@@ -399,6 +471,47 @@ class TestResponseCurveType:
             ResponseCurve(omega=np.array([0.0, 1.0]), values=np.array([1.0, math.nan]))
         with pytest.raises(ParameterError):
             ResponseCurve(omega=np.array([0.0, 1.0]), values=np.ones(3))
+
+    def test_uniformity_check_decides_as_allclose(self):
+        """One comparison, |d - d0| <= 1e-12 d0 + 1e-9 d0 or d == d0, accepts and rejects the grids
+        that np.allclose(d, d0, rtol=1e-9, atol=1e-12 |d0|) did: exact spacings, a spacing on the
+        bound and one ulp beyond it on either side, and spacings a few ulps around the bound."""
+        grids = [GRID, np.linspace(-1.0, 1.0, 1025), np.arange(64.0) * 0.375, np.array([-2.0, -1.0])]
+        on_bound = {}
+        # below 2**-1021 every double is a multiple of 5e-324, so d0 +- tol is exact and so is its
+        # difference from d0; the first two d0 round (1e-12 + 1e-9) * d0 up and down from the bound
+        for d0 in (6410092465219463 * 5e-324, 6978749554380064 * 5e-324, 2.0**-1022):
+            tol = 1e-12 * d0 + 1e-9 * d0
+            for sign in (1.0, -1.0):
+                on_bound[np.array([-d0, 0.0, d0 + sign * tol]).tobytes()] = True
+                on_bound[np.array([-d0, 0.0, d0 + sign * (tol + 5e-324)]).tobytes()] = False
+        grids += [np.frombuffer(g) for g in on_bound]
+        around = []
+        for d0 in (1.0, 0.1, 3e-7, 12345.678):
+            tol = 1e-12 * d0 + 1e-9 * d0
+            for edge in (d0 + tol, d0 - tol):
+                spacings = edge + np.arange(-3, 4) * np.spacing(edge)
+                around.append([np.array([-d0, 0.0, d1, d1 + d0]) for d1 in spacings])
+        grids += [g for near in around for g in near]
+        inf = math.inf
+        grids += [np.array([-inf, 0.0, 1.0]), np.array([-inf, 0.0, inf]), np.array([0.0, 1.0, inf])]
+        decided = {}
+        for omega in grids:
+            with warnings.catch_warnings():  # the infinite grids warn, as they did
+                warnings.simplefilter("ignore", RuntimeWarning)
+                d = np.diff(omega)
+                expected = bool(np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])))
+                try:
+                    ResponseCurve(omega=omega, values=np.zeros(omega.shape))
+                    accepted = True
+                except ParameterError as exc:
+                    assert "uniform" in str(exc)
+                    accepted = False
+            assert accepted == expected, omega.tolist()
+            decided[omega.tobytes()] = accepted
+        assert {g: decided[g] for g in on_bound} == on_bound
+        for near in around:  # each bound lies inside its spacings
+            assert {decided[g.tobytes()] for g in near} == {True, False}
 
     def test_csv_round_trip(self, tmp_path):
         curve = response_cp(MODES, R0, T5, grid=GRID[:64])
