@@ -47,7 +47,9 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import ParameterError
-from .signals import ForceSignal, Zero, _cmul, _pack_pieces, _Packed, _piece_integrals, _triangle_integral
+from .signals import (
+    ForceSignal, Zero, _cmul, _pack_pieces, _Packed, _pair_pieces, _piece_integrals, _triangle_integral,
+)
 from .trap import (
     NormalModes, PhaseSpacePoint, TrapConfig, _amplitudes_from_center, _center_from_amplitudes,
     _check_sigma, derive_modes,
@@ -119,16 +121,25 @@ class Branch:
 
     def __post_init__(self):
         _check_sigma(self.spin)
-        for name in ("weight", "alpha_plus", "alpha_minus", "phase"):
-            v = getattr(self, name)
-            finite = np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)
-            if not finite:
-                raise ParameterError(f"Branch.{name} is not finite")
+        self._check_finite(("weight", "alpha_plus", "alpha_minus", "phase"))
 
     @property
     def amplitude(self) -> complex:
         """Total complex amplitude weight * exp(i phase)."""
         return self.weight * _exp(1j * self.phase)
+
+    def _check_finite(self, names) -> None:
+        for name in names:
+            v = getattr(self, name)
+            if not (np.isfinite(v).all() if isinstance(v, np.ndarray) else cmath.isfinite(v)):
+                raise ParameterError(f"Branch.{name} is not finite")
+
+    def _with(self, **fields) -> Branch:
+        """This branch with ``fields`` replaced; only they are checked, the others were when it was built."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **fields)
+        new._check_finite(fields)
+        return new
 
 
 @dataclass(frozen=True)
@@ -294,20 +305,13 @@ def apply_rotation(state: SpinorCoherentState, angle: float) -> SpinorCoherentSt
             if _every(abs(factor * b.weight) < _PRUNE_TOL):
                 continue
             if new_spin == b.spin:
-                out.append(replace(b, weight=factor * b.weight))
+                out.append(b._with(weight=factor * b.weight))
             else:
                 if flipped is None:
                     zeta, zdot = _center_from_amplitudes(modes, b.spin, b.alpha_plus, b.alpha_minus)
                     flipped = _amplitudes_from_center(modes, new_spin, zeta, zdot)
-                out.append(
-                    Branch(
-                        spin=new_spin,
-                        weight=factor * b.weight,
-                        alpha_plus=flipped[0],
-                        alpha_minus=flipped[1],
-                        phase=b.phase,
-                    )
-                )
+                out.append(b._with(spin=new_spin, weight=factor * b.weight, alpha_plus=flipped[0],
+                                   alpha_minus=flipped[1]))
     return replace(state, branches=_merge_branches(out))
 
 
@@ -321,7 +325,7 @@ def _merge_branches(branches: list[Branch]) -> tuple[Branch, ...]:
                 and _every(abs(m.alpha_minus - b.alpha_minus) <= _MERGE_TOL)
                 and _every(abs(m.phase - b.phase) <= _MERGE_TOL)
             ):
-                merged[i] = replace(m, weight=m.weight + b.weight)
+                merged[i] = m._with(weight=m.weight + b.weight)
                 break
         else:
             merged.append(b)
@@ -336,7 +340,7 @@ def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState
     # the kicks are the amplitudes of a center at rest at -shift, the same for either spin
     d_plus, d_minus = _amplitudes_from_center(state.modes, +1, complex(-sx, -sy), 0j)
     branches = tuple(
-        replace(b, alpha_plus=b.alpha_plus + d_plus, alpha_minus=b.alpha_minus + d_minus)
+        b._with(alpha_plus=b.alpha_plus + d_plus, alpha_minus=b.alpha_minus + d_minus)
         for b in state.branches
     )
     return replace(
@@ -408,8 +412,9 @@ def _pair_sums(packed: _Packed, nu: np.ndarray, integrals, bounds: list[int]) ->
 def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
     """{sigma: coefficients} of (drive, t_start, duration) pairs, drives in any mix, in one pass.
 
-    Each field is an array with one entry per pair.  Every piece is offset from its own
-    window's start, with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
+    Each field is an array with one entry per pair.  The pieces of the pairs come from one
+    class-level call per drive class.  Every piece is offset from its own window's start,
+    with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
     (omega_plus, -omega_minus) for sigma = -1.  The kernels run once per distinct piece
     shape (the bits of its width and term rates, powers and padding) and are gathered back
     to every piece before its own coefficients and offset apply; each window sum is one
@@ -423,15 +428,17 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
     """
     modes = _modes_cached(config)
     wp, wm, wt, l = modes.omega_plus, modes.omega_minus, modes.omega_tilde, modes.l_osc
-    for _, _, duration in pairs:
+    drives, t_starts, durations = zip(*pairs)
+    for duration in durations:
         if not math.isfinite(wp * duration):
             raise ParameterError(f"omega_plus * duration overflows at duration {duration:.3e} s")
     nu = np.array([wm, -wp, wp, -wm])
     mh = config.mass / HBAR
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = [drive.pieces(t_start, t_start + duration) for drive, t_start, duration in pairs]
-        packed = _pack_pieces(tables, [t_start for _, t_start, _ in pairs])
-        bounds = np.cumsum([0] + [len(table) for table in tables]).tolist()
+        t0 = np.array(t_starts, float)
+        table, counts = _pair_pieces(drives, t0, t0 + np.array(durations, float))
+        packed = _pack_pieces([table], np.repeat(t0, counts))
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         integrals = _piece_integrals(packed, nu)  # (4, pieces)
         w = _pair_sums(packed, nu, integrals, bounds)
         j = _window_sums(integrals, bounds)
@@ -449,7 +456,6 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
         raise ParameterError(
             f"drive overflows the segment coefficients on [{t_start:.6g}, {t_start + duration:.6g}] s"
         )
-    durations = [d for _, _, d in pairs]
     turns = {d: [[cmath.exp(-1j * s * w * d) for w in (wp, wm)] for s in (+1, -1)] for d in set(durations)}
     rot = np.array([turns[d] for d in durations]).transpose(1, 2, 0)
     return {sigma: _SegmentCoeffs(*rot[k], *kick[k], *lin[k], phase[k]) for k, sigma in enumerate((+1, -1))}
@@ -515,7 +521,7 @@ def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -
         if mode == "exact":
             a_plus, a_minus, phase = a_plus + cf.kick_plus, a_minus + cf.kick_minus, phase + cf.phase_g2
         new_branches.append(
-            replace(b, alpha_plus=cf.rot_plus * a_plus, alpha_minus=cf.rot_minus * a_minus, phase=phase)
+            b._with(alpha_plus=cf.rot_plus * a_plus, alpha_minus=cf.rot_minus * a_minus, phase=phase)
         )
     return replace(state, branches=tuple(new_branches), time=state.time + duration)
 
@@ -611,7 +617,7 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
             pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
             bounds.append(len(pairs))
             t += step.duration
-    if len(drives) == 1:
+    if len(drives) == 1 or not pairs:
         return _cached_coeffs(state.config, pairs)
     found = _segment_coeffs(state.config, pairs)
     return [

@@ -7,8 +7,11 @@ pieces: over each piece [a, b],
     gtilde(a + tau) = sum_k  c_k * tau**p_k * exp(i mu_k tau),   0 <= tau <= b - a.
 
 The expansion is a :class:`PieceTable`, one row per piece.  Parametric
-waveforms produce a single row; tabulated data produces one row per grid
-interval of its linear interpolant.  :func:`modal_integral` and the engine's
+waveforms produce one row per window, and their class builds the rows of many
+(drive, window) pairs in one array expression (``ForceSignal._batch_pieces``);
+tabulated data produces one row per grid interval of its linear interpolant.
+A custom signal needs only ``pieces``: the default class-level entry calls it
+once per window.  :func:`modal_integral` and the engine's
 segment coefficients are closed forms over the pieces, with each kernel
 evaluated once per distinct piece (a uniform grid gives a handful) and called
 once per pass with the term powers as integer arrays, built from two array
@@ -85,8 +88,17 @@ def _pow(x, n):
     return out
 
 
+def _spread(v, shape):
+    """``v`` broadcast to ``shape``, as a new array unless it has that shape (cheaper than np.broadcast_to)."""
+    if np.shape(v) == shape:
+        return v
+    out = np.empty(shape, np.result_type(v))
+    out[...] = v
+    return out
+
+
 def _part(v, mask):
-    return v if isinstance(v, int) else np.broadcast_to(v, mask.shape)[mask]
+    return v if isinstance(v, int) else _spread(v, mask.shape)[mask]
 
 
 def _series_blocks(series, *args):
@@ -112,10 +124,14 @@ def _exp_poly_integral(p, mu, delta):
     mu, delta = np.asarray(mu, dtype=float), np.asarray(delta, dtype=float)
     x = mu * delta
     p = _powers(p)
-    small = np.abs(x) < 0.5
+    small, zero = np.abs(x) < 0.5, x == 0.0
     out = np.empty(x.shape, dtype=complex)
-    if small.any():
-        out[small] = _series_blocks(_exp_series, x[small], _part(delta, small), _part(p, small))
+    if zero.any():  # the series' one nonzero term, delta**(p+1) / (p+1), rounded as the series rounds it
+        d, p_z = _part(delta, zero), _part(p, zero)
+        out[zero] = _pow(d, p_z + 1) * (1.0 / (p_z + 1))
+    series = small & ~zero
+    if series.any():
+        out[series] = _series_blocks(_exp_series, x[series], _part(delta, series), _part(p, series))
     if not small.all():
         imu, d, p_r = 1j * _part(mu, ~small), _part(delta, ~small), _part(p, ~small)
         e = np.exp(imu * d)
@@ -146,10 +162,15 @@ def _triangle_integral(q, k1, p, k2, delta):
     By parts, E_p(k2, u) = e^{i k2 u} sum_m a_m u**m - a_0 with a_m = -(p!/m!) (i/k2)**(p-m+1);
     the E values of all its terms come from one call.  The series in z = i k delta is
     delta**(p+q+2) sum_{j,k} z2^j z1^k / (j! k! (p+j+1) (p+q+j+k+2)), summed to one order N per
-    block, the largest any element needs for r^(N+1) / (N+1)! < 1e-19 r with r = |z1| + |z2| < 1;
-    terms past an element's own order are below half an ulp, so its value does not depend on the call.
+    block, the largest any element needs for r^(N+1) / (N+1)! < 1e-19 r with r = |z1| + |z2| < 1.
+    Terms past an element's own order are below half an ulp of it, yet the longer recursion can round
+    its last bit otherwise (1 of 3.2M elements in a sweep), so an element's value may depend on the
+    order its block runs to.  What holds is that blocks run to the order of the unblocked call keep
+    every bit of it.
     """
-    k1, k2, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k1, k2, delta)))
+    k1, k2, delta = (np.asarray(v, dtype=float) for v in (k1, k2, delta))
+    shape = np.broadcast(k1, k2, delta).shape
+    k1, k2, delta = (_spread(v, shape) for v in (k1, k2, delta))
     q, p = _powers(q), _powers(p)
     x1, x2 = k1 * delta, k2 * delta
     by_parts = np.abs(x2) >= 0.5
@@ -161,7 +182,7 @@ def _triangle_integral(q, k1, p, k2, delta):
         q_b, p_b = _part(q, by_parts), _part(p, by_parts)
         # rows E_{q+m}(k1 + k2) for m = 0..p, then E_q(k1); a_m = 0 for m > p adds zeros to the sum
         top = _top(p_b)
-        powers = np.array([np.broadcast_to(v, d.shape) for v in (*(q_b + m for m in range(top + 1)), q_b)])
+        powers = np.array([_spread(v, d.shape) for v in (*(q_b + m for m in range(top + 1)), q_b)])
         e = _exp_poly_integral(powers, np.array([a + b] * (top + 1) + [a]), d)
         coef = np.zeros((top + 1,) + d.shape, dtype=complex)
         for v, sel in _groups(p_b):
@@ -172,7 +193,7 @@ def _triangle_integral(q, k1, p, k2, delta):
         a, b, d = k1[swapped], k2[swapped], delta[swapped]
         q_s, p_s = _part(q, swapped), _part(p, swapped)
         swap = _triangle_integral(p_s, b, q_s, a, d)  # takes the by-parts branch
-        powers = np.array([np.broadcast_to(v, d.shape) for v in (q_s, p_s)])
+        powers = np.array([_spread(v, d.shape) for v in (q_s, p_s)])
         e_q, e_p = _exp_poly_integral(powers, np.array([a, b]), d)
         out[swapped] = e_q * e_p - swap
     if series.any():
@@ -231,11 +252,11 @@ class PieceTable:
         return PieceTable(self.start[rows], self.end[rows], *(f[rows] for f in self._terms()))
 
 
-def _row(t0, t1, coef, mu) -> PieceTable:
-    """The one piece [t0, t1] whose terms coef[j] exp(i mu[j] tau) all have power 0."""
-    # positional dtypes: numpy parses them faster than keywords, and this runs per window
-    return PieceTable(np.array([t0], float), np.array([t1], float), np.array([coef], complex),
-                      np.array([mu], float), np.zeros((1, len(mu)), int), np.array([[True] * len(mu)], bool))
+def _exp_rows(t0, t1, coef, mu) -> tuple[PieceTable, np.ndarray]:
+    """(table, row counts) of one piece [t0[i], t1[i]] per window, of terms coef[i, j] exp(i mu[i, j] tau)
+    that all have power 0."""
+    return PieceTable(np.array(t0, float), np.array(t1, float), coef, mu, np.zeros(coef.shape, int),
+                      np.ones(coef.shape, bool)), np.ones(len(coef), int)
 
 
 def _concat(tables: list[PieceTable]) -> PieceTable:
@@ -247,6 +268,24 @@ def _concat(tables: list[PieceTable]) -> PieceTable:
     return PieceTable(*(np.concatenate([getattr(t, f) for t in tables]) for f in PieceTable.__slots__))
 
 
+def _pair_pieces(drives, t0, t1):
+    """(table, row count per pair) of (drive, window [t0[i], t1[i]]) pairs, rows in pair order.
+
+    Each drive class builds the rows of its pairs in one :meth:`ForceSignal._batch_pieces` call.
+    """
+    kinds = list(map(type, drives))
+    if len(set(kinds)) == 1:
+        return kinds[0]._batch_pieces(drives, t0, t1)
+    groups = {}
+    for i, kind in enumerate(kinds):
+        groups.setdefault(kind, []).append(i)
+    parts = [(kind._batch_pieces([drives[i] for i in idx], t0[idx], t1[idx]), idx)
+             for kind, idx in groups.items()]
+    pair = np.concatenate([np.repeat(idx, counts) for (_, counts), idx in parts])  # the pair of each row
+    rows = np.argsort(pair, kind="stable")
+    return _concat([table for (table, _), _ in parts])._rows(rows), np.bincount(pair, minlength=len(drives))
+
+
 # the pieces of a pass as one table: offset from its own window start, (K,), and coef,
 # (K, M).  The kernels see a piece only through the bits of its width and of its mu, power
 # and valid rows, its shape: width (U,) and mu, power, valid (U, M) hold each distinct
@@ -255,8 +294,13 @@ _Packed = namedtuple("_Packed", "offset coef shape width mu power valid")
 
 
 def _pack_pieces(tables: list[PieceTable], t0) -> _Packed:
-    """The rows of ``tables``, those of tables[i] offset from t0[i], keyed by shape."""
-    table = _concat(tables)
+    """The rows of ``tables`` keyed by shape, those of tables[i] offset from its window start t0[i].
+
+    One table may also hold the rows of many windows, with t0[k] the window start of row k.
+    """
+    table = tables[0] if len(tables) == 1 else _concat(tables)
+    if len(tables) > 1:
+        t0 = np.repeat(t0, [len(t) for t in tables])
     width = table.end - table.start
     key = np.hstack([width.view(np.int64)[:, None], table.mu.view(np.int64), table.power, table.valid])
     order = np.lexsort(key.T)  # stable, so each shape's first sorted row is its first piece
@@ -264,7 +308,7 @@ def _pack_pieces(tables: list[PieceTable], t0) -> _Packed:
     new = np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))[: len(order)]  # starts a shape
     shape = np.empty_like(order)
     shape[order] = np.cumsum(new) - 1
-    offset = table.start - np.repeat(t0, [len(t) for t in tables])
+    offset = table.start - np.asarray(t0, dtype=float)
     return _Packed(offset, table.coef, shape, *(f[order[new]] for f in (width, *table._terms()[1:])))
 
 
@@ -302,8 +346,23 @@ class ForceSignal(ABC):
 
         The rows are consecutive pieces in time order that cover [t0, t1]: the first starts
         at t0 and the last ends at t1.  Asked for one of its own rows' intervals, a signal
-        returns that one row; where t1 <= t0 it may return a zero-width row or none.
+        returns that one row; where t1 <= t0 it may return a zero-width row or none.  This
+        is all a custom signal needs: the engine asks a class for the rows of many windows
+        through :meth:`_batch_pieces`, whose default calls ``pieces`` once per window.
         """
+
+    @classmethod
+    def _batch_pieces(cls, drives, t0, t1) -> tuple[PieceTable, np.ndarray]:
+        """The rows of (drive, window [t0[i], t1[i]]) pairs of this class as one table, in pair order.
+
+        ``drives`` holds one drive per window, or one drive for every window.  Returns the table
+        and each pair's row count.  A pair gets the rows of its ``pieces``, which this default
+        calls once per window; :class:`Zero`, :class:`Constant` and :class:`Sinusoid` build all
+        their rows in one array expression instead.
+        """
+        t0, t1 = np.asarray(t0, dtype=float).tolist(), np.asarray(t1, dtype=float).tolist()
+        tables = [d.pieces(a, b) for d, a, b in zip(drives * len(t0) if len(drives) == 1 else drives, t0, t1)]
+        return _concat(tables), np.array([len(t) for t in tables], int)
 
     def _as_2vec(self, gx, gy, t):
         t = np.asarray(t, dtype=float)
@@ -319,7 +378,11 @@ class Zero(ForceSignal):
         return np.zeros(2) if t.ndim == 0 else np.zeros((2,) + t.shape)
 
     def pieces(self, t0, t1):
-        return _row(t0, t1, [], [])
+        return self._batch_pieces((self,), (t0,), (t1,))[0]
+
+    @classmethod
+    def _batch_pieces(cls, drives, t0, t1):
+        return _exp_rows(t0, t1, np.empty((len(t0), 0), complex), np.empty((len(t0), 0)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +394,13 @@ class Constant(ForceSignal):
         return self._as_2vec(self.gx, self.gy, t)
 
     def pieces(self, t0, t1):
-        return _row(t0, t1, [complex(self.gx, self.gy)], [0.0])
+        return self._batch_pieces((self,), (t0,), (t1,))[0]
+
+    @classmethod
+    def _batch_pieces(cls, drives, t0, t1):
+        coef = np.empty((len(t0), 1), complex)
+        coef.real, coef.imag = np.array([(d.gx, d.gy) for d in drives], float).T[:, :, None]  # complex(gx, gy)
+        return _exp_rows(t0, t1, coef, np.zeros(coef.shape))
 
 
 @dataclass(frozen=True)
@@ -359,10 +428,18 @@ class Sinusoid(ForceSignal):
         return np.stack([ax * c, ay * c])
 
     def pieces(self, t0, t1):
-        ax, ay = self.amplitude
-        g0 = complex(ax, ay) / 2.0
-        th = self.omega * t0 + self.phase
-        return _row(t0, t1, [g0 * np.exp(1j * th), g0 * np.exp(-1j * th)], [self.omega, -self.omega])
+        return self._batch_pieces((self,), (t0,), (t1,))[0]
+
+    @classmethod
+    def _batch_pieces(cls, drives, t0, t1):
+        # terms g0 e^{+-i th}, th = omega t0 + phase, each operation as Python's complex type
+        # does it for one window: g0 = complex(ax, ay) / 2.0 divides by 2 + 0j
+        p = np.array([(*d.amplitude, d.omega, d.phase) for d in drives], float)
+        e = np.exp((p[:, 2] * np.asarray(t0, dtype=float) + p[:, 3])[:, None] * np.array([1j, -1j]))
+        g0 = (p[:, :2] + p[:, 1::-1] * [0.0, -0.0]) / 2.0  # (ax + ay 0, ay - ax 0) / 2
+        mu = np.empty(e.shape)
+        mu[:] = p[:, 2:3] * [1.0, -1.0]
+        return _exp_rows(t0, t1, _cmul(g0[:, :1], g0[:, 1:], e.real, e.imag), mu)
 
 
 @dataclass(frozen=True)
@@ -381,8 +458,8 @@ class SumSignal(ForceSignal):
 
     def pieces(self, t0, t1):
         # split at the union of the parts' piece edges, then set the parts' terms side by
-        # side; a part's own row is reused where it is exactly the sub-interval, and only a
-        # part whose piece spans more is expanded again on the sub-interval
+        # side; a part's own row is reused where it is exactly the sub-interval, and a part's
+        # rows on the sub-intervals that its pieces span come from one class-level call
         own = [p.pieces(t0, t1) for p in self.parts]
         edges = [[float(t0), float(t1)], *(e for table in own for e in (table.start, table.end))]
         grid = np.unique(np.concatenate(edges))
@@ -391,12 +468,13 @@ class SumSignal(ForceSignal):
         columns = []
         for p, table in zip(self.parts, own):
             row = np.searchsorted(table.start, start, side="right") - 1
-            redo = np.flatnonzero((table.start[row] != start) | (table.end[row] != end))
-            fresh = [p.pieces(a, b) for a, b in zip(start[redo].tolist(), end[redo].tolist())]
-            assert all(len(sub) == 1 for sub in fresh), "sub-piece not atomic after edge splitting"
-            order = np.arange(len(start))
-            order[redo] = len(start) + np.arange(len(redo))  # fresh rows after the reused ones
-            columns.append(_concat([table._rows(row), *fresh])._rows(order))
+            redo = (table.start[row] != start) | (table.end[row] != end)
+            if redo.any():  # fresh rows after the part's own, which are dropped if none is reused
+                fresh, counts = type(p)._batch_pieces((p,), start[redo], end[redo])
+                assert (counts == 1).all(), "sub-piece not atomic after edge splitting"
+                row[redo] = np.arange(len(fresh)) + (0 if redo.all() else len(table))
+                table = fresh if redo.all() else _concat([table, fresh])
+            columns.append(table if np.array_equal(row, np.arange(len(table))) else table._rows(row))
         terms = zip(*(column._terms() for column in columns))
         return PieceTable(start, end, *(np.concatenate(f, axis=1) for f in terms))
 

@@ -577,6 +577,77 @@ class TestSegmentFill:
         assert np.array_equal(got_batch, want_batch)
 
 
+
+@dataclass(frozen=True)
+class Ramp(ForceSignal):
+    """gtilde(t) = slope * t, with ``pieces`` only: its windows take the default class-level entry."""
+
+    slope: complex
+
+    def evaluate(self, t):
+        g = self.slope * np.asarray(t, dtype=float)
+        return np.array([g.real, g.imag])
+
+    def pieces(self, t0, t1):
+        return signals.PieceTable(np.array([t0]), np.array([t1]), np.array([[self.slope * t0, self.slope]]),
+                                  np.zeros((1, 2)), np.array([[0, 1]]), np.ones((1, 2), bool))
+
+
+def test_pass_of_mixed_classes_equals_one_pair_calls():
+    """Pairs of interleaved drive classes, grouped per class for their rows, keep the bits of one-pair calls."""
+    t = math.pi / WT
+    table = Tabulated(0.0, 4 * t / 300, 1e-3 * np.random.default_rng(6).normal(size=(301, 2)))
+    tone = Sinusoid((0.0, 2e-3), 1.2 * WT, 0.3)
+    drives = [
+        tone, Constant(1e-3, -0.0), table, Ramp(3e-2 - 1e-2j), Zero(), Sinusoid((-0.0, 1e-3), 0.7 * WT, -0.0),
+        SumSignal([Constant(2e-4, 1e-4), SumSignal([table, Sinusoid((1e-3, 0.0), 0.8 * WT)])]), Zero(),
+        Constant(-3e-4, 2e-4), Ramp(-1e-2j), circular(2e-3, 1.37 * WT, 0.4), tone,
+    ]
+    windows = [(0.0, t), (1e-3, 0.5 * t), (t, 2.0 * t)]
+    pairs = [(d, *windows[i % 3]) for i, d in enumerate(drives)] + [(d, *windows[0]) for d in drives[::-1]]
+    pulses._SEGMENT_CACHE.clear()
+    batched = pulses._segment_coeffs(CFG, pairs)
+    for i, pair in enumerate(pairs):
+        single = pulses._segment_coeffs(CFG, [pair])
+        for sigma in (+1, -1):
+            for name in pulses._SegmentCoeffs._fields:
+                got, want = getattr(batched[sigma], name)[i], getattr(single[sigma], name)[0]
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (i, sigma, name)
+
+
+def big_branches(n):
+    """Two spin-up branches with equal amplitudes and weights of 1.5e308: their sum overflows."""
+    def field(v):
+        return v if n is None else np.full(n, v)
+
+    twin = Branch(+1, field(1.5e308 + 0j), field(0.1 + 0.2j), field(-0.3j), field(0.4))
+    return SpinorCoherentState(CFG, (twin, Branch(+1, twin.weight, twin.alpha_plus, twin.alpha_minus, twin.phase)))
+
+
+# numpy warns where an array sum overflows; the tests pin the check behind it
+@pytest.mark.parametrize("n", [None, 3])
+def test_merging_weights_that_overflow_is_parameter_error(n):
+    """A rotation's merge replaces only the weight, and the weight is still checked."""
+    state = big_branches(n)
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"^Branch\.weight is not finite$"):
+        apply_rotation(state, 0.0)
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_evolution_whose_phase_overflows_is_parameter_error(n):
+    """An evolution replaces amplitudes and phase; a phase past the float range is reported."""
+    drive, t = Constant(1e-3, 0.0), math.pi / WT
+    a_plus = 1e300 + 0j
+    gain = (pulses._segment_coeffs(CFG, [(drive, 0.0, t)])[+1].p_lin[0] * a_plus).real
+    assert 1e295 < abs(gain) < 1e307
+    top = math.copysign(sys.float_info.max, gain)
+    branch = Branch(+1, 1.0 + 0j, a_plus, 0j, top) if n is None else Branch(
+        +1, 1.0 + 0j, np.full(n, a_plus), np.zeros(n, complex), np.full(n, top))
+    state = SpinorCoherentState(CFG, (branch,))
+    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"^Branch\.phase is not finite$"):
+        apply_evolution(state, t, drive)
+
+
 def pair_sums_reference(packed, nu, integrals, bounds):
     """W per window from a plain loop over nu, windows, pieces and each piece's valid term pairs.
 

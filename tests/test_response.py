@@ -395,6 +395,11 @@ class TestBatchedProbes:
         assert cache.gets == 3 * 2 and calls == []  # one lookup per (window, spin), all hits
         assert again.state == warm.state
 
+    def test_walk_without_a_window_probes_nothing(self):
+        """A sequence with no Evolve of positive duration gives every probe the undriven phase: F = 0."""
+        still = PulseSequence(steps=(RotateY(math.pi / 2), Displace((R0, 0.0)), Evolve(0.0), RotateY(-math.pi / 2)))
+        assert numeric_response(CFG, still, WM, 1e-3) == per_phase_response(CFG, still, WM, 1e-3) == 0j
+
     def test_too_strong_probe_keeps_message_and_precedence(self):
         up, amplitude = self.presets["up"], 0.5 / self.peak["up"]
         for omegas in ([WP, WM], [WM, WP]):

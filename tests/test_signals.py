@@ -582,3 +582,54 @@ def test_shape_keys_group_rows_by_bits():
         for name in ("width", "mu", "power", "valid"):  # every row keeps the bits of its own shape
             want = rows.end - rows.start if name == "width" else getattr(rows, name)
             assert getattr(packed, name)[packed.shape].tobytes() == want.tobytes(), name
+
+
+def parametric_row_reference(signal, t0: float, t1: float) -> PieceTable:
+    """One parametric row as Python's complex type forms it for a lone window."""
+    if isinstance(signal, Zero):
+        coef, mu = [], []
+    elif isinstance(signal, Constant):
+        coef, mu = [complex(signal.gx, signal.gy)], [0.0]
+    else:
+        g0, th = complex(*signal.amplitude) / 2.0, signal.omega * t0 + signal.phase
+        coef, mu = [g0 * np.exp(1j * th), g0 * np.exp(-1j * th)], [signal.omega, -signal.omega]
+    m = len(mu)
+    return PieceTable(np.array([t0]), np.array([t1]), np.array([coef], dtype=complex).reshape(1, m),
+                      np.array([mu], dtype=float).reshape(1, m), np.zeros((1, m), int), np.ones((1, m), bool))
+
+
+def assert_same_bits(got: PieceTable, want: PieceTable) -> None:
+    for f in PieceTable.__slots__:
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f
+
+
+@pytest.mark.parametrize("kind", [Zero, Constant, Sinusoid])
+def test_class_level_rows_equal_the_one_window_rows(kind):
+    """Many windows of one class in one call give every field the bits of one pieces call each."""
+    rng = np.random.default_rng(23)
+    amps = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.3, -0.0), (-0.0, -2e-3), (1.7, 0.4), (-2.5e-4, 3e2)]
+    if kind is Zero:
+        drives = [Zero()] * 8
+    elif kind is Constant:
+        drives = [Constant(*a) for a in amps] + [Constant(1, 2)]
+    else:
+        # omega t0 + phase from 0 through |1e4|, with +-0.0 phases and omega = 0
+        drives = [Sinusoid(a, w, phi) for a, (w, phi) in zip(amps * 3, [
+            (0.0, 0.0), (0.0, -0.0), (3000.0, -0.0), (0.0, -3.0), (2100.0, 0.4), (6283.1, -1e4 + 3.0),
+            (1e7, 1e4), (9424.77796, -2.5), (1.0, 1e4), (5e6, -9e3), (0.0, 9999.0), (123.4, -0.0),
+            (1e4, 2.0), (7e5, 1.5), (3.3e3, -7.7e3), (2.9e6, 0.0), (0.5, -1e4), (8e6, 1e4 - 1.0),
+            (4.4e4, 5e3), (6e6, -6e3), (1e-3, 1e-300)])]
+    starts = np.concatenate([np.zeros(len(drives) // 2), np.full(len(drives) - len(drives) // 2, 1e-3)])
+    starts = rng.permutation(starts)
+    ends = starts + rng.uniform(1e-5, 2e-3, len(drives))
+    for t0, t1 in ((starts, ends), (starts[:1], ends[:1])):
+        table, counts = kind._batch_pieces(drives[: len(t0)], t0, t1)
+        assert counts.tolist() == [1] * len(t0)
+        singles = [d.pieces(a, b) for d, a, b in zip(drives, t0.tolist(), t1.tolist())]
+        assert_same_bits(table, _concat(singles))
+        for single, d, a, b in zip(singles, drives, t0.tolist(), t1.tolist()):
+            assert_same_bits(single, parametric_row_reference(d, a, b))
+    # one drive for every window, as SumSignal asks for a part's rows on its sub-intervals
+    one, _ = kind._batch_pieces(drives[-1:], starts, ends)
+    assert_same_bits(one, _concat([drives[-1].pieces(a, b) for a, b in zip(starts.tolist(), ends.tolist())]))
