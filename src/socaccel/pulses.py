@@ -48,7 +48,7 @@ import numpy as np
 from .constants import HBAR
 from .errors import ParameterError
 from .signals import (
-    ForceSignal, Zero, _cmul, _pack_pieces, _Packed, _pair_pieces, _piece_integrals, _triangle_integral,
+    ForceSignal, Zero, _cmul, _pack_pieces, _Packed, _piece_integrals, _triangle_integral,
 )
 from .trap import (
     NormalModes, PhaseSpacePoint, TrapConfig, _amplitudes_from_center, _center_from_amplitudes,
@@ -325,7 +325,9 @@ def _merge_branches(branches: list[Branch]) -> tuple[Branch, ...]:
                 and _every(abs(m.alpha_minus - b.alpha_minus) <= _MERGE_TOL)
                 and _every(abs(m.phase - b.phase) <= _MERGE_TOL)
             ):
-                merged[i] = m._with(weight=m.weight + b.weight)
+                with np.errstate(over="ignore"):  # an overflowing sum is reported by the finiteness check
+                    weight = m.weight + b.weight
+                merged[i] = m._with(weight=weight)
                 break
         else:
             merged.append(b)
@@ -361,12 +363,12 @@ def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState
 _SegmentCoeffs = namedtuple("_SegmentCoeffs", "rot_plus rot_minus kick_plus kick_minus p_lin q_lin phase_g2")
 
 
-# memo of segment coefficients across runs; an entry keeps its drive alive (a Tabulated
-# table by identity).  A walk takes the coefficients of all its windows from one
-# _cached_coeffs call and never reads them back here, so a run may have any number
-# of windows
+# memo of the {sigma: coefficients} of one-drive windows across runs, one entry per
+# (drive, t_start, duration, config); an entry keeps its drive alive (a Tabulated table by
+# identity).  A walk looks each of its windows up once and never reads them back, so a run
+# may have any number of windows
 _SEGMENT_CACHE: OrderedDict = OrderedDict()
-_SEGMENT_CACHE_MAX = 256
+_SEGMENT_CACHE_MAX = 128
 
 
 def _window_sums(values: np.ndarray, bounds) -> np.ndarray:
@@ -413,9 +415,10 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
     """{sigma: coefficients} of (drive, t_start, duration) pairs, drives in any mix, in one pass.
 
     Each field is an array with one entry per pair.  The pieces of the pairs come from one
-    class-level call per drive class.  Every piece is offset from its own window's start,
-    with nu = (omega_minus, -omega_plus) for sigma = +1 stacked over
-    (omega_plus, -omega_minus) for sigma = -1.  The kernels run once per distinct piece
+    class-level call: on the drives' class when they share one, else on the per-window
+    default of :class:`ForceSignal`, whose rows have the same bits.  Every piece is offset
+    from its own window's start, with nu = (omega_minus, -omega_plus) for sigma = +1 stacked
+    over (omega_plus, -omega_minus) for sigma = -1.  The kernels run once per distinct piece
     shape (the bits of its width and term rates, powers and padding) and are gathered back
     to every piece before its own coefficients and offset apply; each window sum is one
     array reduction over the window's own pieces, and the fields are formed in real
@@ -436,8 +439,10 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
     mh = config.mass / HBAR
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = np.array(t_starts, float)
-        table, counts = _pair_pieces(drives, t0, t0 + np.array(durations, float))
-        packed = _pack_pieces([table], np.repeat(t0, counts))
+        kinds = set(map(type, drives))
+        kind = kinds.pop() if len(kinds) == 1 else ForceSignal
+        table, counts = kind._batch_pieces(drives, t0, t0 + np.array(durations, float))
+        packed = _pack_pieces(table, np.repeat(t0, counts))
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         integrals = _piece_integrals(packed, nu)  # (4, pieces)
         w = _pair_sums(packed, nu, integrals, bounds)
@@ -459,38 +464,6 @@ def _segment_coeffs(config: TrapConfig, pairs) -> dict[int, _SegmentCoeffs]:
     turns = {d: [[cmath.exp(-1j * s * w * d) for w in (wp, wm)] for s in (+1, -1)] for d in set(durations)}
     rot = np.array([turns[d] for d in durations]).transpose(1, 2, 0)
     return {sigma: _SegmentCoeffs(*rot[k], *kick[k], *lin[k], phase[k]) for k, sigma in enumerate((+1, -1))}
-
-
-def _cached_coeffs(config: TrapConfig, pairs) -> list[dict[int, _SegmentCoeffs]]:
-    """{sigma: coefficients} in Python scalars per (drive, t_start, duration) pair, via the cache.
-
-    Each pair and spin is looked up once.  The misses go through one :func:`_segment_coeffs`
-    pass, and the last ``_SEGMENT_CACHE_MAX // 2`` of them with hashable drives (what the
-    cache can hold) are memoized for later runs; the cache is never read back within a run.
-    """
-    found, missed = [], []
-    for drive, t, d in pairs:
-        coeffs, keep = {+1: None, -1: None}, True
-        try:
-            coeffs = {s: _SEGMENT_CACHE.get((drive, config, s, t, d)) for s in (+1, -1)}
-        except TypeError:  # unhashable custom signal: compute without caching
-            keep = False
-        found.append(coeffs)
-        if None in coeffs.values():
-            missed.append((drive, t, d, coeffs, keep))
-    if not missed:
-        return found
-    fields = _segment_coeffs(config, [m[:3] for m in missed])
-    rows = {s: list(zip(*(f.tolist() for f in fields[s]))) for s in (+1, -1)}
-    memo_from = len(missed) - _SEGMENT_CACHE_MAX // 2
-    for i, (drive, t, d, coeffs, keep) in enumerate(missed):
-        for sigma in (+1, -1):
-            coeffs[sigma] = _SegmentCoeffs._make(rows[sigma][i])
-            if keep and i >= memo_from:
-                if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
-                    _SEGMENT_CACHE.popitem(last=False)
-                _SEGMENT_CACHE[drive, config, sigma, t, d] = coeffs[sigma]
-    return found
 
 
 def apply_evolution(
@@ -555,16 +528,17 @@ def _normed_gram_sums(state: SpinorCoherentState):
     return n_up, n_down, cross, norm
 
 
+def _expectations(state: SpinorCoherentState):
+    """({axis: exact spin expectation} over x, y, z, overlap factors included; the norm)."""
+    n_up, n_down, cross, norm = _normed_gram_sums(state)
+    return {"z": (n_up - n_down) / norm, "x": 2.0 * cross.real / norm, "y": 2.0 * cross.imag / norm}, norm
+
+
 def expectation_spin(state: SpinorCoherentState, axis: str) -> float:
     """Exact spin expectation along axis in {x, y, z}, overlap factors included."""
     if axis not in ("x", "y", "z"):
         raise ParameterError(f"axis must be one of x, y, z, got {axis!r}")
-    n_up, n_down, cross, norm = _normed_gram_sums(state)
-    if axis == "z":
-        return (n_up - n_down) / norm
-    if axis == "x":
-        return 2.0 * cross.real / norm
-    return 2.0 * cross.imag / norm
+    return _expectations(state)[0][axis]
 
 
 @dataclass(frozen=True)
@@ -603,12 +577,14 @@ def _coherence_record(state: SpinorCoherentState):
 
 
 def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple) -> list[dict]:
-    """{sigma: coefficients} of each Evolve step of positive duration, in step order, in one call.
+    """{sigma: coefficients} of each Evolve step of positive duration, in step order.
 
-    A step without its own drive gets the coefficients of every drive in ``drives``.  One
-    drive gives Python scalars through the cache.  N > 1 drives give shape-(N,) field
-    arrays, one entry per sample; such a walk's drives are used once (transfer probes), so
-    its windows bypass the cache.
+    A step without its own drive gets the coefficients of every drive in ``drives``.  A
+    one-drive walk looks each window up once in the memo, and the misses go through one
+    :func:`_segment_coeffs` pass, whose last ``_SEGMENT_CACHE_MAX`` windows with hashable
+    drives are memoized for later runs.  A window of one pair gets Python scalars; N > 1
+    drives give shape-(N,) field arrays, one entry per sample.  Such a walk's drives are used
+    once (transfer probes), so it neither reads nor fills the memo.
     """
     pairs, bounds, t = [], [0], state.time
     for step in sequence:
@@ -617,13 +593,30 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
             pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
             bounds.append(len(pairs))
             t += step.duration
-    if len(drives) == 1 or not pairs:
-        return _cached_coeffs(state.config, pairs)
-    found = _segment_coeffs(state.config, pairs)
-    return [
-        {s: _SegmentCoeffs(*(f[lo].item() if hi - lo == 1 else f[lo:hi] for f in found[s])) for s in (+1, -1)}
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    found, keys = [None] * (len(bounds) - 1), {}
+    if len(drives) == 1:
+        for i, pair in enumerate(pairs):  # one pair per window
+            key = (*pair, state.config)
+            try:
+                found[i] = _SEGMENT_CACHE.get(key)
+                keys[i] = key
+            except TypeError:  # unhashable custom signal: computed, not memoized
+                pass
+    missed = [i for i, coeffs in enumerate(found) if coeffs is None]
+    if not missed:
+        return found
+    fields = _segment_coeffs(state.config, [pair for i in missed for pair in pairs[bounds[i] : bounds[i + 1]]])
+    lo = 0
+    for n, i in enumerate(missed):
+        hi = lo + bounds[i + 1] - bounds[i]
+        found[i] = {s: _SegmentCoeffs(*(f[lo].item() if hi - lo == 1 else f[lo:hi] for f in fields[s]))
+                    for s in (+1, -1)}
+        if i in keys and n >= len(missed) - _SEGMENT_CACHE_MAX:
+            if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
+                _SEGMENT_CACHE.popitem(last=False)
+            _SEGMENT_CACHE[keys[i]] = found[i]
+        lo = hi
+    return found
 
 
 def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None):
@@ -640,23 +633,24 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, tr
     coeffs = iter(_window_coeffs(state, sequence, drives))
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
-    for step in sequence:
-        if isinstance(step, RotateY):
-            pre_rotation = state
-            state = apply_rotation(state, step.angle)
-        elif isinstance(step, Displace):
-            state = apply_displacement(state, step.shift)
-            pre_rotation = None
-        elif isinstance(step, Evolve):
-            if step.duration > 0.0:
-                state = _evolve(state, next(coeffs), step.duration, step.mode)
-            pre_rotation = None
-        elif isinstance(step, Readout):
-            axis = step.axis
-        else:
-            raise ParameterError(f"unknown pulse primitive {step!r}")
-        if trace is not None:
-            trace.append((type(step).__name__, state.time, state.branches))
+    with np.errstate(over="ignore"):  # a branch field that overflows raises ParameterError instead
+        for step in sequence:
+            if isinstance(step, RotateY):
+                pre_rotation = state
+                state = apply_rotation(state, step.angle)
+            elif isinstance(step, Displace):
+                state = apply_displacement(state, step.shift)
+                pre_rotation = None
+            elif isinstance(step, Evolve):
+                if step.duration > 0.0:
+                    state = _evolve(state, next(coeffs), step.duration, step.mode)
+                pre_rotation = None
+            elif isinstance(step, Readout):
+                axis = step.axis
+            else:
+                raise ParameterError(f"unknown pulse primitive {step!r}")
+            if trace is not None:
+                trace.append((type(step).__name__, state.time, state.branches))
     return state, (pre_rotation if pre_rotation is not None else state), axis
 
 
@@ -695,12 +689,7 @@ def run_sequence(
     state, coh_state, axis = _walk(state, sequence, (drive,), trace)
     signal, coherence, phase, _ = _coherence_record(coh_state)
 
-    n_up, n_down, cross, norm = _normed_gram_sums(state)
-    expectations = {
-        "z": (n_up - n_down) / norm,
-        "x": 2.0 * cross.real / norm,
-        "y": 2.0 * cross.imag / norm,
-    }
+    expectations, norm = _expectations(state)
     return MeasurementRecord(
         signal=signal,
         coherence=coherence,

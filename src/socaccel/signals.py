@@ -268,24 +268,6 @@ def _concat(tables: list[PieceTable]) -> PieceTable:
     return PieceTable(*(np.concatenate([getattr(t, f) for t in tables]) for f in PieceTable.__slots__))
 
 
-def _pair_pieces(drives, t0, t1):
-    """(table, row count per pair) of (drive, window [t0[i], t1[i]]) pairs, rows in pair order.
-
-    Each drive class builds the rows of its pairs in one :meth:`ForceSignal._batch_pieces` call.
-    """
-    kinds = list(map(type, drives))
-    if len(set(kinds)) == 1:
-        return kinds[0]._batch_pieces(drives, t0, t1)
-    groups = {}
-    for i, kind in enumerate(kinds):
-        groups.setdefault(kind, []).append(i)
-    parts = [(kind._batch_pieces([drives[i] for i in idx], t0[idx], t1[idx]), idx)
-             for kind, idx in groups.items()]
-    pair = np.concatenate([np.repeat(idx, counts) for (_, counts), idx in parts])  # the pair of each row
-    rows = np.argsort(pair, kind="stable")
-    return _concat([table for (table, _), _ in parts])._rows(rows), np.bincount(pair, minlength=len(drives))
-
-
 # the pieces of a pass as one table: offset from its own window start, (K,), and coef,
 # (K, M).  The kernels see a piece only through the bits of its width and of its mu, power
 # and valid rows, its shape: width (U,) and mu, power, valid (U, M) hold each distinct
@@ -293,14 +275,8 @@ def _pair_pieces(drives, t0, t1):
 _Packed = namedtuple("_Packed", "offset coef shape width mu power valid")
 
 
-def _pack_pieces(tables: list[PieceTable], t0) -> _Packed:
-    """The rows of ``tables`` keyed by shape, those of tables[i] offset from its window start t0[i].
-
-    One table may also hold the rows of many windows, with t0[k] the window start of row k.
-    """
-    table = tables[0] if len(tables) == 1 else _concat(tables)
-    if len(tables) > 1:
-        t0 = np.repeat(t0, [len(t) for t in tables])
+def _pack_pieces(table: PieceTable, t0) -> _Packed:
+    """The rows of ``table`` keyed by shape, row k offset from its window start t0[k] (or one t0 for all)."""
     width = table.end - table.start
     key = np.hstack([width.view(np.int64)[:, None], table.mu.view(np.int64), table.power, table.valid])
     order = np.lexsort(key.T)  # stable, so each shape's first sorted row is its first piece
@@ -580,5 +556,5 @@ def modal_integral(signal: ForceSignal, omega: float, t0: float, t1: float,
     With ``conjugate=True`` the integrand uses conj(gtilde) instead.  This is
     the primitive behind the thermal gamma factors.
     """
-    total = _piece_integrals(_pack_pieces([signal.pieces(t0, t1)], [t0]), omega if conjugate else -omega)
+    total = _piece_integrals(_pack_pieces(signal.pieces(t0, t1), t0), omega if conjugate else -omega)
     return complex(total.sum().conjugate() if conjugate else total.sum())

@@ -462,7 +462,8 @@ class TestSegmentFill:
         twin = SumSignal([Constant(1e-3, 2e-3), Constant(-3e-3, 1e-3)])
         (terms,) = still.pieces(0.0, self.T).mu.tolist()
         assert [math.copysign(1.0, mu) for mu in terms] == [1.0, -1.0]
-        packed = signals._pack_pieces([still.pieces(0.0, self.T), twin.pieces(0.0, self.T)], [0.0, 0.0])
+        rows = signals._concat([still.pieces(0.0, self.T), twin.pieces(0.0, self.T)])
+        packed = signals._pack_pieces(rows, [0.0, 0.0])
         assert len(packed.width) == 2  # two shapes
         table = Tabulated(0.0, 4 * self.T / 696, 1e-3 * np.random.default_rng(5).normal(size=(697, 2)))
         whole = table.pieces(0.0, 4 * self.T)
@@ -485,7 +486,7 @@ class TestSegmentFill:
         sequence = preset_cp(R0, self.T)
         cold = run_sequence(CFG, None, sequence, self.TONE)
         assert len(calls) == 1
-        assert len(pulses._SEGMENT_CACHE) == 6  # 3 windows x 2 spins
+        assert len(pulses._SEGMENT_CACHE) == 3  # one entry per window
         warm = run_sequence(CFG, None, sequence, self.TONE)
         assert len(calls) == 1
         assert (warm.signal, warm.phase, warm.state) == (cold.signal, cold.phase, cold.state)
@@ -529,7 +530,7 @@ class TestSegmentFill:
         steps = (RotateY(math.pi / 2), Displace(R0), *[Evolve(self.T / 37)] * 300, RotateY(-math.pi / 2))
         run_sequence(CFG, None, PulseSequence(steps), self.TONE)
         assert cache.largest == len(cache) == pulses._SEGMENT_CACHE_MAX
-        assert cache.inserts == 6 + pulses._SEGMENT_CACHE_MAX
+        assert cache.inserts == 3 + pulses._SEGMENT_CACHE_MAX
 
     def test_warm_run_looks_each_window_up_once(self, monkeypatch):
         class CountingCache(OrderedDict):
@@ -545,7 +546,29 @@ class TestSegmentFill:
         run_sequence(CFG, None, sequence, self.TONE)
         cache.gets = 0
         run_sequence(CFG, None, sequence, self.TONE)
-        assert cache.gets == 3 * 2  # (window, spin)
+        assert cache.gets == 3  # one lookup per window
+
+    def test_cp_run_after_up_run_computes_only_its_new_windows(self, monkeypatch):
+        """A cp run takes its first window from the up run of the same table and keeps a cold run's bits."""
+        sent = []
+        segment = pulses._segment_coeffs
+
+        def counted(config, pairs):
+            sent.append([pair[1:] for pair in pairs])
+            return segment(config, pairs)
+
+        monkeypatch.setattr(pulses, "_segment_coeffs", counted)
+        values = 1e-3 * np.random.default_rng(8).normal(size=(401, 2))
+        drive = Tabulated(0.0, 4 * self.T / 400, values)
+        run_sequence(CFG, None, preset_up(R0, self.T), drive)
+        warm = run_sequence(CFG, None, preset_cp(R0, self.T), drive)
+        windows = evolve_windows(preset_cp(R0, self.T))
+        assert evolve_windows(preset_up(R0, self.T)) == windows[:1]  # the window both runs share
+        assert sent == [windows[:1], windows[1:]]
+        cold = run_sequence(CFG, None, preset_cp(R0, self.T), Tabulated(0.0, 4 * self.T / 400, values))
+        assert sent[2] == windows
+        for name in ("signal", "coherence", "phase", "expectations", "norm", "trace", "state"):
+            assert repr(getattr(warm, name)) == repr(getattr(cold, name)), name
 
     def test_drive_per_sample_walk_matches_scalar_runs(self, monkeypatch):
         calls = []
@@ -624,12 +647,11 @@ def big_branches(n):
     return SpinorCoherentState(CFG, (twin, Branch(+1, twin.weight, twin.alpha_plus, twin.alpha_minus, twin.phase)))
 
 
-# numpy warns where an array sum overflows; the tests pin the check behind it
 @pytest.mark.parametrize("n", [None, 3])
 def test_merging_weights_that_overflow_is_parameter_error(n):
     """A rotation's merge replaces only the weight, and the weight is still checked."""
     state = big_branches(n)
-    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"^Branch\.weight is not finite$"):
+    with pytest.raises(ParameterError, match=r"^Branch\.weight is not finite$"):
         apply_rotation(state, 0.0)
 
 
@@ -644,7 +666,7 @@ def test_evolution_whose_phase_overflows_is_parameter_error(n):
     branch = Branch(+1, 1.0 + 0j, a_plus, 0j, top) if n is None else Branch(
         +1, 1.0 + 0j, np.full(n, a_plus), np.zeros(n, complex), np.full(n, top))
     state = SpinorCoherentState(CFG, (branch,))
-    with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"^Branch\.phase is not finite$"):
+    with pytest.raises(ParameterError, match=r"^Branch\.phase is not finite$"):
         apply_evolution(state, t, drive)
 
 
@@ -690,8 +712,9 @@ def test_pair_sums_equal_a_per_piece_loop(kind):
     }[kind]
     pairs = [(drive, *window) for drive in drives for window in evolve_windows(preset_cp(R0, t))]
     tables = [drive.pieces(t0, t0 + d) for drive, t0, d in pairs]
-    packed = signals._pack_pieces(tables, [t0 for _, t0, _ in pairs])
-    bounds = np.cumsum([0] + [len(table) for table in tables]).tolist()
+    counts = [len(table) for table in tables]
+    packed = signals._pack_pieces(signals._concat(tables), np.repeat([t0 for _, t0, _ in pairs], counts))
+    bounds = np.cumsum([0] + counts).tolist()
     nu = np.array([MODES.omega_minus, -MODES.omega_plus, MODES.omega_plus, -MODES.omega_minus])
     integrals = signals._piece_integrals(packed, nu)
     got, want = pulses._pair_sums(packed, nu, integrals, bounds), pair_sums_reference(packed, nu, integrals, bounds)

@@ -392,7 +392,7 @@ class TestBatchedProbes:
         kernel = pulses._piece_integrals
         monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
         again = run_sequence(CFG, None, self.presets["cp"], drive)
-        assert cache.gets == 3 * 2 and calls == []  # one lookup per (window, spin), all hits
+        assert cache.gets == 3 and calls == []  # one lookup per window, all hits
         assert again.state == warm.state
 
     def test_walk_without_a_window_probes_nothing(self):

@@ -574,8 +574,8 @@ def test_shape_keys_group_rows_by_bits():
     empty, one = table.pieces(2e-4, 2e-4), Constant(1e-3, 2e-3).pieces(0.0, 1e-5)
     assert (len(empty), len(one)) == (0, 1)
     for tables in ([empty], [one], [empty, empty], [one, empty, one], [table.pieces(0.0, 5.9e-4), empty, one]):
-        packed = _pack_pieces(tables, [0.0] * len(tables))
         rows = _concat(tables)
+        packed = _pack_pieces(rows, [0.0] * len(rows))
         assert packed.shape.shape == packed.offset.shape == (len(rows),)
         assert shape_keys(packed.width, packed) == shape_keys(rows.end - rows.start, rows)
         assert len(packed.width) == len(shape_keys(packed.width, packed))
