@@ -27,17 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    AmplitudeTooLargeError,
-    BracketingError,
-    ConfigError,
-    CoverageError,
-    DivergenceError,
-    InfeasibleGeometryError,
-    ParameterError,
-    ResolutionError,
-    SocAccelError,
-)
+from .errors import ConfigError, CoverageError, InfeasibleGeometryError, ParameterError, SocAccelError
 from .pulses import (
     Displace,
     Evolve,
@@ -595,11 +585,8 @@ def main(argv=None) -> int:
     except InfeasibleGeometryError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (DivergenceError, ResolutionError, AmplitudeTooLargeError, BracketingError) as exc:
+    except SocAccelError as exc:  # the numerical errors; nothing raises the base class itself
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except SocAccelError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
         return 4
 
 

@@ -290,6 +290,10 @@ def apply_rotation(state: SpinorCoherentState, angle: float) -> SpinorCoherentSt
     amplitudes, and phase (within 1e-12 for every sample) merge by weight
     addition; weights below 1e-15 for every sample are pruned.
     """
+    return _walk(state, (RotateY(angle),), (None,))[0]
+
+
+def _rotate(state: SpinorCoherentState, angle: float) -> SpinorCoherentState:
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     modes = state.modes
@@ -325,9 +329,7 @@ def _merge_branches(branches: list[Branch]) -> tuple[Branch, ...]:
                 and _every(abs(m.alpha_minus - b.alpha_minus) <= _MERGE_TOL)
                 and _every(abs(m.phase - b.phase) <= _MERGE_TOL)
             ):
-                with np.errstate(over="ignore"):  # an overflowing sum is reported by the finiteness check
-                    weight = m.weight + b.weight
-                merged[i] = m._with(weight=weight)
+                merged[i] = m._with(weight=m.weight + b.weight)
                 break
         else:
             merged.append(b)
@@ -336,9 +338,11 @@ def _merge_branches(branches: list[Branch]) -> tuple[Branch, ...]:
 
 def apply_displacement(state: SpinorCoherentState, shift) -> SpinorCoherentState:
     """Move the trap minimum by ``shift``; branch centers shift by -shift in the new frame."""
-    sx, sy = (float(shift[0]), float(shift[1]))
-    if not (math.isfinite(sx) and math.isfinite(sy)):
-        raise ParameterError(f"shift must be finite, got {shift!r}")
+    return _walk(state, (Displace(shift),), (None,))[0]
+
+
+def _displace(state: SpinorCoherentState, shift: tuple[float, float]) -> SpinorCoherentState:
+    sx, sy = shift
     # the kicks are the amplitudes of a center at rest at -shift, the same for either spin
     d_plus, d_minus = _amplitudes_from_center(state.modes, +1, complex(-sx, -sy), 0j)
     branches = tuple(
@@ -504,7 +508,10 @@ def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -
 
 
 def _gram_sums(state: SpinorCoherentState):
-    """(up-block norm, down-block norm, up-down cross sum) with orbital overlaps."""
+    """(up-block norm, down-block norm, up-down cross sum, total norm) with orbital overlaps.
+
+    A total norm below 1e-300 for any sample raises :class:`ParameterError`.
+    """
     modes = state.modes
     ups = [(b, b.amplitude) for b in state.branches if b.spin == +1]
     downs = [(b, b.amplitude) for b in state.branches if b.spin == -1]
@@ -516,21 +523,16 @@ def _gram_sums(state: SpinorCoherentState):
                 tot += amp_a.conjugate() * amp_b * _overlap(modes, a, b)
         return tot
 
-    return block(ups, ups).real, block(downs, downs).real, block(ups, downs)
-
-
-def _normed_gram_sums(state: SpinorCoherentState):
-    """:func:`_gram_sums` plus their total norm, which must not vanish."""
-    n_up, n_down, cross = _gram_sums(state)
+    n_up, n_down = block(ups, ups).real, block(downs, downs).real
     norm = n_up + n_down
     if not _every(norm >= 1e-300):
         raise ParameterError("state has zero norm")
-    return n_up, n_down, cross, norm
+    return n_up, n_down, block(ups, downs), norm
 
 
 def _expectations(state: SpinorCoherentState):
     """({axis: exact spin expectation} over x, y, z, overlap factors included; the norm)."""
-    n_up, n_down, cross, norm = _normed_gram_sums(state)
+    n_up, n_down, cross, norm = _gram_sums(state)
     return {"z": (n_up - n_down) / norm, "x": 2.0 * cross.real / norm, "y": 2.0 * cross.imag / norm}, norm
 
 
@@ -566,14 +568,15 @@ class MeasurementRecord:
 
 
 def _coherence_record(state: SpinorCoherentState):
-    _, _, cross, norm = _normed_gram_sums(state)
+    """(signal, coherence, phase, up-down cross sum) of a coherence state."""
+    _, _, cross, norm = _gram_sums(state)
     coherence = 2.0 * abs(cross) / norm
     if isinstance(cross, np.ndarray):
         phase = -np.angle(cross)
     else:
         phase = -cmath.phase(cross) if cross != 0 else 0.0
     signal = _SIGNAL_SIGN * 2.0 * cross.imag / norm
-    return signal, coherence, phase, norm
+    return signal, coherence, phase, cross
 
 
 def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple) -> list[dict]:
@@ -633,13 +636,13 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, tr
     coeffs = iter(_window_coeffs(state, sequence, drives))
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
-    with np.errstate(over="ignore"):  # a branch field that overflows raises ParameterError instead
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch field raises ParameterError
         for step in sequence:
             if isinstance(step, RotateY):
                 pre_rotation = state
-                state = apply_rotation(state, step.angle)
+                state = _rotate(state, step.angle)
             elif isinstance(step, Displace):
-                state = apply_displacement(state, step.shift)
+                state = _displace(state, step.shift)
                 pre_rotation = None
             elif isinstance(step, Evolve):
                 if step.duration > 0.0:
@@ -715,9 +718,7 @@ def batch_signal(
     Sample i starts as one spin-up branch with mode amplitudes
     (alpha_plus[i], alpha_minus[i]); entry i of the result is the ``signal``
     that :func:`run_sequence` returns for that state, up to roundoff.  The
-    samples go through the same step walk and primitives as array-valued
-    branches, ``_BATCH_BLOCK`` at a time.  Branches merge only where every
-    sample of a block is within the merge tolerance.
+    samples go through :func:`_sample_walk`.
     """
     a_plus = np.asarray(alpha_plus, dtype=complex)
     a_minus = np.asarray(alpha_minus, dtype=complex)
@@ -726,18 +727,30 @@ def batch_signal(
             f"alpha_plus and alpha_minus must be 1-D arrays of one length, "
             f"got shapes {a_plus.shape} and {a_minus.shape}"
         )
-    signals = np.empty(a_plus.shape[0])
-    for lo in range(0, a_plus.shape[0], _BATCH_BLOCK):
+    return _sample_walk(config, a_plus, a_minus, sequence, (drive,))[0]
+
+
+def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSequence, drives: tuple):
+    """(signal, coherence, phase, up-down cross sum) of N spin-up samples, each of shape (N,).
+
+    Sample i starts as one spin-up branch with mode amplitudes (alpha_plus[i],
+    alpha_minus[i]), or with the scalar amplitudes that every sample shares; ``drives``
+    holds one drive (or None) for every sample, or one drive per sample.  The samples go
+    through the same step walk and primitives as array-valued branches, ``_BATCH_BLOCK``
+    at a time, and get the fields of :func:`_coherence_record`.  Branches merge only where
+    every sample of a block is within the merge tolerance.
+    """
+    per_sample = np.ndim(alpha_plus) > 0
+    n = len(alpha_plus) if per_sample else len(drives)
+    fields = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, complex))
+    for lo in range(0, n, _BATCH_BLOCK):
         block = slice(lo, lo + _BATCH_BLOCK)
-        state = SpinorCoherentState(
-            config=config,
-            branches=(
-                Branch(spin=+1, weight=1.0 + 0.0j, alpha_plus=a_plus[block], alpha_minus=a_minus[block]),
-            ),
-        )
-        _, coh_state, _ = _walk(state, sequence, (drive,))
-        signals[block] = _coherence_record(coh_state)[0]
-    return signals
+        amplitudes = (alpha_plus[block], alpha_minus[block]) if per_sample else (alpha_plus, alpha_minus)
+        state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, *amplitudes),))
+        _, coh_state, _ = _walk(state, sequence, drives if len(drives) == 1 else drives[block])
+        for field, value in zip(fields, _coherence_record(coh_state)):
+            field[block] = value  # a sequence that never splits the spin has cross sum 0 for every sample
+    return fields
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AmplitudeTooLargeError, ParameterError, ResolutionError
-from .pulses import _BATCH_BLOCK, Displace, Evolve, PulseSequence, _coherence_record, _walk, ground_state
+from .pulses import Displace, Evolve, PulseSequence, _sample_walk
 from .signals import Sinusoid
 from .trap import NormalModes, TrapConfig
 
@@ -188,12 +188,13 @@ def _probe_direction(sequence: PulseSequence) -> np.ndarray:
 
 
 def _numeric_transfer(config: TrapConfig, sequence: PulseSequence, omegas, amplitude: float, phases):
-    """Transfer coefficients at ``omegas`` from one array walk per ``_BATCH_BLOCK`` probes.
+    """Transfer coefficients at ``omegas`` from one sample walk over the probes.
 
-    Every (omega, phi) probe is one drive of the walk, so all windows of all probes share
-    one kernel pass.  The design matrix of the fit depends only on the phases, so one
-    least-squares solve takes one right-hand side per frequency.  Errors are raised for
-    the first failing frequency, the 0.1 rad limit before the offset check.
+    Every (omega, phi) probe is one drive of the walk from the ground state, so all windows
+    of the probes of one block share one kernel pass.  The design matrix of the fit depends
+    only on the phases, so one least-squares solve takes one right-hand side per frequency.
+    Errors are raised for the first failing frequency, the 0.1 rad limit before the offset
+    check.
     """
     if not amplitude > 0:
         raise ParameterError(f"probe amplitude must be > 0, got {amplitude}")
@@ -207,13 +208,8 @@ def _numeric_transfer(config: TrapConfig, sequence: PulseSequence, omegas, ampli
     e_perp = _probe_direction(sequence)
 
     amp = (amplitude * e_perp[0], amplitude * e_perp[1])
-    probes = [Sinusoid(amp, omega, phi) for omega in omegas.tolist() for phi in phis.tolist()]
-    measured = np.empty(len(probes))
-    for lo in range(0, len(probes), _BATCH_BLOCK):
-        block = tuple(probes[lo : lo + _BATCH_BLOCK])
-        _, coh_state, _ = _walk(ground_state(config), sequence, block)
-        measured[lo : lo + len(block)] = _coherence_record(coh_state)[2]
-    measured = measured.reshape(omegas.shape[0], phis.shape[0])
+    probes = tuple(Sinusoid(amp, omega, phi) for omega in omegas.tolist() for phi in phis.tolist())
+    measured = _sample_walk(config, 0j, 0j, sequence, probes)[2].reshape(omegas.shape[0], phis.shape[0])
 
     cols = [np.cos(phis), np.sin(phis)]
     if phis.shape[0] >= 3:

@@ -24,16 +24,7 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ParameterError
-from .pulses import (
-    Branch,
-    PulseSequence,
-    SpinorCoherentState,
-    _normed_gram_sums,
-    _walk,
-    batch_signal,
-    preset_cp,
-    run_sequence,
-)
+from .pulses import PulseSequence, _sample_walk, batch_signal, preset_cp, run_sequence
 from .signals import ForceSignal, modal_integral
 from .trap import NormalModes, TrapConfig, derive_modes
 
@@ -141,15 +132,9 @@ def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step:
     """
     steps = np.array([_BRANCH_STEP, step, 1j * _BRANCH_STEP, 1j * step])
     none = np.zeros(4, dtype=complex)
-    branch = Branch(
-        spin=+1,
-        weight=1.0 + 0.0j,
-        alpha_plus=np.concatenate(([0j], steps, none)),
-        alpha_minus=np.concatenate(([0j], none, steps)),
-    )
-    _, coh_state, _ = _walk(SpinorCoherentState(config=config, branches=(branch,)), sequence, (drive,))
-    # a sequence that never splits the spin has no cross sum: 0 for every sample, so K = 0
-    cross = np.broadcast_to(_normed_gram_sums(coh_state)[2], branch.alpha_plus.shape)
+    a_plus, a_minus = np.concatenate(([0j], steps, none)), np.concatenate(([0j], none, steps))
+    # a sequence that never splits the spin has cross sum 0 for every sample, so K = 0
+    cross = _sample_walk(config, a_plus, a_minus, sequence, (drive,))[3]
     d_small, d_step = (-np.angle(cross[1:] * np.conj(cross[0]))).reshape(4, 2).T
     turns = np.round((step * d_small / _BRANCH_STEP - d_step) / (2.0 * math.pi))
     k = (d_step + 2.0 * math.pi * turns) / step

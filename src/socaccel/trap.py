@@ -103,10 +103,6 @@ class PhaseSpacePoint:
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"PhaseSpacePoint.{name} is not finite")
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def derive_modes(config: TrapConfig) -> NormalModes:
     """Normal-mode frequencies and oscillator length; l_osc and omega_minus must be finite, > 0."""

@@ -560,6 +560,21 @@ class TestDispatch:
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
+    @pytest.mark.parametrize("name", socaccel.errors.__all__)
+    def test_each_error_class_has_its_exit_code_and_prefix(self, name, tmp_path, monkeypatch, capsys):
+        """Exit 2 for config and parameter problems, 3 for infeasible geometry, 4 for the rest."""
+        code, prefix = {
+            "ConfigError": (2, "error"), "ParameterError": (2, "error"), "CoverageError": (2, "error"),
+            "InfeasibleGeometryError": (3, "infeasible"),
+        }.get(name, (4, "numerical failure"))
+
+        def handler(args):
+            raise getattr(socaccel.errors, name)("planted")
+
+        monkeypatch.setattr(cli, "cmd_modes", handler)
+        assert run("modes", write_config(tmp_path, base_config()), tmp_path / "out") == code
+        assert capsys.readouterr().err == f"{prefix}: planted\n"
+
 
 def test_cli_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(socaccel.__file__)))

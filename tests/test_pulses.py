@@ -57,7 +57,7 @@ R0 = (2.0 * L, 0.0)
 
 
 def norm_of(state) -> float:
-    n_up, n_down, _ = _gram_sums(state)
+    n_up, n_down, _, _ = _gram_sums(state)
     return n_up + n_down
 
 
@@ -653,6 +653,21 @@ def test_merging_weights_that_overflow_is_parameter_error(n):
     state = big_branches(n)
     with pytest.raises(ParameterError, match=r"^Branch\.weight is not finite$"):
         apply_rotation(state, 0.0)
+
+
+@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize("primitive, a_plus, arg", [
+    (apply_displacement, 1.7e308, (-1e308 * L, 0.0)),  # the kick's sum overflows
+    (apply_rotation, 1e306, math.pi / 2),  # the flipped branch's center overflows
+])
+def test_direct_primitive_that_overflows_is_parameter_error(primitive, a_plus, arg, n):
+    """Called outside a walk, on scalar or array branches, a primitive raises as quietly as a walk."""
+    def field(v):
+        return v if n is None else np.full(n, v)
+
+    state = SpinorCoherentState(CFG, (Branch(+1, field(1.0 + 0j), field(a_plus + 0j), field(0j)),))
+    with pytest.raises(ParameterError, match=r"^Branch\.alpha_plus is not finite$"):
+        primitive(state, arg)
 
 
 @pytest.mark.parametrize("n", [None, 3])

@@ -370,6 +370,20 @@ class TestBatchedProbes:
             single = numeric_response(CFG, self.presets[kind], omega, amplitude)
             assert abs(value - single) <= 1e-12 * self.peak[kind]
 
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    def test_probe_blocks_do_not_change_the_curve(self, kind, monkeypatch):
+        """96 probes in blocks of 5, the last of one probe: one kernel pass per block, the same curve."""
+        omegas, amplitude = GRID[::171], 0.02 / self.peak[kind]
+        whole = numeric_response_curve(CFG, self.presets[kind], omegas, amplitude).values
+        calls = []
+        kernel = pulses._piece_integrals
+        monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
+        monkeypatch.setattr(pulses, "_SEGMENT_CACHE", OrderedDict())
+        monkeypatch.setattr(pulses, "_BATCH_BLOCK", 5)
+        blocked = numeric_response_curve(CFG, self.presets[kind], omegas, amplitude).values
+        assert len(calls) == 20
+        assert np.max(np.abs(blocked - whole)) <= 1e-12 * self.peak[kind]
+
     def test_probe_walk_leaves_the_segment_cache_alone(self, monkeypatch):
         """Probe drives are used once: a curve neither reads nor fills the memo of warm runs."""
 
