@@ -579,25 +579,27 @@ def _coherence_record(state: SpinorCoherentState):
     return signal, coherence, phase, cross
 
 
-def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple) -> list[dict]:
+def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, per_sample: bool) -> list[dict]:
     """{sigma: coefficients} of each Evolve step of positive duration, in step order.
 
     A step without its own drive gets the coefficients of every drive in ``drives``.  A
     one-drive walk looks each window up once in the memo, and the misses go through one
     :func:`_segment_coeffs` pass, whose last ``_SEGMENT_CACHE_MAX`` windows with hashable
-    drives are memoized for later runs.  A window of one pair gets Python scalars; N > 1
-    drives give shape-(N,) field arrays, one entry per sample.  Such a walk's drives are used
-    once (transfer probes), so it neither reads nor fills the memo.
+    drives are memoized for later runs.  A window of one drive that every sample shares
+    gets Python scalars.  A ``per_sample`` walk holds one drive per sample, however few;
+    its windows get shape-(N,) field arrays, one entry per sample, and as its drives are
+    used once (transfer probes), it neither reads nor fills the memo.
     """
-    pairs, bounds, t = [], [0], state.time
+    pairs, bounds, shared, t = [], [0], [], state.time
     for step in sequence:
         if isinstance(step, Evolve) and step.duration > 0.0:
             own = drives if step.drive is None else (step.drive,)
             pairs += [(Zero() if d is None else d, t, step.duration) for d in own]
             bounds.append(len(pairs))
+            shared.append(step.drive is not None or not per_sample)
             t += step.duration
     found, keys = [None] * (len(bounds) - 1), {}
-    if len(drives) == 1:
+    if not per_sample:
         for i, pair in enumerate(pairs):  # one pair per window
             key = (*pair, state.config)
             try:
@@ -612,7 +614,7 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
     lo = 0
     for n, i in enumerate(missed):
         hi = lo + bounds[i + 1] - bounds[i]
-        found[i] = {s: _SegmentCoeffs(*(f[lo].item() if hi - lo == 1 else f[lo:hi] for f in fields[s]))
+        found[i] = {s: _SegmentCoeffs(*(f[lo].item() if shared[i] else f[lo:hi] for f in fields[s]))
                     for s in (+1, -1)}
         if i in keys and n >= len(missed) - _SEGMENT_CACHE_MAX:
             if len(_SEGMENT_CACHE) >= _SEGMENT_CACHE_MAX:
@@ -622,18 +624,17 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
     return found
 
 
-def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None):
+def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None, per_sample=False):
     """Apply the steps of ``sequence`` in order.
 
     ``drives`` holds the sequence drive (a drive or None), or N drives, one per sample of
-    an array branch.  Returns (final state, coherence state, readout axis or None).  The
-    coherence state is the one just before the final recombination rotation
-    when the sequence ends with one, else the final state; <sigma_y> is
-    invariant under RotateY, so the signal is the same either way.  When
-    ``trace`` is a list, one (step name, time, branches) entry is appended
-    per step.
+    an array branch; ``per_sample`` says that one drive is a block of one sample's.  Returns
+    (final state, coherence state, readout axis or None).  The coherence state is the one
+    just before the final recombination rotation when the sequence ends with one, else the
+    final state; <sigma_y> is invariant under RotateY, so the signal is the same either way.
+    When ``trace`` is a list, one (step name, time, branches) entry is appended per step.
     """
-    coeffs = iter(_window_coeffs(state, sequence, drives))
+    coeffs = iter(_window_coeffs(state, sequence, drives, per_sample or len(drives) > 1))
     pre_rotation = None  # state just before the most recent RotateY
     axis = None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch field raises ParameterError
@@ -740,14 +741,14 @@ def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSeq
     at a time, and get the fields of :func:`_coherence_record`.  Branches merge only where
     every sample of a block is within the merge tolerance.
     """
-    per_sample = np.ndim(alpha_plus) > 0
+    per_sample, probes = np.ndim(alpha_plus) > 0, len(drives) > 1
     n = len(alpha_plus) if per_sample else len(drives)
     fields = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, complex))
     for lo in range(0, n, _BATCH_BLOCK):
         block = slice(lo, lo + _BATCH_BLOCK)
         amplitudes = (alpha_plus[block], alpha_minus[block]) if per_sample else (alpha_plus, alpha_minus)
         state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, *amplitudes),))
-        _, coh_state, _ = _walk(state, sequence, drives if len(drives) == 1 else drives[block])
+        _, coh_state, _ = _walk(state, sequence, drives[block] if probes else drives, per_sample=probes)
         for field, value in zip(fields, _coherence_record(coh_state)):
             field[block] = value  # a sequence that never splits the spin has cross sum 0 for every sample
     return fields

@@ -14,6 +14,7 @@ weak sinusoids and fits the linear response.  Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -99,10 +100,135 @@ class ResponseCurve:
 
 
 def _csv_text(header: str, columns) -> str:
-    """CSV of equal-length numeric columns, each cell %.17g, made by one % for the file."""
+    """CSV of equal-length numeric columns; each cell is C's ``%.17g`` of the value as a double.
+
+    That is 17 significant digits rounded half to even, without trailing zeros, so every
+    cell reads back to the same double.  Cells with 10^-11 <= |x| < 10^17 are laid out by
+    :func:`_csv_cells` from exact integer arithmetic, ``_CSV_BLOCK_ROWS`` rows at a time.
+    The others (+-0, subnormals, |x| < 10^-11, |x| >= 10^17, +-inf and nan) get Python's
+    ``'%.17g' %``, which writes them as printf does ("-0", "inf", "nan", "1e+17").
+    """
     cells = np.array(columns, dtype=float)
-    row = ",".join(["%.17g"] * cells.shape[0]) + "\n"
-    return header + "\n" + (row * cells.shape[1]) % tuple(cells.T.ravel().tolist())
+    blocks = (
+        _csv_cells(cells[:, lo : lo + _CSV_BLOCK_ROWS].T.ravel(), cells.shape[0]).tobytes().translate(None, b"\0")
+        for lo in range(0, cells.shape[1], _CSV_BLOCK_ROWS)
+    )
+    return header + "\n" + b"".join(blocks).decode("ascii")
+
+
+# Cells of _csv_text.  A double |x| = m 2^(e - 1075), with m of 53 bits and e its biased
+# exponent, whose 17 significant digits are D 10^(k - 16) with D in [10^16, 10^17), has
+# D = round_half_even(m 5^q 2^(e - 1075 + q)), q = 16 - k.  For -11 <= k <= 16, 5^q < 2^63,
+# and D is one exact 117-bit product shifted right by r in [0, 63] (Adams, "Ryu revisited:
+# printf floating point conversion", OOPSLA 2019, takes the same digits from tables).
+# A cell's 32 bytes are 4 little-endian words: sign, the "0.0" prefix of -4 <= k < 0, a NUL
+# and the first digit; digits 2-17, into which the point is inserted; the byte the point
+# pushes out, the exponent, the separator.  NUL bytes are padding.
+_CSV_BLOCK_ROWS = 512
+
+
+def _decade_start(k: int) -> float:
+    """The smallest double whose 17 significant digits are >= 10^k (ties round up to it)."""
+    num, den = 10**18 - 5, 10 ** (18 - k)
+    start = num / den  # correctly rounded
+    p, q = start.as_integer_ratio()
+    return start if p * den >= num * q else math.nextafter(start, math.inf)
+
+
+@functools.cache
+def _csv_tables():
+    """Tables of :func:`_csv_cells`, built on its first call.
+
+    - bounds: a cell's class c = searchsorted(bounds, x, "right") is 1-28 for the negative
+      cells of k = 17 - c, 30-57 for the positive cells of k = c - 41, and 0, 29 or 58 for
+      the cells that go through % (nan sorts last);
+    - classes, row c, as uint64: r + e, the 32-bit halves of 5^q 2^t (t = 4 keeps r >= 0
+      for k = 15, 16), the integer digits after the first, the digit the point follows
+      (16 for none), the first and last words of the layout, and whether it goes through %;
+    - shifts, by r: 63 - r, 2^r - 1 and 2^(r - 1) (1 for r = 0);
+    - digits: the ASCII words of "0000"-"9999"; last, at 10000 j + g: 4 j plus the digits
+      of g up to its last nonzero one (0 for 0000), for group j of digits 2-17;
+    - keep and point, by a = 0..16: masks of digits 2..a+1 in words 1-2, and the point
+      after digit a+1 (none for a = 16).
+    """
+    starts = [_decade_start(k) for k in range(-11, 18)]
+    bounds = np.array([math.nextafter(-b, math.inf) for b in reversed(starts)] + starts)
+    k = np.r_[17, 17 - np.arange(1, 29), -12, np.arange(30, 58) - 41, 17]
+    q = np.clip(16 - k, 0, 27)
+    t = np.where(q <= 1, 4, 0)
+    c = 5 ** q.astype(np.uint64) << t.astype(np.uint64)
+    fixed = (k >= -4) & (k < 17)
+    prefixes = ["0." + "0" * (-j - 1) if -4 <= j < 0 else "" for j in k.tolist()]
+    heads = [("-" if i < 29 else "\0") + p.ljust(6, "\0") + "0" for i, p in enumerate(prefixes)]
+    tails = ["\0" + ("" if f else "e%+03d" % j).ljust(4, "\0") + "," for j, f in zip(k.tolist(), fixed.tolist())]
+    columns = (
+        1075 - q + t,
+        c >> np.uint64(32),
+        c & np.uint64(0xFFFFFFFF),
+        np.where(fixed & (k >= 0), k, 0),
+        np.where(fixed, np.where(k >= 0, k, 16), 0),
+        np.array(heads, "S8").view("<u8"),
+        np.array(tails, "S8").view("<u8"),
+        np.isin(np.arange(59), (0, 29, 58)),
+    )
+    classes = np.stack([np.asarray(col).astype(np.uint64) for col in columns], axis=1)
+    r, one = np.arange(64, dtype=np.uint64), np.uint64(1)
+    shifts = np.stack([63 - r, (one << r) - one, np.maximum(one << r >> one, one)], axis=1)
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    nonzero = digits != 0
+    length = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int8)
+    last = np.where(length > 0, length + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
+    words = np.ascontiguousarray((digits + 48).T).view("<u4").ravel()
+    keep = np.where(np.arange(16) < np.arange(17)[:, None], 0xFF, 0).astype(np.uint8).view("<i8")
+    point = np.where(np.arange(16) == np.arange(17)[:, None], 46, 0).astype(np.uint8).view("<i8")
+    return bounds, classes, shifts, words, last.ravel(), keep, np.concatenate([keep, point], axis=1)
+
+
+def _csv_cells(x: np.ndarray, ncols: int) -> np.ndarray:
+    """(n, 4) words of the n = rows * ncols cells ``x``, row-major, for :func:`_csv_text`."""
+    bounds, classes, shifts, digits, lasts, keeps, points = _csv_tables()
+    n = x.size
+    cls = classes.take(np.searchsorted(bounds, x, "right"), axis=0)
+    bits = x.view(np.uint64)
+    mh, ml = ((bits >> 32) & 0xFFFFF) | 0x100000, bits & 0xFFFFFFFF
+    r = np.minimum(cls[:, 0] - ((bits >> 52) & 0x7FF), 63)  # clamped for the cells that go through %
+    lo = ml * cls[:, 2]
+    mid = mh * cls[:, 2] + ml * cls[:, 1]
+    plo = lo + (mid << 32)
+    phi = mh * cls[:, 1] + (mid >> 32) + (plo < lo)
+    s = shifts.take(r.view(np.int64), axis=0)
+    d = ((phi << s[:, 0]) << 1) | (plo >> r)
+    d += ((plo & s[:, 1]) + (d & 1)) > s[:, 2]  # round half to even
+    # D = first digit, then four groups of four digits
+    d = d.view(np.int64)
+    upper = d // 10**8
+    first = upper // 10**8
+    halves = np.empty((n, 2), np.int64)
+    np.subtract(upper, first * 10**8, out=halves[:, 0])
+    np.subtract(d, upper * 10**8, out=halves[:, 1])
+    groups = np.empty((n, 2, 2), np.int64)
+    np.floor_divide(halves, 10**4, out=groups[:, :, 0])
+    np.subtract(halves, groups[:, :, 0] * 10**4, out=groups[:, :, 1])
+    groups = groups.reshape(n, 4)
+    g = lasts.take(groups + np.arange(0, 40000, 10000))
+    last = np.maximum(np.maximum(g[:, 0], g[:, 1]), np.maximum(g[:, 2], g[:, 3]))  # digits 2-17 up to the last nonzero
+    info = cls.view(np.int64)
+    after = np.where(last > info[:, 4], info[:, 4], 16)
+    words = digits.take(groups).view("<i8") & keeps.take(np.maximum(last, info[:, 3]), axis=0)
+    point = points.take(after, axis=0)
+    kept = words & point[:, :2]
+    moved = words ^ kept
+    out = np.empty((n, 4), "<i8")
+    np.bitwise_or(info[:, 5], first << 56, out=out[:, 0])
+    np.bitwise_or(kept | (moved << 8), point[:, 2:], out=out[:, 1:3])
+    out[:, 2] |= moved[:, 0] >> 56
+    np.bitwise_or(info[:, 6], moved[:, 1] >> 56, out=out[:, 3])
+    out.reshape(-1, ncols, 4)[:, -1, 3] ^= (ord(",") ^ ord("\n")) << 40  # the last separator of a row
+    outside = np.flatnonzero(cls[:, 7])
+    if outside.size:
+        text = np.array(["%.17g" % v for v in x[outside].tolist()], "S29")
+        out.view(np.uint8).reshape(n, 32)[outside, :29] = text.view(np.uint8).reshape(-1, 29)
+    return out
 
 
 def _r0_magnitude(r0) -> float:
@@ -146,6 +272,9 @@ def _up_values(modes: NormalModes, r0, t: float, grid):
     r0_mag = _r0_magnitude(r0)
     w = _grid_or_default(modes, grid)
     wp, wm, wt = modes.omega_plus, modes.omega_minus, modes.omega_tilde
+    w_max = float(np.max(np.abs(w), initial=0.0)) + wp  # the largest |omega| of a window term
+    if math.isfinite(w_max) and not math.isfinite(w_max * t):
+        raise ParameterError(f"t = {t:.3e} s overflows omega * t on a grid up to {w_max:.3e} rad/s")
     m_over_hbar = 1.0 / (wt * modes.l_osc**2)
     pref = 1j * m_over_hbar * r0_mag * t / wt
     vals = pref * (

@@ -250,6 +250,13 @@ class TestResponse:
         cfg_path = write_config(tmp_path, cfg)
         assert run("response", cfg_path, tmp_path / "out") == 4
 
+    @pytest.mark.parametrize("section", [{"t": 1e308}, {"t": 1e10, "omega_max": 1e300}])
+    def test_overflowing_window_phase_exits_2_naming_t(self, tmp_path, capsys, section):
+        cfg = base_config()
+        cfg["response"].update(section)
+        assert run("response", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith(f"error: t = {section['t']:.3e} s overflows omega * t")
+
 
 class TestThermal:
     def test_report_and_seed_override(self, tmp_path):
@@ -457,6 +464,13 @@ class TestCountBounds:
         assert cli._config_count(value, key) == value
 
 
+def printf_csv(header, columns):
+    """The CSV of one C printf '%.17g' per cell: the writer before it laid cells out in arrays."""
+    cells = np.array(columns, dtype=float)
+    row = ",".join(["%.17g"] * cells.shape[0]) + "\n"
+    return header + "\n" + (row * cells.shape[1]) % tuple(cells.T.ravel().tolist())
+
+
 # the writers before they formatted a whole file with one %, kept as the reference
 def per_row_write_csv(path, header, rows):
     with open(path, "w", newline="\n") as f:
@@ -533,6 +547,72 @@ class TestWriters:
         self.assert_same_table(tmp_path, columns)
         rows = (tmp_path / "new.csv").read_text().splitlines()
         assert rows[1] == "0,inf,nan" and rows[2].startswith("-0,-inf,")
+
+    def assert_printf(self, *columns):
+        """The writer's text is one C printf '%.17g' per cell."""
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        got, want = cli._csv_text(header, columns).split("\n"), printf_csv(header, columns).split("\n")
+        wrong = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) and not wrong, wrong[:5]
+
+    def test_random_bit_patterns_match_printf(self):
+        """10^6 random doubles: 10^5 of any bit pattern, the rest with exponents of 1e-19 to 1e23.
+
+        Only 1 in 22 random patterns falls in the range the writer computes in arrays."""
+        rng = np.random.default_rng(2010)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        exponents = rng.integers(960, 1100, size=bits.size - 10**5, dtype=np.uint64)
+        bits[10**5 :] = bits[10**5 :] & ~np.uint64(0x7FF << 52) | exponents << np.uint64(52)
+        self.assert_printf(*bits.view(float).reshape(4, -1))
+
+    def test_every_decade_sign_and_digit_count_matches_printf(self):
+        rng = np.random.default_rng(17)
+        values = [
+            sign * float(f"{m}e{k - n + 1}")
+            for k in range(-12, 18) for sign in (1.0, -1.0) for n in range(1, 18)
+            for m in rng.integers(10 ** (n - 1), 10**n, size=3).tolist()
+        ]
+        self.assert_printf(values)
+
+    def test_neighbours_of_powers_of_ten_match_printf(self):
+        centres = [10.0**j for j in range(-12, 18)] + [float(f"1e{j}") for j in range(-12, 18)]
+        centres += [float(f"9.99999999999999995e{j}") for j in range(-13, 18)]  # 17 digits round up to 10^(j+1)
+        values = np.array(centres)
+        for _ in range(3):
+            values = np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+        self.assert_printf(values, -values)
+
+    def test_ties_at_the_seventeenth_digit_round_half_to_even(self):
+        assert cli._csv_text("x", ([1234567890123.03125],)) == "x\n1234567890123.0312\n"
+        rng = np.random.default_rng(5)
+        odd = []  # (o, j): o / 2^j = o 5^j / 10^j has 18 significant digits, the last a 5
+        for j in range(2, 26):
+            lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+            odd += [(o | 1, j) for o in rng.integers(lo, hi, size=100).tolist()]
+        assert all(len(str(o * 5**j)) == 18 for o, j in odd)
+        ties = [o / 2**j for o, j in odd]
+        self.assert_printf(ties, [-t for t in ties])
+
+    def test_zeros_subnormals_infinities_and_nan_match_printf(self):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        values = [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0), -tiny, huge, -huge,
+                  math.inf, -math.inf, math.nan, -math.nan, 1e-11, 1e17, 1e-300, 1e300]
+        self.assert_printf(values, values[::-1])
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513])
+    def test_tables_across_row_blocks_match_printf(self, rows):
+        rng = np.random.default_rng(rows)
+        columns = rng.standard_normal((3, rows)) * 10.0 ** rng.integers(-14, 20, size=(3, rows))
+        columns[1, ::7] = 0.0
+        columns[2, ::11] = math.nan
+        self.assert_printf(*columns)
+
+    def test_lists_numpy_scalars_and_ints_match_printf(self):
+        self.assert_printf(
+            [1, 25, -3, 10**20, 0],
+            [np.float64(0.1), np.float32(0.1), np.int64(7), np.float64(-2.5e-7), 12345678901234567],
+            np.geomspace(100, 1e6, 5),
+        )
 
 
 class TestDispatch:

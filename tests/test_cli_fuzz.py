@@ -126,7 +126,6 @@ def mutations(cfg: dict):
             yield path, value, mutated(cfg, path, value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on extreme values
 @pytest.mark.parametrize("base", [readme_config(), CUSTOM_CONFIG], ids=["readme", "custom"])
 def test_one_value_mutations_exit_cleanly(tmp_path, capsys, base):
     cfg_path, out = tmp_path / "run.json", str(tmp_path / "out")

@@ -34,7 +34,7 @@ from socaccel import (
     run_sequence,
 )
 from socaccel import pulses
-from socaccel.response import _parabolic_vertex
+from socaccel.response import _DEFAULT_PHASES, _parabolic_vertex
 
 MASS = 1.44316e-25  # Rb-87, kg
 WT = 2 * math.pi * 1000.0
@@ -383,6 +383,18 @@ class TestBatchedProbes:
         blocked = numeric_response_curve(CFG, self.presets[kind], omegas, amplitude).values
         assert len(calls) == 20
         assert np.max(np.abs(blocked - whole)) <= 1e-12 * self.peak[kind]
+
+    def test_last_block_of_one_probe_is_a_probe_walk(self, monkeypatch):
+        """A block that holds one probe neither reads nor fills the memo, and keeps the curve's bits."""
+        omegas, amplitude = GRID[::171], 0.02 / self.peak["cp"]
+        assert omegas.size * len(_DEFAULT_PHASES) % 5 == 1
+        cache = OrderedDict()
+        monkeypatch.setattr(pulses, "_SEGMENT_CACHE", cache)
+        whole = numeric_response_curve(CFG, self.presets["cp"], omegas, amplitude).values
+        monkeypatch.setattr(pulses, "_BATCH_BLOCK", 5)
+        blocked = numeric_response_curve(CFG, self.presets["cp"], omegas, amplitude).values
+        assert len(cache) == 0
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_probe_walk_leaves_the_segment_cache_alone(self, monkeypatch):
         """Probe drives are used once: a curve neither reads nor fills the memo of warm runs."""
