@@ -124,7 +124,7 @@ def _csv_text(header: str, columns) -> str:
 # A cell's 32 bytes are 4 little-endian words: sign, the "0.0" prefix of -4 <= k < 0, a NUL
 # and the first digit; digits 2-17, into which the point is inserted; the byte the point
 # pushes out, the exponent, the separator.  NUL bytes are padding.
-_CSV_BLOCK_ROWS = 512
+_CSV_BLOCK_ROWS = 512  # bounds the block's temporaries, so a long file adds no peak memory
 
 
 def _decade_start(k: int) -> float:
@@ -201,14 +201,11 @@ def _csv_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     d += ((plo & s[:, 1]) + (d & 1)) > s[:, 2]  # round half to even
     # D = first digit, then four groups of four digits
     d = d.view(np.int64)
-    upper = d // 10**8
-    first = upper // 10**8
     halves = np.empty((n, 2), np.int64)
-    np.subtract(upper, first * 10**8, out=halves[:, 0])
-    np.subtract(d, upper * 10**8, out=halves[:, 1])
+    upper, _ = np.divmod(d, 10**8, out=(None, halves[:, 1]))
+    first, _ = np.divmod(upper, 10**8, out=(None, halves[:, 0]))
     groups = np.empty((n, 2, 2), np.int64)
-    np.floor_divide(halves, 10**4, out=groups[:, :, 0])
-    np.subtract(halves, groups[:, :, 0] * 10**4, out=groups[:, :, 1])
+    np.divmod(halves, 10**4, out=(groups[:, :, 0], groups[:, :, 1]))
     groups = groups.reshape(n, 4)
     g = lasts.take(groups + np.arange(0, 40000, 10000))
     last = np.maximum(np.maximum(g[:, 0], g[:, 1]), np.maximum(g[:, 2], g[:, 3]))  # digits 2-17 up to the last nonzero
