@@ -568,7 +568,7 @@ class MeasurementRecord:
 
 
 def _coherence_record(state: SpinorCoherentState):
-    """(signal, coherence, phase, up-down cross sum) of a coherence state."""
+    """(signal, coherence, phase) of a coherence state."""
     _, _, cross, norm = _gram_sums(state)
     coherence = 2.0 * abs(cross) / norm
     if isinstance(cross, np.ndarray):
@@ -576,7 +576,7 @@ def _coherence_record(state: SpinorCoherentState):
     else:
         phase = -cmath.phase(cross) if cross != 0 else 0.0
     signal = _SIGNAL_SIGN * 2.0 * cross.imag / norm
-    return signal, coherence, phase, cross
+    return signal, coherence, phase
 
 
 def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, per_sample: bool) -> list[dict]:
@@ -691,7 +691,7 @@ def run_sequence(
 
     trace = [("init", state.time, state.branches)]
     state, coh_state, axis = _walk(state, sequence, (drive,), trace)
-    signal, coherence, phase, _ = _coherence_record(coh_state)
+    signal, coherence, phase = _coherence_record(coh_state)
 
     expectations, norm = _expectations(state)
     return MeasurementRecord(
@@ -732,7 +732,7 @@ def batch_signal(
 
 
 def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSequence, drives: tuple):
-    """(signal, coherence, phase, up-down cross sum) of N spin-up samples, each of shape (N,).
+    """(signal, coherence, phase) of N spin-up samples, each of shape (N,).
 
     Sample i starts as one spin-up branch with mode amplitudes (alpha_plus[i],
     alpha_minus[i]), or with the scalar amplitudes that every sample shares; ``drives``
@@ -743,14 +743,14 @@ def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSeq
     """
     per_sample, probes = np.ndim(alpha_plus) > 0, len(drives) > 1
     n = len(alpha_plus) if per_sample else len(drives)
-    fields = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, complex))
+    fields = (np.empty(n), np.empty(n), np.empty(n))
     for lo in range(0, n, _BATCH_BLOCK):
         block = slice(lo, lo + _BATCH_BLOCK)
         amplitudes = (alpha_plus[block], alpha_minus[block]) if per_sample else (alpha_plus, alpha_minus)
         state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, *amplitudes),))
         _, coh_state, _ = _walk(state, sequence, drives[block] if probes else drives, per_sample=probes)
         for field, value in zip(fields, _coherence_record(coh_state)):
-            field[block] = value  # a sequence that never splits the spin has cross sum 0 for every sample
+            field[block] = value  # a scalar (a sequence that never splits the spin) fills the block
     return fields
 
 

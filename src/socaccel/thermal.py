@@ -12,7 +12,8 @@ the average obeys the closed form
     <signal> = zero-temperature signal * exp(-<n+>|K+/2|^2 - <n->|K-/2|^2)
 
 whenever the branch overlap does not itself depend on the sample (true at
-revival interrogation times).  The Monte-Carlo path certifies that identity.
+revival interrogation times), with K+- read from the branch phases of one
+walk.  The Monte-Carlo path certifies that identity.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ParameterError
-from .pulses import PulseSequence, _sample_walk, batch_signal, preset_cp, run_sequence
+from .pulses import Branch, PulseSequence, SpinorCoherentState, _walk, batch_signal, preset_cp, run_sequence
 from .signals import ForceSignal, modal_integral
 from .trap import NormalModes, TrapConfig, derive_modes
 
@@ -113,31 +114,26 @@ class SuppressionFactors:
             raise ParameterError("suppression inconsistent with occupations and gammas")
 
 
-# the small step of _phase_functionals: it only picks the 2 pi branch of the
-# finite step, so it must keep |K| * _BRANCH_STEP below pi
-_BRANCH_STEP = 1e-4
-
-
 def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step: float = 1.0):
     """Exact (K+, K-) with differential phase = Re[conj(a+)K+ + conj(a-)K-] + const.
 
-    The engine phase is affine in the initial amplitudes, so one array walk
-    over nine spin-up samples gives both: alpha = 0, then steps of
-    ``_BRANCH_STEP`` and of ``step`` along alpha_plus = 1, alpha_plus = i,
-    alpha_minus = 1 and alpha_minus = i.  The phase difference d of sample k
-    is -angle(cross_k conj(cross_0)), known only modulo 2 pi; the ``step``
-    sample gives the value and the small one its 2 pi branch:
-
-        K = (d_step + 2 pi round((step d_small / _BRANCH_STEP - d_step) / 2 pi)) / step.
+    The phase is affine in the initial amplitudes, so one array walk over five spin-up
+    samples gives both: alpha = 0, then ``step`` and ``i step`` along alpha_plus, then
+    along alpha_minus.  With D = phi_up - phi_down, the coherence state's branch phases,
+    K_j = (D_j - D_0) / step: no angle, no wrap (the weights, real and the same for every
+    sample, cancel).  A sequence that never splits the spin gets K = 0; one that leaves
+    more than one branch of a spin raises :class:`ParameterError`.
     """
-    steps = np.array([_BRANCH_STEP, step, 1j * _BRANCH_STEP, 1j * step])
-    none = np.zeros(4, dtype=complex)
-    a_plus, a_minus = np.concatenate(([0j], steps, none)), np.concatenate(([0j], none, steps))
-    # a sequence that never splits the spin has cross sum 0 for every sample, so K = 0
-    cross = _sample_walk(config, a_plus, a_minus, sequence, (drive,))[3]
-    d_small, d_step = (-np.angle(cross[1:] * np.conj(cross[0]))).reshape(4, 2).T
-    turns = np.round((step * d_small / _BRANCH_STEP - d_step) / (2.0 * math.pi))
-    k = (d_step + 2.0 * math.pi * turns) / step
+    a_plus, a_minus = np.array([0, step, 1j * step, 0, 0]), np.array([0, 0, 0, step, 1j * step])
+    state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, a_plus, a_minus),))
+    branches = _walk(state, sequence, (drive,))[1].branches
+    ups, downs = ([b for b in branches if b.spin == s] for s in (+1, -1))
+    if not ups or not downs:
+        return 0j, 0j
+    if len(ups) + len(downs) > 2:
+        raise ParameterError(f"K+- need one branch of each spin, not {len(ups)} up and {len(downs)} down branches")
+    delta = np.broadcast_to(ups[0].phase - downs[0].phase, a_plus.shape)  # a phase no Evolve touched is the scalar 0.0
+    k = (delta[1:] - delta[0]) / step
     return complex(k[0], k[1]), complex(k[2], k[3])
 
 
@@ -154,9 +150,12 @@ def gamma_factors(
         gamma_plus  = (1 / 2 omega_tilde l) integral_0^t (g_x + i g_y) e^{i omega_plus t'} dt'
         gamma_minus = (1 / 2 omega_tilde l) integral_0^t (g_y + i g_x) e^{i omega_minus t'} dt'
     (1 / 2 omega_tilde l = m l / 2 hbar, making the exponents dimensionless).
-    These are the leading resonant approximation to the engine's exact
-    initial-condition response; they coincide with it for near-resonant
-    circularly polarized drives over full revival windows.
+    These are the leading resonant approximation to the engine's exact response K_pm of
+    ``preset_up``.  For a circular drive that rotates with a mode at its frequency, over
+    t = n 4 pi / omega_tilde, gamma_plus = K_plus / 2 and gamma_minus = i K_minus / 2 to
+    roundoff (this gamma_minus answers Im alpha_minus, the engine Re alpha_minus; only
+    |gamma_pm| enter the suppression).  At 5 % detuning |gamma_plus| is 10 % off, and a
+    drive that rotates against its mode gets 0 here but not from the engine.
 
     kind "cp": no closed form; gamma_pm = K_pm / 2 where K_pm are the exact
     linear phase functionals of the steps of ``preset_cp((0, 0), t)`` (they

@@ -767,6 +767,22 @@ class TestSchema:
         assert payload["analytic"] == payload["mc_mean"] == 0.0
         assert payload["suppression"] == 1.0
 
+    def test_thermal_on_a_sequence_that_leaves_two_branches_of_a_spin_exits_2(self, tmp_path, capsys):
+        cfg = readme_config()
+        cfg["sequence"] = {"kind": "custom", "steps": [
+            {"op": "rotate_y", "angle": math.pi / 2},
+            {"op": "displace", "shift": [6.8e-7, 0.0]},
+            {"op": "evolve", "duration": 5e-4},
+            {"op": "rotate_y", "angle": 1.0},
+            {"op": "evolve", "duration": 5e-4},
+            {"op": "rotate_y", "angle": -math.pi / 2},
+            {"op": "readout"},
+        ]}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "error: K+- need one branch of each spin, not 2 up and 2 down branches\n"
+        assert not (tmp_path / "out" / "thermal.json").exists()
+
     @pytest.mark.parametrize(
         "key, value, cause",
         [

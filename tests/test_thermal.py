@@ -141,11 +141,26 @@ class TestGammaFactors:
         assert abs(sf.gamma_minus) < 1e-12 * want, "counter-rotating mode stays dark"
 
     def test_linear_in_amplitude(self):
+        # at scale 100 and more the echo branches no longer overlap in floating point
         for kind, t in (("up", T4), ("cp", T4 / 4)):
             one = gamma_factors(CFG, kind, RESONANT, t)
-            two = gamma_factors(CFG, kind, circular(2 * 0.68, MODES.omega_plus, sense=-1), t)
-            assert abs(two.gamma_plus - 2.0 * one.gamma_plus) < 1e-9 * max(abs(two.gamma_plus), 1.0)
-            assert abs(two.gamma_minus - 2.0 * one.gamma_minus) < 1e-9
+            for scale in (2.0, 100.0, 1000.0):
+                scaled = gamma_factors(CFG, kind, circular(scale * 0.68, MODES.omega_plus, sense=-1), t)
+                assert abs(scaled.gamma_plus - scale * one.gamma_plus) < 1e-9 * max(abs(scaled.gamma_plus), 1.0)
+                assert abs(scaled.gamma_minus - scale * one.gamma_minus) < 1e-9
+
+    @pytest.mark.parametrize("omega, sense", [(MODES.omega_plus, -1), (MODES.omega_minus, +1)], ids=["plus", "minus"])
+    @pytest.mark.parametrize("revivals", [1, 2, 3])
+    def test_up_closed_form_is_the_engine_response_at_resonance(self, omega, sense, revivals):
+        # a circular drive that rotates with a mode at its frequency, over full revival windows;
+        # the closed form's gamma_minus answers Im alpha_minus where the engine phase answers Re
+        t = revivals * T4
+        drive = circular(0.68, omega, sense=sense)
+        sf = gamma_factors(CFG, "up", drive, t)
+        k_plus, k_minus = _phase_functionals(CFG, preset_up((6.8e-7, 0.0), t), drive)
+        scale = max(abs(sf.gamma_plus), abs(sf.gamma_minus))
+        assert abs(sf.gamma_plus - k_plus / 2.0) < 1e-14 * scale
+        assert abs(sf.gamma_minus - 1j * k_minus / 2.0) < 1e-14 * scale
 
     def test_cp_matches_sequence_functionals(self):
         # the echo gammas are K/2 of preset_cp((0, 0), t); K+- do not depend
@@ -303,6 +318,17 @@ class TestThermalSignal:
         rep = thermal_signal(CFG, seq, RESONANT, params, count=100, seed=3)
         assert rep.analytic == rep.mc_mean == rep.zero_temperature_signal == 0.0
         assert rep.suppression == 1.0 and rep.mc_stderr == 0.0
+
+    def test_sequence_that_leaves_two_branches_of_a_spin_is_rejected(self):
+        # the second split leaves two branches of each spin, whose phases K+- cannot describe
+        seq = PulseSequence(steps=(
+            RotateY(math.pi / 2), Displace((6.8e-7, 0.0)), Evolve(5e-4), RotateY(1.0), Evolve(5e-4),
+            RotateY(-math.pi / 2), Readout("z"),
+        ))
+        with pytest.raises(ParameterError, match="not 2 up and 2 down branches"):
+            _phase_functionals(CFG, seq, README_DRIVE)
+        with pytest.raises(ParameterError, match="not 2 up and 2 down branches"):
+            thermal_signal(CFG, seq, README_DRIVE, ThermalParams.from_occupations(1, 1), count=100, seed=3)
 
     def test_count_validation(self):
         with pytest.raises(ParameterError):
