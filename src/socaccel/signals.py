@@ -366,6 +366,11 @@ class Constant(ForceSignal):
     gx: float
     gy: float = 0.0
 
+    def __post_init__(self):
+        for name in ("gx", "gy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"constant {name} must be finite, got {getattr(self, name)}")
+
     def evaluate(self, t):
         return self._as_2vec(self.gx, self.gy, t)
 
@@ -392,8 +397,10 @@ class Sinusoid(ForceSignal):
         if len(amp) != 2 or not all(math.isfinite(v) for v in amp):
             raise ParameterError(f"amplitude must be a finite 2-vector, got {self.amplitude!r}")
         object.__setattr__(self, "amplitude", amp)
-        if self.omega < 0:
-            raise ParameterError(f"sinusoid omega must be >= 0, got {self.omega}")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ParameterError(f"sinusoid omega must be >= 0 and finite, got {self.omega}")
+        if not math.isfinite(self.phase):
+            raise ParameterError(f"sinusoid phase must be finite, got {self.phase}")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -424,6 +431,8 @@ class SumSignal(ForceSignal):
 
     def __init__(self, parts):
         object.__setattr__(self, "parts", tuple(parts))
+        if not self.parts:
+            raise ParameterError("a sum drive needs at least one part")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -469,12 +478,12 @@ class Tabulated(ForceSignal):
             raise ParameterError("tabulated signal needs at least 2 samples")
         if not np.isfinite(values).all():
             raise ParameterError("tabulated samples must be finite")
-        if not dt > 0:
-            raise ParameterError(f"dt must be > 0, got {dt}")
         self.t_start = float(t_start)
         self.dt = float(dt)
         self.values = values
         self.t_end = self.t_start + (values.shape[0] - 1) * self.dt
+        if not (self.dt > 0 and math.isfinite(self.t_end)):
+            raise ParameterError(f"time column must be finite and increasing, got t_start {t_start}, dt {dt}")
         self._slack = 1e-9 * (self.t_end - self.t_start)
 
     @classmethod
@@ -492,6 +501,8 @@ class Tabulated(ForceSignal):
         t = data[:, 0]
         if t.shape[0] < 2:
             raise ParameterError("tabulated signal needs at least 2 samples")
+        if not np.isfinite(t).all():
+            raise ParameterError("time column must be finite")
         steps = np.diff(t)
         if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-300)):
             raise ParameterError("time column is not uniformly spaced")
@@ -553,8 +564,8 @@ def modal_integral(signal: ForceSignal, omega: float, t0: float, t1: float,
                    conjugate: bool = False) -> complex:
     """integral_{t0}^{t1} gtilde(t) exp(i omega (t - t0)) dt, exactly.
 
-    With ``conjugate=True`` the integrand uses conj(gtilde) instead.  This is
-    the primitive behind the thermal gamma factors.
+    With ``conjugate=True`` the integrand uses conj(gtilde) instead.  It runs
+    the piece-integral kernel of the engine's segment coefficients on one window.
     """
     total = _piece_integrals(_pack_pieces(signal.pieces(t0, t1), t0), omega if conjugate else -omega)
     return complex(total.sum().conjugate() if conjugate else total.sum())

@@ -13,7 +13,8 @@ the average obeys the closed form
 
 whenever the branch overlap does not itself depend on the sample (true at
 revival interrogation times), with K+- read from the branch phases of one
-walk.  The Monte-Carlo path certifies that identity.
+walk.  The Monte-Carlo path certifies that identity.  :func:`gamma_factors`
+reads the same K+-/2 off the ``up`` and ``cp`` presets.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ParameterError
-from .pulses import Branch, PulseSequence, SpinorCoherentState, _walk, batch_signal, preset_cp, run_sequence
-from .signals import ForceSignal, modal_integral
-from .trap import NormalModes, TrapConfig, derive_modes
+from .pulses import Branch, PulseSequence, SpinorCoherentState, _walk, batch_signal, preset_cp, preset_up, run_sequence
+from .signals import ForceSignal
+from .trap import NormalModes, TrapConfig
 
 __all__ = [
     "ThermalParams",
@@ -48,8 +49,8 @@ def mean_occupation(omega: float, temperature: float) -> float:
     """
     if not omega > 0:
         raise ParameterError(f"omega must be > 0, got {omega}")
-    if temperature < 0:
-        raise ParameterError(f"temperature must be >= 0, got {temperature}")
+    if not (math.isfinite(temperature) and temperature >= 0):
+        raise ParameterError(f"temperature must be >= 0 and finite, got {temperature}")
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)
@@ -70,12 +71,10 @@ class ThermalParams:
     temperature: float | None = None
 
     def __post_init__(self):
-        for name in ("n_plus", "n_minus"):
+        for name in ("n_plus", "n_minus", "temperature"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if v is not None and not (math.isfinite(v) and v >= 0):
                 raise ParameterError(f"{name} must be >= 0 and finite, got {v}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ParameterError(f"temperature must be >= 0, got {self.temperature}")
 
     @classmethod
     def from_temperature(cls, modes: NormalModes, temperature: float) -> "ThermalParams":
@@ -92,26 +91,17 @@ class ThermalParams:
 
 @dataclass(frozen=True)
 class SuppressionFactors:
-    """Per-mode linear phase functionals and the resulting signal suppression.
-
-    suppression = exp(-n_plus |gamma_plus|^2 - n_minus |gamma_minus|^2).
-    """
+    """Per-mode linear phase functionals gamma_pm = K_pm / 2 at occupations n_pm."""
 
     gamma_plus: complex
     gamma_minus: complex
     n_plus: float = 0.0
     n_minus: float = 0.0
-    suppression: float | None = None
 
-    def __post_init__(self):
-        expected = math.exp(
-            -self.n_plus * abs(self.gamma_plus) ** 2
-            - self.n_minus * abs(self.gamma_minus) ** 2
-        )
-        if self.suppression is None:
-            object.__setattr__(self, "suppression", expected)
-        elif not math.isclose(self.suppression, expected, rel_tol=1e-9):
-            raise ParameterError("suppression inconsistent with occupations and gammas")
+    @property
+    def suppression(self) -> float:
+        """The signal suppression exp(-n_plus |gamma_plus|^2 - n_minus |gamma_minus|^2)."""
+        return math.exp(-self.n_plus * abs(self.gamma_plus) ** 2 - self.n_minus * abs(self.gamma_minus) ** 2)
 
 
 def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step: float = 1.0):
@@ -137,6 +127,15 @@ def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step:
     return complex(k[0], k[1]), complex(k[2], k[3])
 
 
+def _suppression_factors(config: TrapConfig, sequence: PulseSequence, drive, params: ThermalParams):
+    """gamma_pm = K_pm / 2 of ``sequence`` and ``drive``, at the occupations of ``params``."""
+    k_plus, k_minus = _phase_functionals(config, sequence, drive)
+    return SuppressionFactors(k_plus / 2.0, k_minus / 2.0, params.n_plus, params.n_minus)
+
+
+_PRESETS = {"up": preset_up, "cp": preset_cp}
+
+
 def gamma_factors(
     config: TrapConfig,
     kind: str,
@@ -144,44 +143,17 @@ def gamma_factors(
     t: float,
     thermal: ThermalParams | None = None,
 ) -> SuppressionFactors:
-    """Per-mode suppression functionals gamma_pm for a sequence kind.
+    """Per-mode suppression functionals gamma_pm = K_pm / 2 for a sequence kind.
 
-    kind "up": the closed forms
-        gamma_plus  = (1 / 2 omega_tilde l) integral_0^t (g_x + i g_y) e^{i omega_plus t'} dt'
-        gamma_minus = (1 / 2 omega_tilde l) integral_0^t (g_y + i g_x) e^{i omega_minus t'} dt'
-    (1 / 2 omega_tilde l = m l / 2 hbar, making the exponents dimensionless).
-    These are the leading resonant approximation to the engine's exact response K_pm of
-    ``preset_up``.  For a circular drive that rotates with a mode at its frequency, over
-    t = n 4 pi / omega_tilde, gamma_plus = K_plus / 2 and gamma_minus = i K_minus / 2 to
-    roundoff (this gamma_minus answers Im alpha_minus, the engine Re alpha_minus; only
-    |gamma_pm| enter the suppression).  At 5 % detuning |gamma_plus| is 10 % off, and a
-    drive that rotates against its mode gets 0 here but not from the engine.
-
-    kind "cp": no closed form; gamma_pm = K_pm / 2 where K_pm are the exact
-    linear phase functionals of the steps of ``preset_cp((0, 0), t)`` (they
-    do not depend on r0).  Occupations from ``thermal`` (default 0) set
-    the suppression field exp(-n+|g+|^2 - n-|g-|^2).
+    K_pm are the exact linear phase functionals of the steps of
+    ``preset_up((0, 0), t)`` (kind "up") or ``preset_cp((0, 0), t)`` (kind
+    "cp"); they do not depend on r0.  Occupations from ``thermal`` (default 0)
+    set the suppression exp(-n+|g+|^2 - n-|g-|^2).
     """
-    if not t > 0:
-        raise ParameterError(f"t must be > 0, got {t}")
-    kind = kind.lower()
-    modes = derive_modes(config)
-    wt, l = modes.omega_tilde, modes.l_osc
-    if kind == "up":
-        g_plus = modal_integral(drive, modes.omega_plus, 0.0, t) / (2.0 * wt * l)
-        g_minus = 1j * modal_integral(drive, modes.omega_minus, 0.0, t, conjugate=True) / (
-            2.0 * wt * l
-        )
-    elif kind == "cp":
-        k_plus, k_minus = _phase_functionals(config, preset_cp((0.0, 0.0), t), drive)
-        g_plus, g_minus = k_plus / 2.0, k_minus / 2.0
-    else:
+    preset = _PRESETS.get(kind.lower())
+    if preset is None:
         raise ParameterError(f"kind must be 'up' or 'cp', got {kind!r}")
-    n_plus = thermal.n_plus if thermal is not None else 0.0
-    n_minus = thermal.n_minus if thermal is not None else 0.0
-    return SuppressionFactors(
-        gamma_plus=g_plus, gamma_minus=g_minus, n_plus=n_plus, n_minus=n_minus
-    )
+    return _suppression_factors(config, preset((0.0, 0.0), t), drive, thermal or ThermalParams(0.0, 0.0))
 
 
 def sample_initial_states(params: ThermalParams, count: int, seed: int) -> np.ndarray:
@@ -249,10 +221,7 @@ def thermal_signal(
     if count < 100:
         raise ParameterError(f"count must be >= 100 for a meaningful average, got {count}")
     zero_t = run_sequence(config, None, sequence, drive).signal
-    k_plus, k_minus = _phase_functionals(config, sequence, drive)
-    suppression = SuppressionFactors(
-        k_plus / 2.0, k_minus / 2.0, params.n_plus, params.n_minus
-    ).suppression
+    suppression = _suppression_factors(config, sequence, drive, params).suppression
 
     alphas = sample_initial_states(params, count, seed)
     signals = batch_signal(config, alphas[:, 0], alphas[:, 1], sequence, drive)

@@ -725,6 +725,36 @@ class TestSchema:
             f"error: drive.path: cannot read {str(path)!r}: tabulated samples must be finite\n"
         )
 
+    @pytest.mark.parametrize("last", ["nan", "inf"])
+    def test_tabulated_time_that_is_not_finite_exits_2(self, tmp_path, capsys, last):
+        rows = [f"{0.1 * k * math.pi / WT!r},0.1,0" for k in range(40)] + [f"{last},0.1,0"]
+        path = tmp_path / "drive.csv"
+        path.write_text("t,gx,gy\n" + "\n".join(rows) + "\n")
+        cfg = base_config()
+        cfg["drive"] = {"kind": "tabulated", "path": str(path)}
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: drive.path: cannot read {str(path)!r}: time column must be finite\n"
+        )
+
+    @pytest.mark.parametrize(
+        "section, value, message",
+        [
+            ("drive", {"kind": "constant", "gx": math.nan}, "constant gx must be finite, got nan"),
+            ("drive", {"kind": "constant", "gy": math.nan}, "constant gy must be finite, got nan"),
+            ("drive", {"kind": "sinusoid", "amplitude": 0.3, "omega": math.nan},
+             "sinusoid omega must be >= 0 and finite, got nan"),
+            ("drive", {"kind": "circular", "amplitude": 0.3, "omega": 9424.0, "phase": math.nan},
+             "sinusoid phase must be finite, got nan"),
+            ("thermal", {"temperature": math.nan}, "temperature must be >= 0 and finite, got nan"),
+        ],
+    )
+    def test_field_that_is_not_finite_is_named(self, tmp_path, capsys, section, value, message):
+        cfg = base_config()
+        cfg[section] = value
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("big", ["1e308", "1e150"])
     def test_tabulated_sample_that_overflows_exits_2(self, tmp_path, capsys, big):
         rows = [f"{0.1 * k * math.pi / WT!r},0.1,{big if k == 20 else 0}" for k in range(41)]

@@ -118,6 +118,25 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Sinusoid(amplitude=(1.0, 0.0), omega=-5.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Constant(math.nan), "constant gx must be finite, got nan"),
+            (lambda: Constant(0.1, math.inf), "constant gy must be finite, got inf"),
+            (lambda: Sinusoid((1.0, 0.0), math.nan), "sinusoid omega must be >= 0 and finite, got nan"),
+            (lambda: Sinusoid((1.0, 0.0), math.inf), "sinusoid omega must be >= 0 and finite, got inf"),
+            (lambda: Sinusoid((1.0, 0.0), 1.0, math.nan), "sinusoid phase must be finite, got nan"),
+            (lambda: circular(1.0, 100.0, phase=-math.inf), "sinusoid phase must be finite, got -inf"),
+        ],
+    )
+    def test_drive_fields_must_be_finite(self, make, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            make()
+
+    def test_sum_of_no_parts_is_rejected(self):
+        with pytest.raises(ParameterError, match="^a sum drive needs at least one part$"):
+            SumSignal(())
+
     def test_circular_rejects_bad_sense(self):
         with pytest.raises(ParameterError):
             circular(1.0, 100.0, sense=0)
@@ -134,6 +153,21 @@ class TestValidation:
             values[2, 1] = bad
             with pytest.raises(ParameterError, match="^tabulated samples must be finite$"):
                 Tabulated(0.0, 1e-3, values)
+
+    @pytest.mark.parametrize(
+        "t_start, dt",
+        [(math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3), (0.0, math.inf), (0.0, math.nan), (0.0, -1e-3)],
+    )
+    def test_tabulated_time_must_be_finite_and_increasing(self, t_start, dt):
+        with pytest.raises(ParameterError, match="^time column must be finite and increasing, got t_start "):
+            Tabulated(t_start, dt, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("times", ["0,1e-3,nan", "0,inf,inf", "nan,1e-3,2e-3"])
+    def test_tabulated_csv_time_column_must_be_finite(self, tmp_path, times):
+        path = tmp_path / "drive.csv"
+        path.write_text("".join(f"{t},0.1,0\n" for t in times.split(",")))
+        with pytest.raises(ParameterError, match="^time column must be finite$"):
+            Tabulated.from_csv(path)
 
     def test_tabulated_outside_grid_is_coverage_error(self):
         tab = Tabulated(1e-3, 1e-4, np.ones((11, 2)))
