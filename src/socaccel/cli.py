@@ -375,7 +375,6 @@ def _out_format(args, cfg: dict) -> str:
 
 def cmd_modes(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
     report = {
@@ -384,7 +383,7 @@ def cmd_modes(args) -> int:
         "epsilon": modes.epsilon,
         "mass": config.mass,
     }
-    _write_json(os.path.join(out, "modes.json"), report)
+    _write_json(os.path.join(_out_dir(args, cfg), "modes.json"), report)
     print(f"omega_plus  = {modes.omega_plus:.9g} rad/s")
     print(f"omega_minus = {modes.omega_minus:.9g} rad/s")
     print(f"omega_tilde = {modes.omega_tilde:.9g} rad/s")
@@ -395,7 +394,6 @@ def cmd_modes(args) -> int:
 
 def cmd_trajectory(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -420,6 +418,7 @@ def cmd_trajectory(args) -> int:
             for path, b in zip(paths, branches):
                 path.append(_undriven_center(modes, b.spin, b.alpha_plus, b.alpha_minus, local)[0])
     times, z_up, z_dn = (np.concatenate(c) for c in (times, *paths))
+    out = _out_dir(args, cfg)
     if fmt == "csv":
         _write_csv(
             os.path.join(out, "trajectory.csv"),
@@ -449,7 +448,6 @@ def _curve_summary(curve) -> dict:
 
 def cmd_response(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -465,6 +463,7 @@ def cmd_response(args) -> int:
     cp = dataclasses.replace(up, values=_cp_values(up.omega, t, up.values), kind="cp")  # response_cp from up
     # plotting normalization only: x4 amplitude = x16 in |F|^2
     cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4") if rescale else cp
+    out = _out_dir(args, cfg)
     for name, curve in (("up", up), ("cp", cp_out)):
         write = curve.to_csv if fmt == "csv" else curve.to_json
         write(os.path.join(out, f"response_{name}.{fmt}"))
@@ -483,7 +482,6 @@ def cmd_response(args) -> int:
 
 def cmd_thermal(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
     sequence = _sequence_from(cfg, modes)
@@ -492,7 +490,7 @@ def cmd_thermal(args) -> int:
     mc = _section(cfg, "monte_carlo")
     seed = mc["seed"] if args.seed is None else _config_seed(args.seed, "--seed")
     report = thermal_signal(config, sequence, drive, params, count=mc["count"], seed=seed)
-    _write_json(os.path.join(out, "thermal.json"), {**report.as_dict(), "sequence": sequence.name})
+    _write_json(os.path.join(_out_dir(args, cfg), "thermal.json"), {**report.as_dict(), "sequence": sequence.name})
     print(
         f"MC mean = {report.mc_mean:.6g} +- {report.mc_stderr:.2g} "
         f"(analytic {report.analytic:.6g}, suppression {report.suppression:.6g})"
@@ -502,7 +500,6 @@ def cmd_thermal(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
     species = _species_from(cfg)
     apparatus = ApparatusParams(**_section(cfg, "apparatus"))
     sweep = _section(cfg, "sweep")
@@ -513,6 +510,7 @@ def cmd_sensitivity(args) -> int:
     atoms = np.geomspace(lo, hi, n)
     points = [dataclasses.replace(apparatus, atoms_per_layer=n_a) for n_a in atoms]
     report, *reps = _sensitivity_reports(species, [apparatus, *points])
+    out = _out_dir(args, cfg)
     _write_json(os.path.join(out, "sensitivity.json"), report.as_dict())
     _write_csv(
         os.path.join(out, "sweep_s_vs_n.csv"),

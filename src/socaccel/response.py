@@ -119,8 +119,11 @@ def _csv_text(header: str, columns) -> str:
 # Cells of _csv_text.  A double |x| = m 2^(e - 1075), with m of 53 bits and e its biased
 # exponent, whose 17 significant digits are D 10^(k - 16) with D in [10^16, 10^17), has
 # D = round_half_even(m 5^q 2^(e - 1075 + q)), q = 16 - k.  For -11 <= k <= 16, 5^q < 2^63,
-# and D is one exact 117-bit product shifted right by r in [0, 63] (Adams, "Ryu revisited:
+# and D is one exact 117-bit product shifted right by r in [1, 63] (Adams, "Ryu revisited:
 # printf floating point conversion", OOPSLA 2019, takes the same digits from tables).
+# A binade [2^(e - 1023), 2^(e - 1022)) holds at most one decade start, so the sign and
+# exponent se = bits >> 52 and whether |x| reaches the start above 2^(e - 1023) give both k
+# and r.  Every step runs on contiguous 1-D columns, or (2, n) rows of the two digit words.
 # A cell's 32 bytes are 4 little-endian words: sign, the "0.0" prefix of -4 <= k < 0, a NUL
 # and the first digit; digits 2-17, into which the point is inserted; the byte the point
 # pushes out, the exponent, the separator.  NUL bytes are padding.
@@ -139,89 +142,103 @@ def _decade_start(k: int) -> float:
 def _csv_tables():
     """Tables of :func:`_csv_cells`, built on its first call.
 
-    - bounds: a cell's class c = searchsorted(bounds, x, "right") is 1-28 for the negative
+    - above, by se: the bits of the decade start above 2^(e - 1023) with the sign of se (inf
+      past 10^17), so |x| reaches it when bits >= above[se];
+    - classes and shifts, at 2 se + (|x| reaches it): the class c, 1-28 for the negative
       cells of k = 17 - c, 30-57 for the positive cells of k = c - 41, and 0, 29 or 58 for
-      the cells that go through % (nan sorts last);
-    - classes, row c, as uint64: r + e, the 32-bit halves of 5^q 2^t (t = 4 keeps r >= 0
-      for k = 15, 16), the integer digits after the first, the digit the point follows
-      (16 for none), the first and last words of the layout, and whether it goes through %;
-    - shifts, by r: 63 - r, 2^r - 1 and 2^(r - 1) (1 for r = 0);
-    - digits: the ASCII words of "0000"-"9999"; last, at 10000 j + g: 4 j plus the digits
-      of g up to its last nonzero one (0 for 0000), for group j of digits 2-17;
-    - keep and point, by a = 0..16: masks of digits 2..a+1 in words 1-2, and the point
-      after digit a+1 (none for a = 16).
+      the cells that go through %; and r (t = 5 keeps r >= 1 for k = 15, 16);
+    - columns, by c: the 32-bit halves of 5^q 2^t, the first and last words of the layout,
+      and whether it goes through %;
+    - digits: the ASCII words of "0000"-"9999", in the low and in the high half of a word;
+      lasts[j], at g: 59 (4 j + the digits of g up to its last nonzero one), 0 for 0000, for
+      group j of digits 2-17;
+    - masks, at c + 59 a, where digits 2..a+1 end at the last nonzero one: in the two words
+      of digits 2-17, the digits before the point, those it moves a byte up, and the point.
     """
     starts = [_decade_start(k) for k in range(-11, 18)]
-    bounds = np.array([math.nextafter(-b, math.inf) for b in reversed(starts)] + starts)
-    k = np.r_[17, 17 - np.arange(1, 29), -12, np.arange(30, 58) - 41, 17]
+    below = np.append(np.searchsorted(starts, np.ldexp(1.0, np.arange(-1023, 1024)), "right"), 29)
+    above = np.append(starts, math.inf)[below].view(np.uint64)
+    count = np.minimum(below[:, None] + np.arange(2), 29)  # the decade starts <= |x|
+    classes = np.concatenate([29 + count, 29 - count]).ravel()
+    k = np.abs(np.arange(59) - 29) - 12
     q = np.clip(16 - k, 0, 27)
-    t = np.where(q <= 1, 4, 0)
+    t = np.where(q <= 1, 5, 0)
+    shifts = np.clip((1075 - q + t)[classes] - (np.arange(8192) >> 1 & 2047), 1, 63)  # r = e_c - e
     c = 5 ** q.astype(np.uint64) << t.astype(np.uint64)
     fixed = (k >= -4) & (k < 17)
     prefixes = ["0." + "0" * (-j - 1) if -4 <= j < 0 else "" for j in k.tolist()]
     heads = [("-" if i < 29 else "\0") + p.ljust(6, "\0") + "0" for i, p in enumerate(prefixes)]
     tails = ["\0" + ("" if f else "e%+03d" % j).ljust(4, "\0") + "," for j, f in zip(k.tolist(), fixed.tolist())]
-    columns = (
-        1075 - q + t,
-        c >> np.uint64(32),
-        c & np.uint64(0xFFFFFFFF),
-        np.where(fixed & (k >= 0), k, 0),
-        np.where(fixed, np.where(k >= 0, k, 16), 0),
-        np.array(heads, "S8").view("<u8"),
-        np.array(tails, "S8").view("<u8"),
-        np.isin(np.arange(59), (0, 29, 58)),
-    )
-    classes = np.stack([np.asarray(col).astype(np.uint64) for col in columns], axis=1)
-    r, one = np.arange(64, dtype=np.uint64), np.uint64(1)
-    shifts = np.stack([63 - r, (one << r) - one, np.maximum(one << r >> one, one)], axis=1)
+    columns = (c >> np.uint64(32), c & np.uint64(0xFFFFFFFF), np.array(heads, "S8").view("<u8"),
+               np.array(tails, "S8").view("<u8"), np.isin(np.arange(59), (0, 29, 58)))
     digits = np.indices((10,) * 4, np.uint8).reshape(4, -1)
+    words = np.ascontiguousarray(digits.T + 48, np.uint8).view("<u4").ravel().astype(np.uint64)
     nonzero = digits != 0
-    length = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int8)
-    last = np.where(length > 0, length + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0).astype(np.int8)
-    words = np.ascontiguousarray((digits + 48).T).view("<u4").ravel()
-    keep = np.where(np.arange(16) < np.arange(17)[:, None], 0xFF, 0).astype(np.uint8).view("<i8")
-    point = np.where(np.arange(16) == np.arange(17)[:, None], 46, 0).astype(np.uint8).view("<i8")
-    return bounds, classes, shifts, words, last.ravel(), keep, np.concatenate([keep, point], axis=1)
+    length = np.where(nonzero.any(axis=0), 4 - np.argmax(nonzero[::-1], axis=0), 0).astype(np.int16)
+    lasts = np.where(length > 0, 59 * (length + np.arange(0, 16, 4, dtype=np.int16)[:, None]), 0)
+    a, pos = np.arange(17)[:, None, None], np.arange(16)
+    kept = np.maximum(a, np.where(fixed & (k >= 0), k, 0)[:, None])  # digits 2..kept+1 stay
+    point = np.where(fixed, np.where(k >= 0, k, 16), 0)[:, None]  # the digit the point follows
+    after = np.where(a > point, point, 16)  # none when no digit follows it
+    before = pos < np.minimum(kept, after)
+    fills = np.uint8([0xFF, 0xFF, ord(".")])[:, None, None, None]
+    masks = np.where([before, (pos < kept) & ~before, pos == after], fills, 0)
+    return (
+        np.concatenate([above, above | np.uint64(1 << 63)]), classes, shifts.astype(np.uint8),
+        np.stack(columns).astype(np.uint64), np.stack([words, words << np.uint64(32)]), lasts,
+        masks.view("<u8").reshape(3, -1, 2).transpose(0, 2, 1).copy(),
+    )
+
+
+def _split4(a: np.ndarray):
+    """(a // 10^4, a % 10^4) of uint64 a < 10^8 from one multiply-shift: 109951163 exceeds
+    2^40 / 10^4 by 0.2224, so a 109951163 / 2^40 exceeds a / 10^4 by less than 2.1e-5, short
+    of the 10^-4 that would carry past the integer part."""
+    hi = (a * 109951163) >> 40
+    return hi, a - hi * 10**4
 
 
 def _csv_cells(x: np.ndarray, ncols: int) -> np.ndarray:
     """(n, 4) words of the n = rows * ncols cells ``x``, row-major, for :func:`_csv_text`."""
-    bounds, classes, shifts, digits, lasts, keeps, points = _csv_tables()
+    above, classes, shifts, columns, digits, lasts, masks = _csv_tables()
     n = x.size
-    cls = classes.take(np.searchsorted(bounds, x, "right"), axis=0)
     bits = x.view(np.uint64)
+    se = (bits >> 52).view(np.int64)
+    at = se << 1
+    at += bits >= above.take(se)
+    c = classes.take(at)
+    chi, clo, head, tail, special = (col.take(c) for col in columns)
+    r = shifts.take(at)
     mh, ml = ((bits >> 32) & 0xFFFFF) | 0x100000, bits & 0xFFFFFFFF
-    r = np.minimum(cls[:, 0] - ((bits >> 52) & 0x7FF), 63)  # clamped for the cells that go through %
-    lo = ml * cls[:, 2]
-    mid = mh * cls[:, 2] + ml * cls[:, 1]
+    lo = ml * clo
+    mid = mh * clo + ml * chi
     plo = lo + (mid << 32)
-    phi = mh * cls[:, 1] + (mid >> 32) + (plo < lo)
-    s = shifts.take(r.view(np.int64), axis=0)
-    d = ((phi << s[:, 0]) << 1) | (plo >> r)
-    d += ((plo & s[:, 1]) + (d & 1)) > s[:, 2]  # round half to even
-    # D = first digit, then four groups of four digits
-    d = d.view(np.int64)
-    halves = np.empty((n, 2), np.int64)
-    upper, _ = np.divmod(d, 10**8, out=(None, halves[:, 1]))
-    first, _ = np.divmod(upper, 10**8, out=(None, halves[:, 0]))
-    groups = np.empty((n, 2, 2), np.int64)
-    np.divmod(halves, 10**4, out=(groups[:, :, 0], groups[:, :, 1]))
-    groups = groups.reshape(n, 4)
-    g = lasts.take(groups + np.arange(0, 40000, 10000))
-    last = np.maximum(np.maximum(g[:, 0], g[:, 1]), np.maximum(g[:, 2], g[:, 3]))  # digits 2-17 up to the last nonzero
-    info = cls.view(np.int64)
-    after = np.where(last > info[:, 4], info[:, 4], 16)
-    words = digits.take(groups).view("<i8") & keeps.take(np.maximum(last, info[:, 3]), axis=0)
-    point = points.take(after, axis=0)
-    kept = words & point[:, :2]
-    moved = words ^ kept
-    out = np.empty((n, 4), "<i8")
-    np.bitwise_or(info[:, 5], first << 56, out=out[:, 0])
-    np.bitwise_or(kept | (moved << 8), point[:, 2:], out=out[:, 1:3])
-    out[:, 2] |= moved[:, 0] >> 56
-    np.bitwise_or(info[:, 6], moved[:, 1] >> 56, out=out[:, 3])
+    phi = mh * chi + (mid >> 32) + (plo < lo)
+    s = 64 - r
+    d = (phi << s) | (plo >> r)
+    d += ((plo << s) + (d & 1)) > 1 << 63  # round half to even
+    # D = first digit, then two halves of eight digits, each two groups of four
+    upper = d // 10**8
+    first = upper // 10**8
+    halves = np.empty((2, n), np.uint64)
+    np.subtract(upper, first * 10**8, out=halves[0])
+    np.subtract(d, upper * 10**8, out=halves[1])
+    even, odd = (g.view(np.int64) for g in _split4(halves))  # groups 0, 2 and 1, 3
+    words = digits[0].take(even) | digits[1].take(odd)  # digits 2-9 and 10-17
+    a = np.maximum(lasts[0].take(even[0]), lasts[1].take(odd[0]))  # 59 x the digits up to the last nonzero one
+    np.maximum(a, np.maximum(lasts[2].take(even[1]), lasts[3].take(odd[1])), out=a)
+    before, moved, point = (m.take(a + c, axis=1) for m in masks)
+    moved &= words
+    words &= before
+    words |= point | (moved << 8)
+    moved >>= 56
+    out = np.empty((n, 4), np.uint64)
+    np.bitwise_or(head, first << 56, out=out[:, 0])
+    out[:, 1] = words[0]
+    np.bitwise_or(words[1], moved[0], out=out[:, 2])
+    np.bitwise_or(tail, moved[1], out=out[:, 3])
     out.reshape(-1, ncols, 4)[:, -1, 3] ^= (ord(",") ^ ord("\n")) << 40  # the last separator of a row
-    outside = np.flatnonzero(cls[:, 7])
+    outside = np.flatnonzero(special)
     if outside.size:
         text = np.array(["%.17g" % v for v in x[outside].tolist()], "S29")
         out.view(np.uint8).reshape(n, 32)[outside, :29] = text.view(np.uint8).reshape(-1, 29)

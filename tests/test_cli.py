@@ -19,6 +19,7 @@ from socaccel import (
 )
 from socaccel.cli import main
 from socaccel.pulses import Evolve, RotateY, _center_from_amplitudes
+from socaccel.response import _decade_start, _split4
 from socaccel.sensitivity import _sensitivity_reports
 from test_cli_fuzz import CUSTOM_CONFIG, readme_config
 
@@ -436,6 +437,35 @@ class TestConfigValidation:
         cfg_path = write_config(tmp_path, base_config())
         assert main(["thermal", "--config", cfg_path, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
 
+    @pytest.mark.parametrize(
+        "cmd, key, value",
+        [
+            ("modes", "trap.epsilon", -1.0),
+            ("trajectory", "trap.epsilon", -1.0),
+            ("response", "trap.epsilon", -1.0),
+            ("thermal", "trap.epsilon", -1.0),
+            ("thermal", "drive", {"kind": "tabulated", "path": "nan-times.csv"}),
+            ("sensitivity", "sweep.atoms_min", -1.0),
+        ],
+    )
+    def test_config_that_exits_2_leaves_no_output_directory(self, tmp_path, monkeypatch, capsys, cmd, key, value):
+        monkeypatch.chdir(tmp_path)  # relative drive paths resolve here
+        (tmp_path / "nan-times.csv").write_text("t,gx,gy\n0,0.1,0\nnan,0.1,0\n")
+        cfg = base_config()
+        section, _, leaf = key.partition(".")
+        if leaf:
+            cfg[section][leaf] = value
+        else:
+            cfg[section] = value
+        assert run(cmd, write_config(tmp_path, cfg), tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        assert run("modes", write_config(tmp_path, base_config()), tmp_path / "taken") == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot use output directory {str(tmp_path / 'taken')!r}: ")
+
 
 class TestCountBounds:
     READERS = {
@@ -592,6 +622,25 @@ class TestWriters:
         assert all(len(str(o * 5**j)) == 18 for o, j in odd)
         ties = [o / 2**j for o, j in odd]
         self.assert_printf(ties, [-t for t in ties])
+
+    def test_every_binary_exponent_matches_printf(self):
+        """2^e, its two neighbours and the largest double below 2^(e+1), for each biased exponent."""
+        powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+        bits = np.concatenate([powers, powers - np.uint64(1), powers + np.uint64(1), powers + np.uint64(2**52 - 1)])
+        values = bits.view(float)
+        self.assert_printf(values, -values)
+
+    def test_decade_starts_and_their_neighbours_match_printf(self):
+        starts = np.array([_decade_start(k) for k in range(-12, 19)])
+        values = np.concatenate([np.nextafter(starts, 0.0), starts, np.nextafter(starts, np.inf)])
+        self.assert_printf(values, -values)
+
+    def test_group_split_is_exact_below_10_to_the_8(self):
+        """The multiply-shift split into groups of four digits, for every eight-digit half."""
+        for lo in range(0, 10**8, 2**20):
+            a = np.arange(lo, min(lo + 2**20, 10**8), dtype=np.uint64)
+            hi, rest = _split4(a)
+            assert np.array_equal(hi, a // np.uint64(10**4)) and np.array_equal(rest, a % np.uint64(10**4)), lo
 
     def test_zeros_subnormals_infinities_and_nan_match_printf(self):
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max
