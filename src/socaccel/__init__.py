@@ -16,7 +16,7 @@ Each layer's ``__all__`` is its public API (``constants`` and ``errors``
 included); the package re-exports all of them, ``cli`` aside.
 """
 
-import sys
+import sys as _sys
 
 from .constants import *
 from .errors import *
@@ -36,5 +36,5 @@ __all__ = [
     for layer in (
         "constants", "errors", "trap", "signals", "pulses", "response", "thermal", "sensitivity"
     )
-    for name in sys.modules[f"{__name__}.{layer}"].__all__
+    for name in _sys.modules[f"{__name__}.{layer}"].__all__
 ]

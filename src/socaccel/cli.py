@@ -8,6 +8,11 @@ function that reads a config object by them.  Outputs are plain CSV
 (curves, %.17g columns) and JSON (reports, sorted keys) with no timestamps,
 so identical configs and seeds reproduce byte-identical files.
 
+Each ``cmd_<name>(args, cfg)`` returns (products, stdout text) and writes no
+file; products maps a file name to a JSON-able object, a (header, columns)
+table or a ``ResponseCurve``.  ``main`` alone reads the config and writes the
+products, so a subcommand that fails leaves no output directory behind.
+
 Exit codes: 0 success; 2 configuration or parameter error; 3 infeasible
 physics (e.g. the thermal cloud does not fit the homogeneity radius);
 4 numerical failure (divergence, unresolved grid, nonlinear response, no
@@ -38,7 +43,7 @@ from .pulses import (
     preset_up,
     run_sequence,
 )
-from .response import _cp_values, _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_up
+from .response import ResponseCurve, _cp_values, _csv_text, find_peaks, find_zeros, main_lobe_fwhm, response_up
 from .sensitivity import RB87, ApparatusParams, SpeciesParams, _sensitivity_reports
 from .signals import Constant, Sinusoid, SumSignal, Tabulated, Zero, circular
 from .thermal import ThermalParams, thermal_signal
@@ -373,8 +378,7 @@ def _out_format(args, cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_modes(args) -> int:
-    cfg = load_config(args.config)
+def cmd_modes(args, cfg: dict):
     config = _trap_from(cfg)
     modes = derive_modes(config)
     report = {
@@ -383,17 +387,12 @@ def cmd_modes(args) -> int:
         "epsilon": modes.epsilon,
         "mass": config.mass,
     }
-    _write_json(os.path.join(_out_dir(args, cfg), "modes.json"), report)
-    print(f"omega_plus  = {modes.omega_plus:.9g} rad/s")
-    print(f"omega_minus = {modes.omega_minus:.9g} rad/s")
-    print(f"omega_tilde = {modes.omega_tilde:.9g} rad/s")
-    print(f"epsilon     = {modes.epsilon:.9g}")
-    print(f"l_osc       = {modes.l_osc:.9g} m")
-    return 0
+    units = {"omega_plus": " rad/s", "omega_minus": " rad/s", "omega_tilde": " rad/s", "epsilon": "", "l_osc": " m"}
+    text = "\n".join(f"{name:<11} = {getattr(modes, name):.9g}{unit}" for name, unit in units.items())
+    return {"modes.json": report}, text
 
 
-def cmd_trajectory(args) -> int:
-    cfg = load_config(args.config)
+def cmd_trajectory(args, cfg: dict):
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -418,24 +417,15 @@ def cmd_trajectory(args) -> int:
             for path, b in zip(paths, branches):
                 path.append(_undriven_center(modes, b.spin, b.alpha_plus, b.alpha_minus, local)[0])
     times, z_up, z_dn = (np.concatenate(c) for c in (times, *paths))
-    out = _out_dir(args, cfg)
     if fmt == "csv":
-        _write_csv(
-            os.path.join(out, "trajectory.csv"),
-            "t_s,x_up_m,y_up_m,x_down_m,y_down_m",
-            (times, z_up.real, z_up.imag, z_dn.real, z_dn.imag),
-        )
+        columns = (times, z_up.real, z_up.imag, z_dn.real, z_dn.imag)
+        product = ("t_s,x_up_m,y_up_m,x_down_m,y_down_m", columns)
     else:
-        _write_json(
-            os.path.join(out, "trajectory.json"),
-            {
-                "t_s": list(times),
-                "up_m": [[zr, zi] for zr, zi in zip(z_up.real, z_up.imag)],
-                "down_m": [[zr, zi] for zr, zi in zip(z_dn.real, z_dn.imag)],
-            },
-        )
-    print(f"trajectory ({kind}): {len(times)} samples over {times[-1]:.6g} s")
-    return 0
+        # a contiguous complex array viewed as floats is its [x, y] rows
+        up_m, down_m = (z.view(float).reshape(-1, 2).tolist() for z in (z_up, z_dn))
+        product = {"t_s": times.tolist(), "up_m": up_m, "down_m": down_m}
+    text = f"trajectory ({kind}): {len(times)} samples over {times[-1]:.6g} s"
+    return {f"trajectory.{fmt}": product}, text
 
 
 def _curve_summary(curve) -> dict:
@@ -446,8 +436,7 @@ def _curve_summary(curve) -> dict:
     }
 
 
-def cmd_response(args) -> int:
-    cfg = load_config(args.config)
+def cmd_response(args, cfg: dict):
     fmt = _out_format(args, cfg)
     config = _trap_from(cfg)
     modes = derive_modes(config)
@@ -463,10 +452,6 @@ def cmd_response(args) -> int:
     cp = dataclasses.replace(up, values=_cp_values(up.omega, t, up.values), kind="cp")  # response_cp from up
     # plotting normalization only: x4 amplitude = x16 in |F|^2
     cp_out = dataclasses.replace(cp, values=cp.values * 4.0, kind="cp-x4") if rescale else cp
-    out = _out_dir(args, cfg)
-    for name, curve in (("up", up), ("cp", cp_out)):
-        write = curve.to_csv if fmt == "csv" else curve.to_json
-        write(os.path.join(out, f"response_{name}.{fmt}"))
     summary = {
         "t_s": t,
         "r0_m": r0,
@@ -474,14 +459,12 @@ def cmd_response(args) -> int:
         "up": _curve_summary(up),
         "cp": _curve_summary(cp),
     }
-    _write_json(os.path.join(out, "response_summary.json"), summary)
     n_zeros = len(summary["cp"]["zeros_rad_per_s"])
-    print(f"response curves over [0, {omega_max:.6g}] rad/s; echo curve has {n_zeros} zeros")
-    return 0
+    products = {f"response_up.{fmt}": up, f"response_cp.{fmt}": cp_out, "response_summary.json": summary}
+    return products, f"response curves over [0, {omega_max:.6g}] rad/s; echo curve has {n_zeros} zeros"
 
 
-def cmd_thermal(args) -> int:
-    cfg = load_config(args.config)
+def cmd_thermal(args, cfg: dict):
     config = _trap_from(cfg)
     modes = derive_modes(config)
     sequence = _sequence_from(cfg, modes)
@@ -490,16 +473,14 @@ def cmd_thermal(args) -> int:
     mc = _section(cfg, "monte_carlo")
     seed = mc["seed"] if args.seed is None else _config_seed(args.seed, "--seed")
     report = thermal_signal(config, sequence, drive, params, count=mc["count"], seed=seed)
-    _write_json(os.path.join(_out_dir(args, cfg), "thermal.json"), {**report.as_dict(), "sequence": sequence.name})
-    print(
+    text = (
         f"MC mean = {report.mc_mean:.6g} +- {report.mc_stderr:.2g} "
         f"(analytic {report.analytic:.6g}, suppression {report.suppression:.6g})"
     )
-    return 0
+    return {"thermal.json": {**report.as_dict(), "sequence": sequence.name}}, text
 
 
-def cmd_sensitivity(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sensitivity(args, cfg: dict):
     species = _species_from(cfg)
     apparatus = ApparatusParams(**_section(cfg, "apparatus"))
     sweep = _section(cfg, "sweep")
@@ -510,23 +491,22 @@ def cmd_sensitivity(args) -> int:
     atoms = np.geomspace(lo, hi, n)
     points = [dataclasses.replace(apparatus, atoms_per_layer=n_a) for n_a in atoms]
     report, *reps = _sensitivity_reports(species, [apparatus, *points])
-    out = _out_dir(args, cfg)
-    _write_json(os.path.join(out, "sensitivity.json"), report.as_dict())
-    _write_csv(
-        os.path.join(out, "sweep_s_vs_n.csv"),
-        "atoms_per_layer,atoms_total,s_mps2_per_sqrthz",
-        (atoms, [n_a * rep.n_layers for n_a, rep in zip(atoms, reps)], [rep.S for rep in reps]),
-    )
-    _write_csv(
-        os.path.join(out, "sweep_bandwidth_vs_n.csv"),
-        "atoms_per_layer,bandwidth_rad_per_s,tau_s",
-        (atoms, [rep.bandwidth for rep in reps], [rep.tau for rep in reps]),
-    )
-    print(
+    products = {
+        "sensitivity.json": report.as_dict(),
+        "sweep_s_vs_n.csv": (
+            "atoms_per_layer,atoms_total,s_mps2_per_sqrthz",
+            (atoms, [n_a * rep.n_layers for n_a, rep in zip(atoms, reps)], [rep.S for rep in reps]),
+        ),
+        "sweep_bandwidth_vs_n.csv": (
+            "atoms_per_layer,bandwidth_rad_per_s,tau_s",
+            (atoms, [rep.bandwidth for rep in reps], [rep.tau for rep in reps]),
+        ),
+    }
+    text = (
         f"S = {report.S:.6g} (m/s^2)/sqrt(Hz) at N_a = {apparatus.atoms_per_layer:.6g}; "
         f"N_c = {report.N_c:.6g}, omega_opt = {report.omega_opt:.6g} rad/s"
     )
-    return 0
+    return products, text
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +556,22 @@ def main(argv=None) -> int:
     # looked up at call time, so a handler swapped into the module is the one run
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(args)
+        cfg = load_config(args.config)
+        products, text = handler(args, cfg)
+        out = _out_dir(args, cfg)
+        for name, product in products.items():
+            path = os.path.join(out, name)
+            try:  # the writer goes by the product type and the file extension
+                if isinstance(product, ResponseCurve):
+                    (product.to_csv if name.endswith(".csv") else product.to_json)(path)
+                elif name.endswith(".csv"):
+                    _write_csv(path, *product)
+                else:
+                    _write_json(path, product)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        print(text)
+        return 0
     except (ConfigError, ParameterError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,9 +90,9 @@ class ResponseCurve:
             "kind": self.kind,
             "r0_m": self.r0,
             "t_s": self.t,
-            "omega_rad_per_s": [float(w) for w in self.omega],
-            "re": [float(v.real) for v in self.values],
-            "im": [float(v.imag) for v in self.values],
+            "omega_rad_per_s": self.omega.tolist(),
+            "re": self.values.real.tolist(),
+            "im": self.values.imag.tolist(),
         }
 
     def to_json(self, path) -> None:
@@ -473,14 +473,15 @@ def find_peaks(curve: ResponseCurve) -> list[tuple[float, float]]:
     dx = curve.spacing
     peaks: list[tuple[float, float]] = []
     mid = m2[1:-1]
-    for i in (np.flatnonzero((mid >= m2[:-2]) & (mid > m2[2:]) & (mid > 0.0)) + 1).tolist():
+    for i in (np.flatnonzero((mid >= m2[:-2]) & (mid > m2[2:])) + 1).tolist():
         x, height = _parabolic_vertex(float(curve.omega[i]), dx, m2[i - 1], m2[i], m2[i + 1])
         peaks.append((x, math.sqrt(max(height, 0.0))))
     return peaks
 
 
 def main_lobe_fwhm(curve: ResponseCurve) -> float:
-    """Full width at half maximum of |F|^2 around its global peak (rad/s)."""
+    """Full width at half maximum of |F|^2 around its global peak (rad/s); the grid must resolve t."""
+    _check_resolution(curve)
     m2 = np.abs(curve.values) ** 2
     i0 = int(np.argmax(m2))
     half = m2[i0] / 2.0

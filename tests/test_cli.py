@@ -250,6 +250,7 @@ class TestResponse:
         cfg["response"]["points"] = 32
         cfg_path = write_config(tmp_path, cfg)
         assert run("response", cfg_path, tmp_path / "out") == 4
+        assert not (tmp_path / "out").exists()  # not even the two curves, made before the summary failed
 
     @pytest.mark.parametrize("section", [{"t": 1e308}, {"t": 1e10, "omega_max": 1e300}])
     def test_overflowing_window_phase_exits_2_naming_t(self, tmp_path, capsys, section):
@@ -466,6 +467,23 @@ class TestConfigValidation:
         assert run("modes", write_config(tmp_path, base_config()), tmp_path / "taken") == 2
         assert capsys.readouterr().err.startswith(f"error: cannot use output directory {str(tmp_path / 'taken')!r}: ")
 
+    @pytest.mark.parametrize(
+        "cmd, product",
+        [
+            ("modes", "modes.json"),
+            ("trajectory", "trajectory.csv"),
+            ("response", "response_up.csv"),
+            ("thermal", "thermal.json"),
+            ("sensitivity", "sensitivity.json"),
+        ],
+    )
+    def test_product_that_cannot_be_written_exits_2(self, tmp_path, capsys, cmd, product):
+        (tmp_path / "out" / product).mkdir(parents=True)
+        assert run(cmd, write_config(tmp_path, base_config()), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(tmp_path / 'out' / product)!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCountBounds:
     READERS = {
@@ -671,9 +689,9 @@ class TestDispatch:
         seen = []
         real = cli.cmd_modes
 
-        def wrapper(args):
+        def wrapper(args, cfg):
             seen.append(args.command)
-            return real(args)
+            return real(args, cfg)
 
         monkeypatch.setattr(cli, "cmd_modes", wrapper)
         assert run("modes", cfg_path, tmp_path / "second") == 0
@@ -697,7 +715,7 @@ class TestDispatch:
             "InfeasibleGeometryError": (3, "infeasible"),
         }.get(name, (4, "numerical failure"))
 
-        def handler(args):
+        def handler(args, cfg):
             raise getattr(socaccel.errors, name)("planted")
 
         monkeypatch.setattr(cli, "cmd_modes", handler)

@@ -59,6 +59,15 @@ def test_package_exports_each_layers_all_once_and_as_the_same_object():
     assert socaccel.sensitivity is sys.modules["socaccel.sensitivity"].sensitivity
 
 
+def test_every_public_module_attribute_is_a_layer_submodule():
+    import socaccel
+
+    # a module bound at package level, such as an imported ``sys``, would be public API
+    public = {name: value for name, value in vars(socaccel).items() if not name.startswith("_")}
+    modules = [name for name, value in public.items() if inspect.ismodule(value)]
+    assert [name for name in modules if public[name] is not sys.modules.get(f"socaccel.{name}")] == []
+
+
 def test_trap_config_fields_are_its_physical_parameters():
     from socaccel import TrapConfig
 

@@ -488,6 +488,8 @@ class TestCurveTools:
             find_zeros(cp)
         with pytest.raises(ResolutionError):
             find_peaks(cp)
+        with pytest.raises(ResolutionError):
+            main_lobe_fwhm(cp)
 
 
 class TestResponseCurveType:
