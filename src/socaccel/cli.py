@@ -22,6 +22,7 @@ bracketed optimum).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -559,6 +560,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         products, text = handler(args, cfg)
         out = _out_dir(args, cfg)
+        written = []
         for name, product in products.items():
             path = os.path.join(out, name)
             try:  # the writer goes by the product type and the file extension
@@ -569,7 +571,11 @@ def main(argv=None) -> int:
                 else:
                     _write_json(path, product)
             except OSError as exc:
+                for done in written:  # a failed write leaves none of this call's products
+                    with contextlib.suppress(OSError):
+                        os.remove(done)
                 raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+            written.append(path)
         print(text)
         return 0
     except (ConfigError, ParameterError, CoverageError) as exc:

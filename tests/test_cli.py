@@ -484,6 +484,17 @@ class TestConfigValidation:
         assert err.startswith(f"error: cannot write {str(tmp_path / 'out' / product)!r}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_failed_write_removes_the_products_this_run_wrote(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "response_cp.csv").mkdir(parents=True)  # written after response_up.csv
+        (out / "modes.json").write_text("an earlier run's product\n")
+        assert run("response", write_config(tmp_path, base_config()), out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {str(out / 'response_cp.csv')!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "response_up.csv").exists()
+        assert (out / "modes.json").read_text() == "an earlier run's product\n"
+
 
 class TestCountBounds:
     READERS = {

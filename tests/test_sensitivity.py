@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from socaccel import (
+    K_B,
     RB87,
     ApparatusParams,
     BracketingError,
     InfeasibleGeometryError,
     ParameterError,
+    ResolutionError,
     SpeciesParams,
     ThermalParams,
     TrapConfig,
     collision_budget,
     derive_modes,
+    main_lobe_fwhm,
     optimize_trap,
+    response_cp,
     sensitivity,
     signal_ceiling,
     thermal_geometry,
@@ -360,3 +364,122 @@ def test_cp_fwhm_grid_brackets_the_main_lobe(monkeypatch):
         assert below.min() < peak < below.max(), (wt, eps, t)  # both crossings inside the grid
         lobe = below[below > peak].min() - below[below < peak].max() - 1
         assert lobe >= 30, (wt, eps, t, lobe)
+
+
+def _drawn_curves(count, seed):
+    """(modes, r_0, t) of bandwidth curves drawn as above: omega_tilde 1e2-1e5, epsilon 1-1e3,
+    t in [0.01, 1] pi / omega_tilde."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    for _ in range(count):
+        wt, eps = 10.0 ** rng.uniform(2.0, 5.0), 10.0 ** rng.uniform(0.0, 3.0)
+        modes = derive_modes(TrapConfig.from_modes(RB87.mass, wt, eps))
+        curves.append((modes, modes.l_osc, 10.0 ** rng.uniform(-2.0, 0.0) * math.pi / wt))
+    return curves
+
+
+def _capability_curves(apparatuses=(), traps=40):
+    """(modes, r_0, t) of each distinct bandwidth curve of the README sweep, of ``apparatuses``,
+    and of sensitivity and optimize_trap on ``traps`` traps drawn as the response_probe benchmark
+    draws them."""
+    seen = []
+    cp_fwhm = sensitivity_module._cp_fwhm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensitivity_module, "_cp_fwhm", lambda *key: seen.append(key) or cp_fwhm(*key))
+        _sensitivity_reports(RB87, [AP, *(with_atoms(n) for n in np.geomspace(100.0, 1e6, 25))])
+        for ap in apparatuses:
+            with pytest.raises(ParameterError):
+                sensitivity(RB87, ap)
+        rng = np.random.default_rng(32)
+        for _ in range(traps):
+            temperature, radius = rng.uniform(0.5e-6, 2e-6), rng.uniform(15e-6, 40e-6)
+            ap = ApparatusParams(
+                temperature=temperature, layer_spacing=1e-6, homogeneity_radius=radius,
+                omega_tilde=2.0 * math.pi * rng.uniform(500.0, 2000.0), epsilon=rng.uniform(1.5, 5.0),
+                atoms_per_layer=10.0 ** rng.uniform(5.0, 7.0),
+            )
+            w_opt = 2.0 * math.sqrt(3.0 * K_B * temperature / RB87.mass) / radius
+            sensitivity(RB87, ap)
+            optimize_trap(RB87, ap, (0.6 * w_opt, 20.0 * w_opt))
+    return list(dict.fromkeys(seen))
+
+
+def _whole_grid_fwhm(modes, r_0, t):
+    """_cp_fwhm as it reads off every point of its grid: the value, or the error it raises."""
+    grid = np.linspace(0.0, 16.0 * math.pi / t, 1024)
+    try:
+        return main_lobe_fwhm(response_cp(modes, r_0, t, grid=grid))
+    except ParameterError as exc:
+        return f"ParameterError: bandwidth curve at r_0 = {r_0:.3e} m, segment t = {t:.3e} s: {exc}"
+    except (ResolutionError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cp_fwhm_or_error(modes, r_0, t):
+    try:
+        return sensitivity_module._cp_fwhm(modes, r_0, t)
+    except (ParameterError, ResolutionError, RuntimeWarning) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _head_lengths(monkeypatch):
+    """The grid length of each response_cp call that _cp_fwhm makes from now on."""
+    lengths = []
+    response = sensitivity_module.response_cp
+    monkeypatch.setattr(
+        sensitivity_module, "response_cp", lambda *a, grid: lengths.append(grid.size) or response(*a, grid=grid)
+    )
+    return lengths
+
+
+class TestBandwidthHead:
+    """_cp_fwhm evaluates 160 of its 1,024 points when _cp_tail_bound rules out the rest."""
+
+    DRAWN = _drawn_curves(2000, 32)
+
+    def test_tail_bound_holds_at_every_grid_point(self):
+        worst = 0.0
+        for modes, r_0, t in self.DRAWN + _capability_curves():
+            grid = np.linspace(0.0, 16.0 * math.pi / t, 1024)[1:]
+            values = np.abs(response_cp(modes, r_0, t, grid=grid).values)
+            worst = max(worst, float(np.max(values / sensitivity_module._cp_tail_bound(modes, r_0, t, grid))))
+        assert worst <= 1.0, worst  # 0.59 when this test was written
+
+    def test_drawn_and_capability_curves_take_the_head(self, monkeypatch):
+        curves = self.DRAWN + _capability_curves()
+        lengths = _head_lengths(monkeypatch)
+        for key in curves:
+            sensitivity_module._cp_fwhm(*key)
+        assert len(curves) >= len(self.DRAWN) + 14  # the README sweep has 14 distinct curves
+        assert lengths == [160] * len(curves)  # no fallback
+
+    def _cases(self):
+        """The drawn and capability curves, the two degenerate CLI curves, and curves the head
+        cannot settle: long windows, a splitting at the edge of rounding, a window so short its
+        values are rounding noise, and |F|^2 beyond the float range."""
+        degenerate = [dataclasses.replace(AP, homogeneity_radius=1e290), dataclasses.replace(AP, temperature=1e-300)]
+        wt = AP.omega_tilde
+        modes = derive_modes(TrapConfig.from_modes(RB87.mass, wt, 22.0))
+        near = derive_modes(TrapConfig.from_modes(RB87.mass, wt, 1.0 + 1e-9))
+        return self.DRAWN[:500] + _capability_curves(degenerate, traps=10) + [
+            *((modes, modes.l_osc, k * math.pi / wt) for k in (1.5, 2.0, 3.0, 5.0, 8.0)),
+            (near, near.l_osc, math.pi / wt),
+            (modes, modes.l_osc, 1e-7 / wt),
+            (modes, 1e160 * modes.l_osc, math.pi / wt),
+        ]
+
+    def test_head_gives_the_whole_grid_value_or_error(self, monkeypatch):
+        cases = self._cases()
+        lengths = _head_lengths(monkeypatch)
+        results = [_cp_fwhm_or_error(*key) for key in cases]
+        assert results == [_whole_grid_fwhm(*key) for key in cases]
+        assert 0 < lengths.count(1024) < 20  # both paths ran
+        assert sum(isinstance(r, str) for r in results) == 3  # two degenerate curves, one overflow
+
+    def test_forced_fallback_gives_the_same_results(self, monkeypatch):
+        cases = self._cases()
+        expected = [_cp_fwhm_or_error(*key) for key in cases]
+        monkeypatch.setattr(sensitivity_module, "_cp_tail_bound", lambda *args: math.inf)
+        lengths = _head_lengths(monkeypatch)
+        assert [_cp_fwhm_or_error(*key) for key in cases] == expected
+        assert lengths.count(1024) == len(cases)
