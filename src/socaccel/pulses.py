@@ -185,15 +185,6 @@ def mode_decompose(config: TrapConfig, sigma: int, point: PhaseSpacePoint):
     return _amplitudes_from_center(modes, sigma, zeta, zdot)
 
 
-def _branch_zeta(modes: NormalModes, b: Branch) -> complex:
-    return modes.l_osc * (b.alpha_plus + b.alpha_minus.conjugate())
-
-
-def _overlap(modes: NormalModes, b1: Branch, b2: Branch) -> float:
-    dz = _branch_zeta(modes, b1) - _branch_zeta(modes, b2)
-    return _exp(-((abs(dz) / modes.l_osc) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -510,24 +501,34 @@ def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -
 def _gram_sums(state: SpinorCoherentState):
     """(up-block norm, down-block norm, up-down cross sum, total norm) with orbital overlaps.
 
-    A total norm below 1e-300 for any sample raises :class:`ParameterError`.
+    Each center is formed once.  A self-overlap, exp(-0.0) = 1.0, is not formed: the term
+    it would multiply keeps its bits up to the sign of a zero, which a sum from +0 drops.  A
+    center that is not finite (a NaN self-overlap), a norm below 1e-300, for any sample, or a
+    scalar |zeta_a - zeta_b| / l whose square overflows raises :class:`ParameterError`.
     """
-    modes = state.modes
-    ups = [(b, b.amplitude) for b in state.branches if b.spin == +1]
-    downs = [(b, b.amplitude) for b in state.branches if b.spin == -1]
+    l = state.modes.l_osc
+    with np.errstate(over="ignore", invalid="ignore"):  # a center that is not finite raises below
+        parts = [(b.spin, b.amplitude, l * (b.alpha_plus + b.alpha_minus.conjugate())) for b in state.branches]
+    if not all(_every(np.isfinite(zeta)) for _, _, zeta in parts):
+        raise ParameterError("state has zero norm")
+    ups, downs = ([(i, amp, zeta) for i, (spin, amp, zeta) in enumerate(parts) if spin == s] for s in (+1, -1))
 
     def block(rows, cols):
         tot = 0.0 + 0.0j
-        for a, amp_a in rows:
-            for b, amp_b in cols:
-                tot += amp_a.conjugate() * amp_b * _overlap(modes, a, b)
+        for i, amp_a, zeta_a in rows:
+            for j, amp_b, zeta_b in cols:
+                term = amp_a.conjugate() * amp_b
+                tot += term if i == j else term * _exp(-((abs(zeta_a - zeta_b) / l) ** 2))
         return tot
 
-    n_up, n_down = block(ups, ups).real, block(downs, downs).real
-    norm = n_up + n_down
-    if not _every(norm >= 1e-300):
-        raise ParameterError("state has zero norm")
-    return n_up, n_down, block(ups, downs), norm
+    try:
+        n_up, n_down = block(ups, ups).real, block(downs, downs).real
+        norm = n_up + n_down
+        if not _every(norm >= 1e-300):
+            raise ParameterError("state has zero norm")
+        return n_up, n_down, block(ups, downs), norm
+    except OverflowError:  # Python's float power and complex abs raise past the float range
+        raise ParameterError("branch centers lie too far apart for their orbital overlap") from None
 
 
 def _expectations(state: SpinorCoherentState):
@@ -631,8 +632,9 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, tr
     an array branch; ``per_sample`` says that one drive is a block of one sample's.  Returns
     (final state, coherence state, readout axis or None).  The coherence state is the one
     just before the final recombination rotation when the sequence ends with one, else the
-    final state; <sigma_y> is invariant under RotateY, so the signal is the same either way.
-    When ``trace`` is a list, one (step name, time, branches) entry is appended per step.
+    final state; <sigma_y> is invariant under RotateY, so the signal is the same either way
+    (:func:`_coherence_walk` gives it without that rotation).  When ``trace`` is a list, one
+    (step name, time, branches) entry is appended per step.
     """
     coeffs = iter(_window_coeffs(state, sequence, drives, per_sample or len(drives) > 1))
     pre_rotation = None  # state just before the most recent RotateY
@@ -656,6 +658,18 @@ def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, tr
             if trace is not None:
                 trace.append((type(step).__name__, state.time, state.branches))
     return state, (pre_rotation if pre_rotation is not None else state), axis
+
+
+def _coherence_walk(state: SpinorCoherentState, sequence, drives: tuple, per_sample=False) -> SpinorCoherentState:
+    """The coherence state ``_walk(...)[1]``, without computing the recombination rotation.
+
+    When the last step other than Readout is a RotateY, only the steps before it are walked:
+    the same operations on the same windows as in ``_walk``, which drops that rotation's result.
+    """
+    steps = tuple(sequence)
+    ops = [i for i, step in enumerate(steps) if not isinstance(step, Readout)]
+    end = ops[-1] if ops and isinstance(steps[ops[-1]], RotateY) else len(steps)
+    return _walk(state, steps[:end], drives, per_sample=per_sample)[0]
 
 
 def run_sequence(
@@ -719,7 +733,7 @@ def batch_signal(
     Sample i starts as one spin-up branch with mode amplitudes
     (alpha_plus[i], alpha_minus[i]); entry i of the result is the ``signal``
     that :func:`run_sequence` returns for that state, up to roundoff.  The
-    samples go through :func:`_sample_walk`.
+    samples go through :func:`_sample_walk`, which skips the recombination.
     """
     a_plus = np.asarray(alpha_plus, dtype=complex)
     a_minus = np.asarray(alpha_minus, dtype=complex)
@@ -737,9 +751,9 @@ def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSeq
     Sample i starts as one spin-up branch with mode amplitudes (alpha_plus[i],
     alpha_minus[i]), or with the scalar amplitudes that every sample shares; ``drives``
     holds one drive (or None) for every sample, or one drive per sample.  The samples go
-    through the same step walk and primitives as array-valued branches, ``_BATCH_BLOCK``
-    at a time, and get the fields of :func:`_coherence_record`.  Branches merge only where
-    every sample of a block is within the merge tolerance.
+    through :func:`_coherence_walk` as array-valued branches, ``_BATCH_BLOCK`` at a time, and
+    get the fields of :func:`_coherence_record`, bit for bit those of ``_walk(...)[1]``.
+    Branches merge only where every sample of a block is within the merge tolerance.
     """
     per_sample, probes = np.ndim(alpha_plus) > 0, len(drives) > 1
     n = len(alpha_plus) if per_sample else len(drives)
@@ -748,7 +762,7 @@ def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSeq
         block = slice(lo, lo + _BATCH_BLOCK)
         amplitudes = (alpha_plus[block], alpha_minus[block]) if per_sample else (alpha_plus, alpha_minus)
         state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, *amplitudes),))
-        _, coh_state, _ = _walk(state, sequence, drives[block] if probes else drives, per_sample=probes)
+        coh_state = _coherence_walk(state, sequence, drives[block] if probes else drives, probes)
         for field, value in zip(fields, _coherence_record(coh_state)):
             field[block] = value  # a scalar (a sequence that never splits the spin) fills the block
     return fields

@@ -74,14 +74,11 @@ class ResponseCurve:
         return float(self.omega[1] - self.omega[0])
 
     def to_csv(self, path) -> None:
-        # abs() of a Python complex and ** 2 of a Python float are bit-equal to
-        # numpy's scalar abs(v) ** 2; np.abs on the array is not, nor is m * m
-        mags = [abs(v) for v in self.values.tolist()]
-        try:
-            abs2 = [m ** 2 for m in mags]
-        except OverflowError:  # numpy's power reads inf past the float range
-            with np.errstate(over="ignore"):
-                abs2 = [float(np.float64(m) ** 2) for m in mags]
+        # np.hypot and np.float_power are libm's hypot and pow, which abs() of a Python
+        # complex and ** 2 of a Python float call, so the column is bit-equal to numpy's
+        # scalar abs(v) ** 2 (inf past the float range); m * m and np.power are not
+        with np.errstate(over="ignore"):
+            abs2 = np.float_power(np.hypot(self.values.real, self.values.imag), 2.0)
         columns = (self.omega, self.values.real, self.values.imag, abs2)
         Path(path).write_text(_csv_text("omega_rad_per_s,re,im,abs2", columns), newline="\n")
 

@@ -26,7 +26,10 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import ParameterError
-from .pulses import Branch, PulseSequence, SpinorCoherentState, _walk, batch_signal, preset_cp, preset_up, run_sequence
+from .pulses import (
+    Branch, PulseSequence, SpinorCoherentState, _coherence_record, _coherence_walk, batch_signal, ground_state,
+    preset_cp, preset_up,
+)
 from .signals import ForceSignal
 from .trap import NormalModes, TrapConfig
 
@@ -116,7 +119,7 @@ def _phase_functionals(config: TrapConfig, sequence: PulseSequence, drive, step:
     """
     a_plus, a_minus = np.array([0, step, 1j * step, 0, 0]), np.array([0, 0, 0, step, 1j * step])
     state = SpinorCoherentState(config, (Branch(+1, 1.0 + 0.0j, a_plus, a_minus),))
-    branches = _walk(state, sequence, (drive,))[1].branches
+    branches = _coherence_walk(state, sequence, (drive,)).branches
     ups, downs = ([b for b in branches if b.spin == s] for s in (+1, -1))
     if not ups or not downs:
         return 0j, 0j
@@ -211,16 +214,17 @@ def thermal_signal(
 ) -> ThermalReport:
     """Average the sequence signal over thermal initial conditions.
 
-    Runs the engine once over all ``count`` samples as arrays
-    (:func:`batch_signal`; deterministic for a fixed seed) and compares
-    against the analytic prediction zero-temperature signal *
-    exp(-n+|K+/2|^2 - n-|K-/2|^2) with K_pm the exact phase functionals of
-    this sequence and drive.  The analytic value treats the overlap envelope
-    as sample-independent, which is exact at revival interrogation times.
+    Runs the engine once over all ``count`` samples as arrays (:func:`batch_signal`;
+    deterministic for a fixed seed) and compares against the analytic prediction
+    zero-temperature signal * exp(-n+|K+/2|^2 - n-|K-/2|^2) with K_pm the exact phase
+    functionals of this sequence and drive.  The analytic value treats the overlap envelope
+    as sample-independent, which is exact at revival interrogation times.  Every walk here
+    stops before a trailing recombination rotation, whose result no field reads, with the
+    bits of a whole walk (:func:`~socaccel.pulses._coherence_walk`).
     """
     if count < 100:
         raise ParameterError(f"count must be >= 100 for a meaningful average, got {count}")
-    zero_t = run_sequence(config, None, sequence, drive).signal
+    zero_t = _coherence_record(_coherence_walk(ground_state(config), sequence, (drive,)))[0]
     suppression = _suppression_factors(config, sequence, drive, params).suppression
 
     alphas = sample_initial_states(params, count, seed)

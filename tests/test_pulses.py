@@ -26,6 +26,7 @@ from socaccel import (
     SpinorCoherentState,
     SumSignal,
     Tabulated,
+    ThermalParams,
     TrapConfig,
     Zero,
     apply_displacement,
@@ -42,6 +43,7 @@ from socaccel import (
     preset_cp,
     preset_up,
     run_sequence,
+    thermal_signal,
 )
 from socaccel import pulses, signals
 from socaccel.pulses import _center_from_amplitudes, _gram_sums, _merge_branches
@@ -971,6 +973,131 @@ class TestBatchSignal:
     def test_non_finite_amplitude_rejected(self):
         with pytest.raises(ParameterError):
             batch_signal(CFG, np.array([0j, complex(math.inf, 0.0)]), np.zeros(2), preset_up(R0, 1e-3))
+
+
+def assert_same_state_bits(got, want):
+    """Two states with the same bookkeeping and, branch by branch, the same bits in every field."""
+    assert (got.config, got.origin, got.time) == (want.config, want.origin, want.time)
+    assert len(got.branches) == len(want.branches)
+    for k, (a, b) in enumerate(zip(got.branches, want.branches)):
+        for name in ("spin", "weight", "alpha_plus", "alpha_minus", "phase"):
+            x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (k, name)
+
+
+class TestCoherenceWalk:
+    """The coherence walk stops before a trailing RotateY and keeps the bits of ``_walk(...)[1]``."""
+
+    T = math.pi / WT
+    TONE = Sinusoid(amplitude=(0.1, -0.2), omega=0.7 * WT, phase=0.4)
+    SPLIT = (RotateY(math.pi / 2), Displace(R0), Evolve(T))
+    SEQUENCES = {
+        "up": preset_up(R0, 2 * T),
+        "cp": preset_cp(R0, T),
+        "two trailing rotations": PulseSequence(SPLIT + (RotateY(math.pi / 3), RotateY(-math.pi / 2), Readout("z"))),
+        "ends in an evolution": PulseSequence(SPLIT + (RotateY(-math.pi / 2), Evolve(0.5 * T))),
+        "readout before the last rotation": SPLIT + (Readout("x"), RotateY(-math.pi / 2)),  # a walk takes any steps
+        "zero evolution after the last rotation": PulseSequence(SPLIT + (RotateY(-math.pi / 2), Evolve(0.0))),
+    }
+
+    @classmethod
+    def walks(cls):
+        """(initial state, drives, per_sample) of a scalar, a 2,048-sample and a per-sample probe walk."""
+        a_plus, a_minus = thermal_amplitudes(2048, seed=5)
+        probes = tuple(Sinusoid((0.0, 2e-3), w * WT, phi) for w in (0.3, 1.2, 2.9) for phi in (0.0, 1.1))
+        return {
+            "scalar": (state_at(CFG, PhaseSpacePoint(0.7 * L, -0.2 * L, 0.0, 0.0)), (cls.TONE,), False),
+            "samples": (batch_state(a_plus, a_minus), (cls.TONE,), False),
+            "probes": (ground_state(CFG), probes, True),
+        }
+
+    @pytest.mark.parametrize("walk", ["scalar", "samples", "probes"])
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_state_equals_the_whole_walks_coherence_state(self, name, walk):
+        state, drives, per_sample = self.walks()[walk]
+        sequence = self.SEQUENCES[name]
+        want = pulses._walk(state, sequence, drives, per_sample=per_sample)[1]
+        assert_same_state_bits(pulses._coherence_walk(state, sequence, drives, per_sample), want)
+
+    def test_trailing_rotation_is_not_computed(self, monkeypatch):
+        rotations = []
+        rotate = pulses._rotate
+        monkeypatch.setattr(pulses, "_rotate", lambda state, angle: rotations.append(angle) or rotate(state, angle))
+        pulses._coherence_walk(ground_state(CFG), preset_cp(R0, self.T), (self.TONE,))
+        assert rotations == [math.pi / 2, math.pi, math.pi]
+
+
+def gram_sums_reference(state):
+    """The all-pairs loop: every overlap formed, self-overlaps included."""
+    modes = state.modes
+    ups = [(b, b.amplitude) for b in state.branches if b.spin == +1]
+    downs = [(b, b.amplitude) for b in state.branches if b.spin == -1]
+
+    def overlap(b1, b2):
+        dz = modes.l_osc * (b1.alpha_plus + b1.alpha_minus.conjugate()) - modes.l_osc * (
+            b2.alpha_plus + b2.alpha_minus.conjugate())
+        return pulses._exp(-((abs(dz) / modes.l_osc) ** 2))
+
+    def block(rows, cols):
+        tot = 0.0 + 0.0j
+        for a, amp_a in rows:
+            for b, amp_b in cols:
+                tot += amp_a.conjugate() * amp_b * overlap(a, b)
+        return tot
+
+    n_up, n_down = block(ups, ups).real, block(downs, downs).real
+    return n_up, n_down, block(ups, downs), n_up + n_down
+
+
+class TestGramSums:
+    COUNTS = [(1, 1), (2, 1), (1, 3), (3, 2), (2, 2), (1, 2)]  # branches of spin up, spin down
+
+    def random_state(self, seed, n):
+        """Branches within a few l of each other; some weights and phases hold signed zeros."""
+        rng = np.random.default_rng(seed)
+        shape = () if n is None else (n,)
+
+        def field(scale, imag=None):
+            v = np.empty(shape, complex)
+            v.real = scale * rng.normal(size=shape)
+            v.imag = scale * rng.normal(size=shape) if imag is None else imag
+            return v if n else v.item()
+
+        branches = []
+        for spin, count in zip((+1, -1), self.COUNTS[seed % len(self.COUNTS)]):
+            for k in range(count):
+                weight = field(0.5, imag=-0.0 if k == 1 else None)
+                phase = 0.0 if k == 2 else field(2.0, imag=0.0).real
+                branches.append(Branch(spin, weight, field(1.5), field(1.0), phase))
+        return SpinorCoherentState(CFG, tuple(branches))
+
+    @pytest.mark.parametrize("n", [None, 2048])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_all_pairs_loop(self, seed, n):
+        state = self.random_state(seed, n)
+        for got, want in zip(_gram_sums(state), gram_sums_reference(state), strict=True):
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_overflowing_center_is_parameter_error(self, n):
+        """alpha_+ = alpha_- = 1e308: a finite branch whose center overflows, so its self-overlap is NaN."""
+        big = 1e308 + 0j if n is None else np.full(n, 1e308 + 0j)
+        state = SpinorCoherentState(CFG, (Branch(+1, 1.0 + 0j, big, big),))
+        with pytest.raises(ParameterError, match="^state has zero norm$"):
+            run_sequence(CFG, state, PulseSequence((Evolve(1e-3),)), None)
+
+    @pytest.mark.parametrize("r0", [1e200, 1e300])
+    def test_centers_too_far_apart_is_parameter_error(self, r0):
+        """Branches whose separation over l squares past the float range: a ParameterError, not an OverflowError.
+
+        At r0 = 1e300 m the whole walk fails first at its recombination rotation, which the
+        coherence walk of ``thermal_signal`` does not compute; the overlap then fails."""
+        sequence, drive = preset_up((r0, 0.0), 4 * math.pi / WT), circular(0.68, 1.5 * WT, -1)
+        with pytest.raises(ParameterError):
+            run_sequence(CFG, None, sequence, drive)
+        with pytest.raises(ParameterError, match="^branch centers lie too far apart for their orbital overlap$"):
+            thermal_signal(CFG, sequence, drive, ThermalParams(1.0, 1.0), 100, 0)
 
 
 class TestPresets:
