@@ -501,10 +501,10 @@ def _evolve(state: SpinorCoherentState, per_sigma, duration: float, mode: str) -
 def _gram_sums(state: SpinorCoherentState):
     """(up-block norm, down-block norm, up-down cross sum, total norm) with orbital overlaps.
 
-    Each center is formed once.  A self-overlap, exp(-0.0) = 1.0, is not formed: the term
-    it would multiply keeps its bits up to the sign of a zero, which a sum from +0 drops.  A
-    center that is not finite (a NaN self-overlap), a norm below 1e-300, for any sample, or a
-    scalar |zeta_a - zeta_b| / l whose square overflows raises :class:`ParameterError`.
+    Each center is formed once.  A self term is multiplied by 1.0, which its overlap exp(-0.0)
+    is for a finite center, so NaNs and signed zeros keep their bits.  A center that is not
+    finite (a NaN self-overlap), a norm below 1e-300 or NaN, for any sample, or a scalar
+    |zeta_a - zeta_b| / l whose square overflows raises :class:`ParameterError`.
     """
     l = state.modes.l_osc
     with np.errstate(over="ignore", invalid="ignore"):  # a center that is not finite raises below
@@ -518,7 +518,7 @@ def _gram_sums(state: SpinorCoherentState):
         for i, amp_a, zeta_a in rows:
             for j, amp_b, zeta_b in cols:
                 term = amp_a.conjugate() * amp_b
-                tot += term if i == j else term * _exp(-((abs(zeta_a - zeta_b) / l) ** 2))
+                tot += term * (1.0 if i == j else _exp(-((abs(zeta_a - zeta_b) / l) ** 2)))
         return tot
 
     try:
@@ -625,51 +625,46 @@ def _window_coeffs(state: SpinorCoherentState, sequence: PulseSequence, drives: 
     return found
 
 
-def _walk(state: SpinorCoherentState, sequence: PulseSequence, drives: tuple, trace=None, per_sample=False):
-    """Apply the steps of ``sequence`` in order.
+def _walk(state: SpinorCoherentState, sequence, drives: tuple, trace=None, per_sample=False):
+    """Apply the steps of ``sequence`` in order; return (final state, readout axis or None).
 
     ``drives`` holds the sequence drive (a drive or None), or N drives, one per sample of
-    an array branch; ``per_sample`` says that one drive is a block of one sample's.  Returns
-    (final state, coherence state, readout axis or None).  The coherence state is the one
-    just before the final recombination rotation when the sequence ends with one, else the
-    final state; <sigma_y> is invariant under RotateY, so the signal is the same either way
-    (:func:`_coherence_walk` gives it without that rotation).  When ``trace`` is a list, one
-    (step name, time, branches) entry is appended per step.
+    an array branch; ``per_sample`` says that one drive is a block of one sample's.  When
+    ``trace`` is a list, one (step name, time, branches) entry is appended per step.
     """
     coeffs = iter(_window_coeffs(state, sequence, drives, per_sample or len(drives) > 1))
-    pre_rotation = None  # state just before the most recent RotateY
     axis = None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite branch field raises ParameterError
         for step in sequence:
             if isinstance(step, RotateY):
-                pre_rotation = state
                 state = _rotate(state, step.angle)
             elif isinstance(step, Displace):
                 state = _displace(state, step.shift)
-                pre_rotation = None
             elif isinstance(step, Evolve):
                 if step.duration > 0.0:
                     state = _evolve(state, next(coeffs), step.duration, step.mode)
-                pre_rotation = None
             elif isinstance(step, Readout):
                 axis = step.axis
             else:
                 raise ParameterError(f"unknown pulse primitive {step!r}")
             if trace is not None:
                 trace.append((type(step).__name__, state.time, state.branches))
-    return state, (pre_rotation if pre_rotation is not None else state), axis
+    return state, axis
 
 
-def _coherence_walk(state: SpinorCoherentState, sequence, drives: tuple, per_sample=False) -> SpinorCoherentState:
-    """The coherence state ``_walk(...)[1]``, without computing the recombination rotation.
-
-    When the last step other than Readout is a RotateY, only the steps before it are walked:
-    the same operations on the same windows as in ``_walk``, which drops that rotation's result.
-    """
+def _recombination(sequence) -> tuple[tuple, tuple]:
+    """(steps before the recombination rotation, the rest): the last step other than Readout,
+    when it is a RotateY.  The head's final state is the coherence state; <sigma_y> is
+    invariant under RotateY, so the signal is the same either way."""
     steps = tuple(sequence)
     ops = [i for i, step in enumerate(steps) if not isinstance(step, Readout)]
     end = ops[-1] if ops and isinstance(steps[ops[-1]], RotateY) else len(steps)
-    return _walk(state, steps[:end], drives, per_sample=per_sample)[0]
+    return steps[:end], steps[end:]
+
+
+def _coherence_walk(state: SpinorCoherentState, sequence, drives: tuple, per_sample=False) -> SpinorCoherentState:
+    """The coherence state of ``sequence``: a walk of the steps before its recombination rotation."""
+    return _walk(state, _recombination(sequence)[0], drives, per_sample=per_sample)[0]
 
 
 def run_sequence(
@@ -704,7 +699,10 @@ def run_sequence(
         raise ParameterError(f"unsupported initial state {initial!r}")
 
     trace = [("init", state.time, state.branches)]
-    state, coh_state, axis = _walk(state, sequence, (drive,), trace)
+    head, tail = _recombination(sequence)
+    coh_state, axis = _walk(state, head, (drive,), trace)
+    state, tail_axis = _walk(coh_state, tail, (drive,), trace)  # a tail has no Evolve window
+    axis = axis if tail_axis is None else tail_axis
     signal, coherence, phase = _coherence_record(coh_state)
 
     expectations, norm = _expectations(state)
@@ -752,7 +750,7 @@ def _sample_walk(config: TrapConfig, alpha_plus, alpha_minus, sequence: PulseSeq
     alpha_minus[i]), or with the scalar amplitudes that every sample shares; ``drives``
     holds one drive (or None) for every sample, or one drive per sample.  The samples go
     through :func:`_coherence_walk` as array-valued branches, ``_BATCH_BLOCK`` at a time, and
-    get the fields of :func:`_coherence_record`, bit for bit those of ``_walk(...)[1]``.
+    get the fields of :func:`_coherence_record`, bit for bit those of a whole walk.
     Branches merge only where every sample of a block is within the merge tolerance.
     """
     per_sample, probes = np.ndim(alpha_plus) > 0, len(drives) > 1

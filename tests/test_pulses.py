@@ -3,7 +3,7 @@ import math
 import sys
 import warnings
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -578,7 +578,7 @@ class TestSegmentFill:
         monkeypatch.setattr(pulses, "_piece_integrals", lambda *args: calls.append(args) or kernel(*args))
         sequence = preset_cp(R0, self.T)
         drives = tuple(Sinusoid((0.0, 2e-3), w * WT, phi) for w in (0.3, 1.2, 2.9) for phi in (0.0, 1.1))
-        _, coh_state, _ = pulses._walk(ground_state(CFG), sequence, drives)
+        coh_state = pulses._coherence_walk(ground_state(CFG), sequence, drives)
         phases = pulses._coherence_record(coh_state)[2]
         assert len(calls) == 1 and phases.shape == (len(drives),)
         for drive, phase in zip(drives, phases):
@@ -985,8 +985,23 @@ def assert_same_state_bits(got, want):
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), (k, name)
 
 
+def coherence_reference(state, sequence, drives, per_sample=False):
+    """(coherence state, whole walk) read off a whole walk's trace: the state just before the
+    most recent RotateY when no Displace or Evolve follows that rotation, else the final state."""
+    trace = [("init", state.time, state.branches)]
+    final, axis = pulses._walk(state, sequence, drives, trace, per_sample)
+    before = None
+    for k, step in enumerate(sequence):
+        if isinstance(step, RotateY):
+            before = trace[k]
+        elif not isinstance(step, Readout):
+            before = None
+    coherence = final if before is None else replace(final, time=before[1], branches=before[2])
+    return coherence, (final, axis, trace)
+
+
 class TestCoherenceWalk:
-    """The coherence walk stops before a trailing RotateY and keeps the bits of ``_walk(...)[1]``."""
+    """The coherence walk stops before a trailing RotateY and keeps the bits of a whole walk."""
 
     T = math.pi / WT
     TONE = Sinusoid(amplitude=(0.1, -0.2), omega=0.7 * WT, phase=0.4)
@@ -1016,8 +1031,19 @@ class TestCoherenceWalk:
     def test_state_equals_the_whole_walks_coherence_state(self, name, walk):
         state, drives, per_sample = self.walks()[walk]
         sequence = self.SEQUENCES[name]
-        want = pulses._walk(state, sequence, drives, per_sample=per_sample)[1]
+        want = coherence_reference(state, sequence, drives, per_sample)[0]
         assert_same_state_bits(pulses._coherence_walk(state, sequence, drives, per_sample), want)
+
+    @pytest.mark.parametrize("name", list(SEQUENCES))
+    def test_run_sequence_keeps_the_whole_walk(self, name):
+        """Its coherence fields come from the coherence state; its state, trace and axis from the whole walk."""
+        state, drives, _ = self.walks()["scalar"]
+        want, (final, axis, trace) = coherence_reference(state, self.SEQUENCES[name], drives)
+        record = run_sequence(CFG, state, self.SEQUENCES[name], self.TONE)
+        got = np.array([record.signal, record.coherence, record.phase])
+        assert got.tobytes() == np.array(pulses._coherence_record(want)).tobytes()
+        assert_same_state_bits(record.state, final)
+        assert (record.axis, repr(record.trace)) == (axis, repr(tuple(trace)))
 
     def test_trailing_rotation_is_not_computed(self, monkeypatch):
         rotations = []
@@ -1086,6 +1112,17 @@ class TestGramSums:
         state = SpinorCoherentState(CFG, (Branch(+1, 1.0 + 0j, big, big),))
         with pytest.raises(ParameterError, match="^state has zero norm$"):
             run_sequence(CFG, state, PulseSequence((Evolve(1e-3),)), None)
+
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_overflowing_self_product_is_parameter_error(self, n):
+        """Weight 1e155 (1 + i): conj(a) a is inf + nan i, and times the self-overlap 1.0 its real part is NaN."""
+        weight = 1e155 * (1 + 1j) if n is None else np.full(n, 1e155 * (1 + 1j))
+        state = SpinorCoherentState(CFG, (Branch(+1, weight, 0.1 + 0j, 0.2j),))
+        with np.errstate(over="ignore", invalid="ignore"):  # the array product warns as it overflows
+            with pytest.raises(ParameterError, match="^state has zero norm$"):
+                _gram_sums(state)
+            with pytest.raises(ParameterError, match="^state has zero norm$"):
+                run_sequence(CFG, state, PulseSequence((Evolve(1e-3),)), None)
 
     @pytest.mark.parametrize("r0", [1e200, 1e300])
     def test_centers_too_far_apart_is_parameter_error(self, r0):
