@@ -82,6 +82,8 @@ _SIGNAL_SIGN = -1.0
 
 _MERGE_TOL = 1e-12
 _PRUNE_TOL = 1e-15
+# |Re|, |Im| of a branch center, in units of l, past which _gram_sums raises: squared separations stay finite
+_CENTER_MAX = 2.0**510
 
 # samples (initial states or probe drives) per engine pass; bounds the size of the
 # batch temporaries
@@ -91,6 +93,13 @@ _BATCH_BLOCK = 2048
 def _every(cond) -> bool:
     """A scalar condition, or an array condition that holds for every sample."""
     return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _within(z, bound: float) -> bool:
+    """|Re z| and |Im z| <= bound for a complex scalar, or for every sample of an array; False for NaN."""
+    if isinstance(z, np.ndarray):
+        return bool(z.view(float).max(initial=0.0) <= bound and z.view(float).min(initial=0.0) >= -bound)
+    return abs(z.real) <= bound and abs(z.imag) <= bound
 
 
 def _exp(x):
@@ -503,14 +512,16 @@ def _gram_sums(state: SpinorCoherentState):
 
     Each center is formed once.  A self term is multiplied by 1.0, which its overlap exp(-0.0)
     is for a finite center, so NaNs and signed zeros keep their bits.  A center that is not
-    finite (a NaN self-overlap), a norm below 1e-300 or NaN, for any sample, or a scalar
-    |zeta_a - zeta_b| / l whose square overflows raises :class:`ParameterError`.
+    finite (a NaN self-overlap), a center past _CENTER_MAX l, or a norm below 1e-300 or NaN, for
+    any sample, raises :class:`ParameterError`, scalar and array branches alike.
     """
     l = state.modes.l_osc
-    with np.errstate(over="ignore", invalid="ignore"):  # a center that is not finite raises below
+    with np.errstate(over="ignore", invalid="ignore"):  # a center that is not finite or too far out raises below
         parts = [(b.spin, b.amplitude, l * (b.alpha_plus + b.alpha_minus.conjugate())) for b in state.branches]
-    if not all(_every(np.isfinite(zeta)) for _, _, zeta in parts):
-        raise ParameterError("state has zero norm")
+    if not all(_within(zeta, _CENTER_MAX * l) for _, _, zeta in parts):
+        if not all(_every(np.isfinite(zeta)) for _, _, zeta in parts):
+            raise ParameterError("state has zero norm")
+        raise ParameterError("branch centers lie too far apart for their orbital overlap")
     ups, downs = ([(i, amp, zeta) for i, (spin, amp, zeta) in enumerate(parts) if spin == s] for s in (+1, -1))
 
     def block(rows, cols):
@@ -521,14 +532,11 @@ def _gram_sums(state: SpinorCoherentState):
                 tot += term * (1.0 if i == j else _exp(-((abs(zeta_a - zeta_b) / l) ** 2)))
         return tot
 
-    try:
-        n_up, n_down = block(ups, ups).real, block(downs, downs).real
-        norm = n_up + n_down
-        if not _every(norm >= 1e-300):
-            raise ParameterError("state has zero norm")
-        return n_up, n_down, block(ups, downs), norm
-    except OverflowError:  # Python's float power and complex abs raise past the float range
-        raise ParameterError("branch centers lie too far apart for their orbital overlap") from None
+    n_up, n_down = block(ups, ups).real, block(downs, downs).real
+    norm = n_up + n_down
+    if not _every(norm >= 1e-300):
+        raise ParameterError("state has zero norm")
+    return n_up, n_down, block(ups, downs), norm
 
 
 def _expectations(state: SpinorCoherentState):

@@ -57,14 +57,14 @@ class ResponseCurve:
         values = np.asarray(self.values, dtype=complex)
         if omega.ndim != 1 or omega.shape[0] < 2 or values.shape != omega.shape:
             raise ParameterError("curve needs matching 1-D grids of length >= 2")
-        d = np.diff(omega)
-        if not np.all(d > 0):
+        d = omega[1:] - omega[:-1]  # np.diff(omega)
+        if not (d > 0).all():
             raise ParameterError("omega grid must be strictly increasing")
         d0 = float(d[0])
         tol = 1e-12 * d0 + 1e-9 * d0 if d0 < math.inf else -1.0  # an infinite d0 is close to inf only
-        if not np.all((np.abs(d - d0) <= tol) | (d == d0)):  # np.allclose(d, d0, rtol=1e-9, atol=1e-12 * d0)
+        if not ((np.abs(d - d0) <= tol) | (d == d0)).all():  # np.allclose(d, d0, rtol=1e-9, atol=1e-12 * d0)
             raise ParameterError("omega grid must be uniform")
-        if not np.all(np.isfinite(values.view(float))):
+        if not np.isfinite(values.view(float)).all():
             raise ParameterError("curve values must be finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "values", values)
@@ -276,18 +276,23 @@ def response_up(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
     return ResponseCurve(omega=w, values=vals, kind="up", r0=r0_mag, t=t, modes=modes)
 
 
-def _up_values(modes: NormalModes, r0, t: float, grid):
-    """(|r0|, grid, F0 values) of :func:`response_up`, the grid not yet validated."""
-    if not t > 0:
+def _up_values(modes: NormalModes, r0, t, grid):
+    """(|r0|, grid, F0 values) of :func:`response_up`, the grid not yet validated; ``t`` may also
+    be one segment time per grid point, for curves laid end to end in one grid."""
+    scalar = np.ndim(t) == 0
+    t_min, t_max = (t, t) if scalar else (t.min(), t.max())
+    if not t_min > 0:
         raise ParameterError(f"t must be > 0, got {t}")
     r0_mag = _r0_magnitude(r0)
     w = _grid_or_default(modes, grid)
     wp, wm, wt = modes.omega_plus, modes.omega_minus, modes.omega_tilde
-    w_max = float(np.max(np.abs(w), initial=0.0)) + wp  # the largest |omega| of a window term
-    if math.isfinite(w_max) and not math.isfinite(w_max * t):
-        raise ParameterError(f"t = {t:.3e} s overflows omega * t on a grid up to {w_max:.3e} rad/s")
+    w_max = float(np.abs(w).max(initial=0.0)) + wp  # the largest |omega| of a window term
+    if math.isfinite(w_max) and not math.isfinite(w_max * t_max):
+        raise ParameterError(f"t = {t_max:.3e} s overflows omega * t on a grid up to {w_max:.3e} rad/s")
     m_over_hbar = 1.0 / (wt * modes.l_osc**2)
-    pref = 1j * m_over_hbar * r0_mag * t / wt
+    # a float t: Python's complex chain (nan or inf as it overflows); an array t: its finite values, which
+    # 1j * (real chain) gives bit for bit and numpy's complex division by wt does not
+    pref = 1j * m_over_hbar * r0_mag * t / wt if scalar else 1j * (m_over_hbar * r0_mag * t / wt)
     vals = pref * (
         wm * _f_window(w + wp, t)
         - wm * _f_window(w - wp, t)
@@ -309,8 +314,8 @@ def response_cp(modes: NormalModes, r0, t: float, grid=None) -> ResponseCurve:
     return ResponseCurve(omega=w, values=_cp_values(w, t, f0), kind="cp", r0=r0_mag, t=t, modes=modes)
 
 
-def _cp_values(w, t: float, f0):
-    """Echo values of :func:`response_cp` on grid ``w`` from the up values ``f0`` there."""
+def _cp_values(w, t, f0):
+    """Echo values of :func:`response_cp` on grid ``w`` from the up values ``f0`` there (``t`` as in _up_values)."""
     wt = w * t
     return 2j * np.sin(wt) * (2.0 * (f0 * np.exp(1j * wt)).real) * np.exp(-2j * wt)
 

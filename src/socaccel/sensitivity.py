@@ -6,10 +6,10 @@ the two-body collision budget, the shot-noise sensitivity
     S = (2 pi hbar / (m r_0)) * sqrt(1 / (N tau)),    N = N_a * n_layers,
 
 the signal ceiling g_max, the optimal trap frequency, and the measurement
-bandwidth.  All but the bandwidth is closed-form algebra, the optimal trap
-frequency included (the positive root of a cubic).  The bandwidth is the
-linearly interpolated main-lobe FWHM of |F_cp|^2 on a 1,024-point grid over
-[0, 16 pi / t]; _cp_fwhm evaluates only the points a bound cannot rule out.
+bandwidth.  All but the bandwidth is closed-form algebra, the optimal trap frequency included
+(the positive root of a cubic).  The bandwidth is the linearly interpolated main-lobe FWHM of
+|F_cp|^2 on a 1,024-point grid over [0, 16 pi / t]; _cp_fwhm evaluates only the points a bound
+cannot rule out, and a sweep the 160-point heads of all its distinct curves as one array.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .constants import HBAR, K_B
 from .errors import BracketingError, InfeasibleGeometryError, ParameterError, ResolutionError
-from .response import main_lobe_fwhm, response_cp
+from .response import ResponseCurve, _cp_values, _up_values, main_lobe_fwhm, response_cp
 from .thermal import ThermalParams
 from .trap import NormalModes, TrapConfig, derive_modes
 
@@ -226,12 +226,33 @@ def _cp_tail_bound(modes: NormalModes, r_0: float, t: float, w: float) -> float:
     return 16.0 * scale * (dh + ddh) / (w * w) + 2.0**-36 * scale * t
 
 
-def _cp_fwhm(modes: NormalModes, r_0: float, t: float) -> float:
+def _cp_heads(modes: NormalModes, r_0: float, ts) -> list[dict]:
+    """ResponseCurve fields, all but t, of the _HEAD-point head of _cp_fwhm's grid at each t of ``ts``: rows
+    of one C-contiguous (K, _HEAD) evaluation; all {} when a grid overflows or the evaluation raises or
+    would warn, so those curves take the whole grid, which raises or warns as one curve."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            w_hi = 8.0 * (2.0 * math.pi / np.array(ts))  # _cp_fwhm's grid ends, an overflow raising
+            if len(ts) > 1:  # the heads end to end, one t per point: flat operands take numpy's fast loops,
+                t, stop = np.repeat(ts, _HEAD), w_hi  # where (K, _HEAD) rows and a (K, 1) column of t do not
+            else:  # a lone curve as response_cp evaluates it, with its float t
+                t, stop = ts[0], w_hi[0]
+            grid = np.linspace(0.0, stop, 1024)[:_HEAD].T.ravel()  # row k: np.linspace(0.0, w_hi[k], 1024)[:_HEAD]
+            r0_mag, w, f0 = _up_values(modes, r_0, t, grid)
+            values = _cp_values(w, t, f0)
+    except (ParameterError, FloatingPointError):
+        return [{}] * len(ts)
+    rows = zip(w.reshape(-1, _HEAD), values.reshape(-1, _HEAD))
+    return [dict(omega=omega, values=row, kind="cp", r0=r0_mag, modes=modes) for omega, row in rows]
+
+
+def _cp_fwhm(modes: NormalModes, r_0: float, t: float, head=None) -> float:
     """FWHM of the echo-response main lobe at interrogation segment t <= pi / omega_tilde.
 
     The grid spans eight probe frequencies 2 pi / t >= 2 omega_tilde, so it
     also covers both modes (omega_plus < 2 omega_tilde).  Only its first
-    _HEAD points are evaluated when a bound puts the rest below half the peak.
+    _HEAD points are read when a bound puts the rest below half the peak: ``head``, t's
+    row of _cp_heads, else t's head evaluated here as a batch of one.
 
     Bound: with h = h_perp, h(0) = h'(0) = 0, |F_cp| = 4 |sin(omega t) R| and
     R = Re(F0 e^{i omega t}) = 4 r_0 (m/hbar) int_0^t h(s) cos(omega (t - s)) ds.  Two
@@ -241,26 +262,27 @@ def _cp_fwhm(modes: NormalModes, r_0: float, t: float) -> float:
     int_0^t |h''| <= w- w+ min((w+^2 - w-^2) t^2 / (4 omega_tilde), t).  Rounding, where the
     window terms of F0 cancel, adds E = 2^-36 (m/hbar) r_0 t: room for a few thousand ulp.
 
-    Threshold: if C / w_159^2 + E <= max |F_cp| / 2 over the head, |F_cp|^2 lies below half its
-    peak at every later point, so the head holds the argmax and both crossings, and its
-    main_lobe_fwhm is the whole grid's bit for bit (no SIMD remainder loop runs on either
-    length).  Otherwise (a zero or non-finite peak, a head that raises) the whole grid is evaluated.
+    Threshold: if C / w_159^2 + E <= max |F_cp| / 2 over the head, |F_cp|^2 lies below half its peak
+    at every later point, so the head holds the argmax and both crossings, and its main_lobe_fwhm is
+    the whole grid's bit for bit (no SIMD remainder loop runs on either length).  Otherwise (an empty
+    head, a zero or non-finite peak, a head that raises) the whole grid is evaluated.
     """
-    probe = 2.0 * math.pi / t
-    w_hi = 8.0 * probe
+    if head is None:
+        (head,) = _cp_heads(modes, r_0, [t])
+    if head:
+        try:
+            curve = ResponseCurve(**head, t=t)
+            peak = float(np.abs(curve.values).max())
+            tail = _cp_tail_bound(modes, r_0, t, float(curve.omega[-1]))
+            if 0.0 < peak < math.inf and tail <= peak / 2.0:
+                return main_lobe_fwhm(curve)
+        except (ParameterError, ResolutionError):
+            pass  # the whole grid gives the same error, or one its checks reach first
+    w_hi = 8.0 * (2.0 * math.pi / t)
     if not math.isfinite(w_hi):
         raise ParameterError(f"segment time {t:.3e} s is too short: its response grid overflows")
-    grid = np.linspace(0.0, w_hi, 1024)
     try:
-        head = response_cp(modes, r_0, t, grid=grid[:_HEAD])
-        peak = float(np.max(np.abs(head.values)))
-        tail = _cp_tail_bound(modes, r_0, t, float(grid[_HEAD - 1]))
-        if 0.0 < peak < math.inf and tail <= peak / 2.0:
-            return main_lobe_fwhm(head)
-    except (ParameterError, ResolutionError):
-        pass  # the whole grid gives the same error, or one its checks reach first
-    try:
-        return main_lobe_fwhm(response_cp(modes, r_0, t, grid=grid))
+        return main_lobe_fwhm(response_cp(modes, r_0, t, grid=np.linspace(0.0, w_hi, 1024)))
     except ParameterError as exc:
         raise ParameterError(f"bandwidth curve at r_0 = {r_0:.3e} m, segment t = {t:.3e} s: {exc}")
 
@@ -278,39 +300,44 @@ def sensitivity(species: SpeciesParams, apparatus: ApparatusParams) -> Sensitivi
 
 
 def _sensitivity_reports(species: SpeciesParams, apparatuses) -> list[SensitivityReport]:
-    """``sensitivity`` of each apparatus, in order, with one bandwidth curve per
-    distinct (modes, r_0, t) among them: an atom-number sweep below the
-    collision limit repeats t = pi/omega_tilde."""
-    bandwidths = {}
-    reports = []
+    """``sensitivity`` of each apparatus, in order, with one bandwidth curve per distinct (modes, r_0, t)
+    among them (a sweep below the collision limit repeats t = pi/omega_tilde), the heads of each
+    (modes, r_0) as one array (_cp_heads), and the trap of each (omega_tilde, epsilon, temperature)
+    derived once.  Every geometry is taken before any curve, yet the first apparatus that fails raises."""
+    points, groups, traps, failure = [], {}, {}, None
     for apparatus in apparatuses:
-        geometry = thermal_geometry(species, apparatus)
-        budget = collision_budget(species, apparatus, geometry)
-        n_total = apparatus.atoms_per_layer * geometry.n_layers
-        s_val = _shot_noise(species, geometry.r_0, n_total, budget.tau)
+        try:
+            geometry = thermal_geometry(species, apparatus)
+            budget = collision_budget(species, apparatus, geometry)
+            n_total = apparatus.atoms_per_layer * geometry.n_layers
+            s_val = _shot_noise(species, geometry.r_0, n_total, budget.tau)
 
-        config = TrapConfig.from_modes(species.mass, apparatus.omega_tilde, apparatus.epsilon)
-        modes = derive_modes(config)
-        thermal = ThermalParams.from_temperature(modes, apparatus.temperature)
-        g_max = signal_ceiling(config, modes, thermal, geometry.r_0, budget.tau)
-
+            trap = (apparatus.omega_tilde, apparatus.epsilon, apparatus.temperature)
+            if trap not in traps:  # a trap that was derived for an earlier apparatus raises nothing
+                config = TrapConfig.from_modes(species.mass, apparatus.omega_tilde, apparatus.epsilon)
+                modes = derive_modes(config)
+                traps[trap] = config, modes, ThermalParams.from_temperature(modes, apparatus.temperature)
+            config, modes, thermal = traps[trap]
+            g_max = signal_ceiling(config, modes, thermal, geometry.r_0, budget.tau)
+        except Exception as exc:  # raised once the curves of the apparatuses before it are read
+            failure = exc
+            break
         t_eff = min(math.pi / apparatus.omega_tilde, budget.tau / 4.0)
-        bandwidth = math.inf
-        if t_eff > 0:
-            key = (modes, geometry.r_0, t_eff)
-            if key not in bandwidths:
-                bandwidths[key] = _cp_fwhm(modes, geometry.r_0, t_eff)
-            bandwidth = bandwidths[key]
-        reports.append(
-            SensitivityReport(
-                **geometry._asdict(),
-                **budget._asdict(),
-                g_max=g_max,
-                S=s_val,
-                omega_opt=2.0 * geometry.v_mean / apparatus.homogeneity_radius,
-                bandwidth=bandwidth,
-            )
-        )
+        key = (modes, geometry.r_0, t_eff) if t_eff > 0 else None
+        if key is not None:
+            groups.setdefault(key[:2], {})[t_eff] = None  # the distinct t, in order
+        omega_opt = 2.0 * geometry.v_mean / apparatus.homogeneity_radius
+        points.append((dict(**geometry._asdict(), **budget._asdict(), g_max=g_max, S=s_val, omega_opt=omega_opt), key))
+    for (modes, r_0), heads in groups.items():  # each distinct t of the group: its head
+        heads.update(zip(heads, _cp_heads(modes, r_0, list(heads))))
+    bandwidths = {None: math.inf}
+    reports = []
+    for fields, key in points:
+        if key not in bandwidths:
+            bandwidths[key] = _cp_fwhm(*key, groups[key[:2]][key[2]])
+        reports.append(SensitivityReport(**fields, bandwidth=bandwidths[key]))
+    if failure is not None:
+        raise failure
     return reports
 
 

@@ -285,6 +285,21 @@ class TestThermal:
         assert payload["suppression"] == 1.0
         assert abs(payload["mc_mean"] - payload["analytic"]) < 1e-13
 
+    @pytest.mark.parametrize("kind", ["up", "cp"])
+    @pytest.mark.parametrize("r0", [1e200, 1e250, 1e300])
+    def test_absurd_shift_exits_2_naming_its_cause(self, tmp_path, capsys, kind, r0):
+        """The MC samples (array branches) and the zero-temperature walk (scalar ones) meet
+        the same center bound; a cp shift of 1e250 m used to exit 0 with MC mean 0 and a warning."""
+        cfg = readme_config()
+        cfg["sequence"].update(kind=kind, r0=[r0, 0.0])
+        if kind == "cp":
+            cfg["sequence"]["t"] = cfg["trajectory"]["t"]  # pi / omega_tilde, an echo at velocity zero
+        assert run("thermal", write_config(tmp_path, cfg), tmp_path / "out") == 2
+        cause = "Branch.alpha_plus is not finite" if (kind, r0) == ("cp", 1e300) else (
+            "branch centers lie too far apart for their orbital overlap")
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSensitivity:
     def test_report_and_sweeps(self, tmp_path):

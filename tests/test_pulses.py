@@ -1124,6 +1124,25 @@ class TestGramSums:
             with pytest.raises(ParameterError, match="^state has zero norm$"):
                 run_sequence(CFG, state, PulseSequence((Evolve(1e-3),)), None)
 
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_centers_up_to_the_bound_agree_and_past_it_raise(self, n):
+        """Two up branches at +-x l: up to x = 2^510 scalar and array sums agree without a warning
+        (their overlap is exp(-2^1022) = 0); past it both raise, where the array's squared
+        separation used to overflow with a RuntimeWarning to an overlap of 0."""
+        def state(x):
+            field = (lambda v: v) if n is None else (lambda v: np.full(n, v))
+            return SpinorCoherentState(CFG, (
+                Branch(+1, field(0.6 + 0j), field(x + 0j), field(0j)),
+                Branch(+1, field(0.8j), field(-x + 0j), field(0j)),
+            ))
+
+        sums = _gram_sums(state(2.0**509))
+        assert [np.asarray(v).tolist() for v in sums] == [1.0, 0.0, 0j, 1.0] if n is None else [
+            [1.0] * n, [0.0] * n, [0j] * n, [1.0] * n]
+        for x in (2.0**511, 1e250):
+            with pytest.raises(ParameterError, match="^branch centers lie too far apart for their orbital overlap$"):
+                _gram_sums(state(x))
+
     @pytest.mark.parametrize("r0", [1e200, 1e300])
     def test_centers_too_far_apart_is_parameter_error(self, r0):
         """Branches whose separation over l squares past the float range: a ParameterError, not an OverflowError.

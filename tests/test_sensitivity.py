@@ -224,9 +224,68 @@ class TestSensitivity:
         }
 
 
+def _outcome(reports):
+    """repr of the reports that ``reports()`` returns (bit for bit, signed zeros included), or the
+    type and message of the error it raises."""
+    try:
+        return repr(reports())
+    except (ParameterError, InfeasibleGeometryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _drawn_sweeps(count, seed):
+    """Lists of 1-30 apparatuses over 1-3 (omega_tilde, epsilon, homogeneity_radius) groups, with
+    atom numbers up to 1e12, so collision-limited windows short enough to take the whole grid,
+    splittings next to epsilon = 1, which take it too, repeated points, and in every fourth list
+    one point that raises in its curve or before it."""
+    rng = np.random.default_rng(seed)
+    raising = [
+        {"homogeneity_radius": 1e290},  # curve values must be finite
+        {"temperature": 1e-300},  # curve is identically zero
+        {"atoms_per_layer": 1e308},  # segment time too short
+        {"temperature": 1e-3},  # the cloud does not fit
+        {"omega_tilde": 1e308},  # thermal radius underflows
+    ]
+    sweeps = []
+    for i in range(count):
+        bases = [
+            ApparatusParams(
+                temperature=rng.uniform(0.2e-6, 2e-6), layer_spacing=1e-6, atoms_per_layer=1.0,
+                homogeneity_radius=rng.uniform(15e-6, 50e-6), omega_tilde=2 * math.pi * 10.0 ** rng.uniform(2.8, 4.0),
+                epsilon=1.0 + 1e-9 if rng.uniform() < 0.1 else 10.0 ** rng.uniform(0.0, 2.0),
+            )
+            for _ in range(rng.integers(1, 4))
+        ]
+        atoms = 10.0 ** rng.uniform(0.0, 12.0, size=rng.integers(1, 31))
+        atoms[rng.uniform(size=atoms.size) < 0.2] = atoms[0]
+        sweep = [dataclasses.replace(bases[rng.integers(len(bases))], atoms_per_layer=n) for n in atoms]
+        if i % 4 == 3:
+            k = rng.integers(len(sweep))
+            sweep[k] = dataclasses.replace(sweep[k], **raising[rng.integers(len(raising))])
+        sweeps.append(sweep)
+    return sweeps
+
+
 class TestSweepBatch:
     # the README config: its apparatus is AP, its sweep 25 points over 100..1e6 atoms
     SWEEP = [AP] + [with_atoms(n) for n in np.geomspace(100.0, 1e6, 25)]
+
+    def test_drawn_sweeps_equal_one_call_per_point(self, monkeypatch):
+        """_sensitivity_reports of a list equals sensitivity() of each point in order, bit for bit,
+        or raises the error of the first point that raises."""
+        whole, response = [], sensitivity_module.response_cp
+        monkeypatch.setattr(
+            sensitivity_module, "response_cp", lambda *a, grid: whole.append(a) or response(*a, grid=grid)
+        )
+        sweeps = _drawn_sweeps(200, 35)
+        batched = [_outcome(lambda: _sensitivity_reports(RB87, sweep)) for sweep in sweeps]
+        whole_in_batches = len(whole)
+        assert batched == [_outcome(lambda: [sensitivity(RB87, ap) for ap in sweep]) for sweep in sweeps]
+        assert {len(sweep) for sweep in sweeps} >= {1, 30}
+        assert 30 < sum(len({(ap.omega_tilde, ap.epsilon) for ap in sweep}) > 1 for sweep in sweeps)
+        assert whole_in_batches > 100  # curves that take the whole grid
+        assert len({b.split(":")[0] for b in batched if not b.startswith("[")}) == 2  # both error types
+        assert 35 < sum(not b.startswith("[") for b in batched) < 60
 
     def test_reports_equal_one_call_per_point(self):
         reports = _sensitivity_reports(RB87, self.SWEEP)
@@ -236,17 +295,32 @@ class TestSweepBatch:
 
     def test_one_curve_per_distinct_segment_time(self, monkeypatch):
         calls = []
-        real = sensitivity_module.response_cp
+        real = sensitivity_module._cp_heads
 
-        def counting(modes, r0, t, grid=None):
-            calls.append(t)
-            return real(modes, r0, t, grid=grid)
+        def counting(modes, r0, ts):
+            heads = real(modes, r0, ts)
+            calls.append((list(ts), [head["values"].size for head in heads]))
+            return heads
 
-        monkeypatch.setattr(sensitivity_module, "response_cp", counting)
+        monkeypatch.setattr(sensitivity_module, "_cp_heads", counting)
+        monkeypatch.setattr(sensitivity_module, "response_cp", None)  # no curve takes the whole grid
         reports = _sensitivity_reports(RB87, self.SWEEP)
         t_eff = [min(math.pi / AP.omega_tilde, rep.tau / 4.0) for rep in reports]
         assert len(set(t_eff)) == 14
-        assert sorted(calls) == sorted(set(t_eff))
+        assert calls == [(list(dict.fromkeys(t_eff)), [160] * 14)]  # one array of 160-point rows
+
+    def test_first_point_that_fails_raises_its_error(self):
+        """A degenerate curve at point 3 raises before the cloud that does not fit at point 10,
+        although the geometry of every point is taken before any curve."""
+        sweep = self.SWEEP[:12]
+        sweep[3] = dataclasses.replace(sweep[3], homogeneity_radius=1e290)
+        sweep[10] = dataclasses.replace(sweep[10], temperature=1e-3)
+        with pytest.raises(ParameterError) as caught:
+            _sensitivity_reports(RB87, sweep)
+        assert type(caught.value) is ParameterError  # exit 2, where the cloud's error exits 3
+        assert str(caught.value).startswith("bandwidth curve at r_0 = 1.000e+290 m, segment t = ")
+        with pytest.raises(InfeasibleGeometryError):
+            _sensitivity_reports(RB87, sweep[4:])
 
 
 class TestOptimizeTrap:
@@ -383,9 +457,11 @@ def _capability_curves(apparatuses=(), traps=40):
     and of sensitivity and optimize_trap on ``traps`` traps drawn as the response_probe benchmark
     draws them."""
     seen = []
-    cp_fwhm = sensitivity_module._cp_fwhm
+    cp_heads = sensitivity_module._cp_heads
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sensitivity_module, "_cp_fwhm", lambda *key: seen.append(key) or cp_fwhm(*key))
+        mp.setattr(
+            sensitivity_module, "_cp_heads", lambda m, r, ts: seen.extend((m, r, t) for t in ts) or cp_heads(m, r, ts)
+        )
         _sensitivity_reports(RB87, [AP, *(with_atoms(n) for n in np.geomspace(100.0, 1e6, 25))])
         for ap in apparatuses:
             with pytest.raises(ParameterError):
@@ -423,9 +499,13 @@ def _cp_fwhm_or_error(modes, r_0, t):
 
 
 def _head_lengths(monkeypatch):
-    """The grid length of each response_cp call that _cp_fwhm makes from now on."""
+    """The length of each head that _cp_heads evaluates and of each whole grid that response_cp
+    evaluates for _cp_fwhm from now on."""
     lengths = []
-    response = sensitivity_module.response_cp
+    heads, response = sensitivity_module._cp_heads, sensitivity_module.response_cp
+    monkeypatch.setattr(
+        sensitivity_module, "_cp_heads", lambda *a: [h and lengths.append(h["omega"].size) or h for h in heads(*a)]
+    )
     monkeypatch.setattr(
         sensitivity_module, "response_cp", lambda *a, grid: lengths.append(grid.size) or response(*a, grid=grid)
     )
